@@ -21,7 +21,14 @@ from .errors import (
 )
 from .numerics import _GL_NODES, _GL_WEIGHTS, trailing_stats
 from .state import Trajectory
-from .stress_models import POSITIVE, StressModel, critical_points, find_branches, roots_at
+from .stress_models import (
+    POSITIVE,
+    StressModel,
+    critical_points,
+    find_branches,
+    near_critical_value,
+    roots_at,
+)
 
 TRAILING_FRAC = 0.1
 RHS_SETTLED = 1e-8
@@ -48,26 +55,23 @@ def equilibria_enumerate(model: StressModel, mu: float, n_levels: int = 201):
     grid = model.grid(1001)
     sig = np.asarray(model.sigma(grid), dtype=float)
     c_lo, c_hi = float(np.min(sig)), float(np.max(sig))
-    _, crit_vals = critical_points(model)
     levels = np.linspace(c_lo, c_hi, n_levels)
+    roots = roots_at(model, levels)
+    roots[near_critical_value(model, levels)] = np.nan
+    first = np.fmin.reduce(roots, axis=1)  # outermost roots; NaN for none
+    last = np.fmax.reduce(roots, axis=1)
+    ok = (first < mu) & (mu < last)  # implies at least two roots
     found: list[EquilibriumDescription] = []
-    for c in levels:
-        if len(crit_vals) and np.min(np.abs(crit_vals - c)) < 1e-9 * max(1.0, abs(c)):
-            continue
-        roots = roots_at(model, float(c))
-        if len(roots) < 2:
-            continue
-        lo, hi = float(roots[0]), float(roots[-1])
-        if lo < mu < hi:
-            s = (hi - mu) / (hi - lo)
-            found.append(
-                EquilibriumDescription(
-                    stress_level=float(c),
-                    branch_values=(lo, hi),
-                    fractions=(s, 1.0 - s),
-                    mean=s * lo + (1.0 - s) * hi,
-                )
+    for c, lo, hi in zip(levels[ok].tolist(), first[ok].tolist(), last[ok].tolist()):
+        s = (hi - mu) / (hi - lo)
+        found.append(
+            EquilibriumDescription(
+                stress_level=c,
+                branch_values=(lo, hi),
+                fractions=(s, 1.0 - s),
+                mean=s * lo + (1.0 - s) * hi,
             )
+        )
     return ("UNIQUE" if not found else "NON-UNIQUE"), found
 
 
@@ -180,8 +184,8 @@ def chi_functional(model: StressModel, traj: Trajectory, a: float, b: float):
     limit. The floor is 0 for positive-only models, 1 for full-line ones."""
     if b < a:
         raise ValueError("need a <= b")
-    zs, crit_vals = critical_points(model)
-    if len(crit_vals) and np.min(np.minimum(np.abs(crit_vals - a), np.abs(crit_vals - b))) < 1e-9:
+    zs, _ = critical_points(model)
+    if np.any(near_critical_value(model, [a, b])):
         warnings.warn(
             "band endpoint sits on a critical value of the stress; "
             "the interval decomposition is ill-conditioned",
@@ -189,22 +193,19 @@ def chi_functional(model: StressModel, traj: Trajectory, a: float, b: float):
         )
     z_floor = 0.0 if model.domain == POSITIVE else 1.0
     lo, hi = model.eval_window
-    points = sorted(
-        set(map(float, roots_at(model, a)))
-        | set(map(float, roots_at(model, b)))
-        | set(map(float, zs))
-        | {max(lo, 1e-12) if model.domain == POSITIVE else lo, hi}
-    )
+    ends = roots_at(model, np.array([a, b], dtype=float))
+    points = np.unique(np.concatenate([
+        ends[~np.isnan(ends)], zs, [max(lo, 1e-12) if model.domain == POSITIVE else lo, hi],
+    ]))
     # classify the gaps between consecutive breakpoints
+    vals = np.asarray(model.sigma(0.5 * (points[:-1] + points[1:])), dtype=float)
+    inside = (a <= vals) & (vals <= b)
     in_band: list[tuple[float, float]] = []
-    for s, e in zip(points[:-1], points[1:]):
-        mid = 0.5 * (s + e)
-        val = float(model.sigma(np.array([mid]))[0])
-        if a <= val <= b:
-            if in_band and abs(in_band[-1][1] - s) < 1e-12 * max(1.0, abs(s)):
-                in_band[-1] = (in_band[-1][0], e)
-            else:
-                in_band.append((s, e))
+    for s, e in zip(points[:-1][inside].tolist(), points[1:][inside].tolist()):
+        if in_band and abs(in_band[-1][1] - s) < 1e-12 * max(1.0, abs(s)):
+            in_band[-1] = (in_band[-1][0], e)
+        else:
+            in_band.append((s, e))
     if not in_band:
         series = np.zeros_like(traj.times)
         return series, 0.0, 0.0
@@ -319,38 +320,29 @@ def volume_fractions(model: StressModel, traj: Trajectory,
     tolerance of a critical value get NaN rows (branch identity is ambiguous
     there) and a warning.
     """
-    zs, crit_vals = critical_points(model)
+    zs, _ = critical_points(model)
     n_slots = len(zs) + 1
-    fractions = np.full((traj.n_records, n_slots), np.nan)
-    residual = np.full(traj.n_records, np.nan)
-    warned = False
-    for i in range(traj.n_records):
-        c = float(traj.stress_mean[i])
-        if len(crit_vals) and np.min(np.abs(crit_vals - c)) < 1e-9 * max(1.0, abs(c)):
-            if not warned:
-                warnings.warn(
-                    "stress mean touches a critical value; branch fractions "
-                    "are ambiguous at some records",
-                    RuntimeWarning,
-                )
-                warned = True
-            continue
-        roots = roots_at(model, c)
-        if len(roots) == 0:
-            continue
-        slots = np.searchsorted(zs, roots) if len(zs) else np.zeros(len(roots), dtype=int)
-        if eps_band is not None:
-            eps = eps_band
-        elif len(roots) > 1:
-            eps = 0.25 * float(np.min(np.diff(roots)))
-        else:
-            eps = np.inf
-        row = np.zeros(n_slots)
-        for r, slot in zip(roots, slots):
-            sel = np.abs(traj.values[i] - r) < eps
-            row[slot] = float(np.dot(traj.weights, sel))
-        fractions[i] = row
-        residual[i] = 1.0 - row.sum()
+    near = near_critical_value(model, traj.stress_mean)
+    if np.any(near):
+        warnings.warn(
+            "stress mean touches a critical value; branch fractions "
+            "are ambiguous at some records",
+            RuntimeWarning,
+        )
+    roots = roots_at(model, traj.stress_mean)  # column j is branch slot j
+    roots[near] = np.nan
+    if eps_band is not None:
+        eps = np.full(traj.n_records, float(eps_band))
+    else:
+        # rows are nondecreasing, so the running max is the previous root
+        gaps = roots[:, 1:] - np.fmax.accumulate(roots, axis=1)[:, :-1]
+        eps = 0.25 * np.fmin.reduce(gaps, axis=1, initial=np.inf)
+    fractions = np.empty((traj.n_records, n_slots))
+    for j in range(n_slots):
+        sel = np.abs(traj.values - roots[:, j, None]) < eps[:, None]
+        fractions[:, j] = sel @ traj.weights
+    fractions[np.all(np.isnan(roots), axis=1)] = np.nan
+    residual = 1.0 - fractions.sum(axis=1)
     return FractionsHistory(times=traj.times, fractions=fractions,
                             residual=residual, n_slots=n_slots)
 
@@ -380,14 +372,14 @@ def nc3_check(model: StressModel, mu: float, n_grid: int = 101,
     c_minus, c_plus = float(crit_vals[1]), float(crit_vals[0])
     span = c_plus - c_minus
     grid = np.linspace(c_minus + margin * span, c_plus - margin * span, n_grid)
-    means = np.empty(n_grid)
-    for i, c in enumerate(grid):
-        roots = roots_at(model, float(c))
-        if len(roots) != 3:
-            raise HypothesisError(
-                f"expected three branches at stress level {c}, found {len(roots)}"
-            )
-        means[i] = float(np.mean(roots))
+    roots = roots_at(model, grid)
+    counts = np.count_nonzero(~np.isnan(roots), axis=1)
+    if np.any(counts != 3):
+        i = np.flatnonzero(counts != 3)[0]
+        raise HypothesisError(
+            f"expected three branches at stress level {grid[i]}, found {counts[i]}"
+        )
+    means = np.mean(roots, axis=1)
     max_dev = float(np.max(np.abs(means - mu)))
     return BranchMeanReport(
         nondegenerate=bool(max_dev > 1e-8),
@@ -425,10 +417,7 @@ def nc_linear_independence(model: StressModel, c_interval, n_grid: int = 33) -> 
     """Sample the branch derivatives 1/sigma'(p_i(c)) on the interval and test
     their linear independence through the Gram spectrum."""
     bs = find_branches(model, c_interval, nc=n_grid)
-    derivs = np.empty_like(bs.branches)
-    for i in range(bs.count):
-        derivs[i] = 1.0 / np.asarray(model.sigma_prime(bs.branches[i]), dtype=float)
-    return gram_independence(derivs)
+    return gram_independence(1.0 / np.asarray(model.sigma_prime(bs.branches), dtype=float))
 
 
 # -- assembled report --------------------------------------------------------------

@@ -33,6 +33,10 @@ class BracketError(StrainflowError):
     """A root bracket could not be established inside the admissible window."""
 
 
+class IterationBudgetError(StrainflowError):
+    """An iterative kernel used up its iteration budget without converging."""
+
+
 class StiffnessError(StrainflowError):
     """Adaptive step size underflowed; the problem is too stiff for the stepper."""
 

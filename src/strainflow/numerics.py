@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, IntegrabilityError, StiffnessError
+from .errors import BracketError, IntegrabilityError, IterationBudgetError, StiffnessError
 
 # 5-point Gauss-Legendre rule on (-1, 1). All nodes are interior, which lets
 # the adaptive scheme integrate up to an endpoint where the integrand is
@@ -154,32 +154,49 @@ def quad_to_infinity(
     )
 
 
-def bisect_root(f, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of a scalar function on a sign-changing bracket [lo, hi].
+def bisect_root(f, lo, hi, xtol: float = 1e-12, max_iter: int = 200):
+    """Roots of ``f`` on sign-changing brackets [lo, hi].
+
+    ``lo`` and ``hi`` may be arrays (broadcast together), and ``f`` then acts
+    componentwise on arrays of that shape. Each component stops where a
+    scalar bisection of its bracket stops and returns that bisection's root:
+    on an exact zero of ``f``, or at the bracket midpoint once
+    hi - lo <= xtol * max(1, |lo|, |hi|). Scalar brackets give a float.
 
     Signs are compared directly, never through products, which would
     underflow to zero for subnormal function values and corrupt the bracket.
+    Raises BracketError on a bracket without a sign change and
+    IterationBudgetError when a bracket is still open after ``max_iter``
+    halvings.
     """
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
+    lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
+    flo = np.asarray(f(lo), dtype=float)
+    fhi = np.asarray(f(hi), dtype=float)
+    live = (flo != 0.0) & (fhi != 0.0)
+    lo_pos = flo > 0.0  # every later lo keeps this sign
+    bad = live & (lo_pos == (fhi > 0.0))
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise BracketError(f"no sign change on [{lo.flat[i]!r}, {hi.flat[i]!r}]")
+    # an exact zero closes its bracket onto that point; the midpoint is then exact
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where((flo != 0.0) & (fhi == 0.0), hi, lo)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = float(f(mid))
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
+        if not np.any(live):
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(f(mid), dtype=float)
+        same = (fm > 0.0) == lo_pos
+        lo = np.where(live & ((fm == 0.0) | same), mid, lo)
+        hi = np.where(live & ((fm == 0.0) | ~same), mid, hi)
+        live = live & ~(hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+    if np.any(live):
+        raise IterationBudgetError(
+            f"bisection left {int(np.count_nonzero(live))} bracket(s) open "
+            f"after {max_iter} halvings"
+        )
+    out = 0.5 * (lo + hi)
+    return float(out) if out.ndim == 0 else out
 
 
 def bisect_vec(f, lo: np.ndarray, hi: np.ndarray, xtol: float = 1e-13, max_iter: int = 120) -> np.ndarray:

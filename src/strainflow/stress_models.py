@@ -29,6 +29,7 @@ FULL_LINE = "full-line"
 LAMBDA_SAFETY = 1.05  # the contraction tests need a valid constant, not a tight one
 FD_STEP = 1e-6  # relative central-difference step for the derivative fallback
 MAX_BRANCHES = 99
+CRITICAL_RTOL = 1e-9  # relative distance at which a stress level counts as critical
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,6 @@ class StressModel:
             raise DomainError(
                 f"strain value outside the domain of model {self.name!r}"
             )
-
-    def sigma_at(self, p):
-        self.require_in_domain(p)
-        return self.sigma(np.asarray(p, dtype=float))
 
     # -- cached structure --------------------------------------------------
 
@@ -171,17 +168,13 @@ def estimate_lambda(model: StressModel, n0: int = 1025, refinements: int = 3) ->
 def _critical_points_impl(model: StressModel, n: int = 8193) -> tuple[np.ndarray, np.ndarray]:
     grid = model.grid(n)
     dvals = np.asarray(model.sigma_prime(grid), dtype=float)
-    zs = []
-    for i in range(len(grid) - 1):
-        a, b = dvals[i], dvals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0 and (i == 0 or dvals[i - 1] != 0.0):
-            zs.append(grid[i])
-        elif a != 0.0 and b != 0.0 and (a > 0.0) != (b > 0.0):
-            zs.append(bisect_root(lambda x: float(model.sigma_prime(np.array([x]))[0]),
-                                  grid[i], grid[i + 1], xtol=1e-12))
-    zs = np.array(sorted(zs))
+    a, b = dvals[:-1], dvals[1:]
+    finite = np.isfinite(a) & np.isfinite(b)
+    # a run of exact zeros of sigma' counts once, at its first sample
+    touch = finite & (a == 0.0) & np.concatenate([[True], dvals[:-2] != 0.0])
+    cross = finite & (a != 0.0) & (b != 0.0) & ((a > 0.0) != (b > 0.0))
+    crossings = bisect_root(model.sigma_prime, grid[:-1][cross], grid[1:][cross], xtol=1e-12)
+    zs = np.sort(np.concatenate([grid[:-1][touch], crossings]))
     if len(zs) > MAX_BRANCHES:
         raise ModelInconsistencyError("too many critical points to tabulate")
     cs = model.sigma(zs) if len(zs) else np.array([])
@@ -191,41 +184,72 @@ def _critical_points_impl(model: StressModel, n: int = 8193) -> tuple[np.ndarray
 def critical_points(model: StressModel) -> tuple[np.ndarray, np.ndarray]:
     """Sign changes of sigma' on the window and the critical values there.
 
-    An empty result means sigma is monotone on the window.
+    Sign changes are located on an 8193-point grid and refined together in
+    one batched bisection of sigma'. An empty result means sigma is monotone
+    on the window. The k critical points split the window into the k + 1
+    monotone pieces that index the columns of a :func:`roots_at` table.
     """
     return model.critical_data
 
 
-def roots_at(model: StressModel, c: float) -> np.ndarray:
-    """All solutions of sigma(p) = c in the window, found by bracketing
-    between consecutive critical points and bisecting to 1e-12."""
+def near_critical_value(model: StressModel, c) -> np.ndarray:
+    """True where a stress level lies within CRITICAL_RTOL * max(1, |c|) of a
+    critical value of sigma, where branches merge and their identity is
+    ambiguous. Works elementwise on arrays of levels."""
+    c = np.asarray(c, dtype=float)
+    _, crit_vals = model.critical_data
+    gap = np.abs(c[..., None] - crit_vals)
+    return np.any(gap < CRITICAL_RTOL * np.maximum(1.0, np.abs(c))[..., None], axis=-1)
+
+
+def roots_at(model: StressModel, c) -> np.ndarray:
+    """All solutions of sigma(p) = c in the window.
+
+    sigma is monotone on each piece between consecutive critical points (and
+    the window ends), so a piece holds at most one root per level. Every
+    (level, piece) pair whose ends bracket the level is bisected to 1e-12 in
+    a single batched bisection; roots within 1e-9 * max(1, |p|) of the
+    previous root of the same level are dropped as duplicates.
+
+    A scalar ``c`` gives that level's roots as a sorted 1-d array. A 1-d
+    array of levels gives a NaN-padded table of shape (n_levels, n_pieces):
+    column j holds the root on piece j, the branch slot between critical
+    points j - 1 and j, and NaN where that piece has no root. Each row is
+    nondecreasing left to right once the NaNs are dropped.
+    """
+    levels = np.atleast_1d(np.asarray(c, dtype=float))
+    if levels.ndim != 1:
+        raise ValueError("levels must be a scalar or a 1-d array")
     zs, _ = model.critical_data
     lo, hi = model.eval_window
     if model.domain == POSITIVE:
         lo = max(lo, 1e-300)
     pieces = np.concatenate([[lo], zs, [hi]])
-    roots = []
-    f = lambda p: float(model.sigma(np.array([p]))[0]) - c
-    for a, b in zip(pieces[:-1], pieces[1:]):
+    a, b = pieces[:-1], pieces[1:]
+    if model.domain == POSITIVE:
         # nudge inward so singular window edges are never evaluated exactly
-        aa = a + 1e-13 * max(1.0, abs(a)) if a == lo and model.domain == POSITIVE else a
-        fa, fb = f(aa), f(b)
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if fa == 0.0:
-            roots.append(aa)
-        elif (fa > 0.0) != (fb > 0.0) and fb != 0.0:
-            # signs compared directly: products underflow for subnormal values
-            roots.append(bisect_root(f, aa, b, xtol=1e-12))
-    f_hi = f(float(pieces[-1]))
-    if f_hi == 0.0:
-        roots.append(float(pieces[-1]))
-    roots = sorted(roots)
-    out: list[float] = []
-    for r in roots:  # dedupe roots that landed on shared piece boundaries
-        if not out or r - out[-1] > 1e-9 * max(1.0, abs(r)):
-            out.append(r)
-    return np.array(out)
+        a = np.where(a == lo, a + 1e-13 * np.maximum(1.0, np.abs(a)), a)
+    fa = np.asarray(model.sigma(a), dtype=float) - levels[:, None]
+    fb = np.asarray(model.sigma(b), dtype=float) - levels[:, None]
+    finite = np.isfinite(fa) & np.isfinite(fb)
+    table = np.where(finite & (fa == 0.0), a, np.nan)
+    # signs compared directly: products underflow for subnormal values
+    bracket = finite & (fa != 0.0) & (fb != 0.0) & ((fa > 0.0) != (fb > 0.0))
+    rows, cols = np.nonzero(bracket)
+    table[rows, cols] = bisect_root(
+        lambda p: np.asarray(model.sigma(p), dtype=float) - levels[rows],
+        a[cols], b[cols], xtol=1e-12,
+    )
+    last = table[:, -1]
+    last[(fb[:, -1] == 0.0) & np.isnan(last)] = hi
+    kept = table[:, 0].copy()  # latest root kept in each row, NaN before the first
+    for j in range(1, table.shape[1]):  # dedupe roots on shared piece boundaries
+        col = table[:, j]
+        col[col - kept <= 1e-9 * np.maximum(1.0, np.abs(col))] = np.nan
+        kept = np.where(np.isnan(col), kept, col)
+    if np.ndim(c) == 0:
+        return table[0][~np.isnan(table[0])]
+    return table
 
 
 @dataclass(frozen=True)
@@ -242,11 +266,6 @@ class BranchSet:
     @property
     def count(self) -> int:
         return self.branches.shape[0]
-
-    def values_at(self, model: StressModel, c: float) -> np.ndarray:
-        if not (self.c_lo <= c <= self.c_hi):
-            raise InvalidIntervalError("stress level outside the tabulated interval")
-        return roots_at(model, c)
 
 
 def find_branches(model: StressModel, c_interval: tuple[float, float], nc: int = 65) -> BranchSet:
@@ -266,33 +285,28 @@ def find_branches(model: StressModel, c_interval: tuple[float, float], nc: int =
                 f"interval [{c_lo}, {c_hi}] touches the critical value {cv}"
             )
     c_grid = np.linspace(c_lo, c_hi, nc)
-    rows = None
-    for j, c in enumerate(c_grid):
-        r = roots_at(model, float(c))
-        if rows is None:
-            if len(r) % 2 == 0:
-                raise ModelInconsistencyError(
-                    f"even root count ({len(r)}) at stress level {c}"
-                )
-            if len(r) > MAX_BRANCHES:
-                raise ModelInconsistencyError("branch count exceeds the cap")
-            rows = np.empty((len(r), nc))
-        if len(r) != rows.shape[0]:
-            raise ModelInconsistencyError(
-                "root count changed inside a supposedly branch-stable interval"
-            )
-        rows[:, j] = r
-    signs = []
-    for i in range(rows.shape[0]):
-        mid = rows[i, nc // 2]
-        d = float(model.sigma_prime(np.array([mid]))[0])
-        signs.append(1 if d > 0 else -1)
+    table = roots_at(model, c_grid)
+    found = ~np.isnan(table)
+    counts = found.sum(axis=1)
+    if counts[0] % 2 == 0:
+        raise ModelInconsistencyError(
+            f"even root count ({counts[0]}) at stress level {c_grid[0]}"
+        )
+    if counts[0] > MAX_BRANCHES:
+        raise ModelInconsistencyError("branch count exceeds the cap")
+    if np.any(counts != counts[0]):
+        raise ModelInconsistencyError(
+            "root count changed inside a supposedly branch-stable interval"
+        )
+    rows = table[found].reshape(nc, counts[0]).T.copy()
+    slopes = np.asarray(model.sigma_prime(rows[:, nc // 2]), dtype=float)
+    signs = tuple(1 if d > 0 else -1 for d in slopes)
     return BranchSet(
         c_lo=c_lo,
         c_hi=c_hi,
         c_grid=c_grid,
         branches=rows,
-        signs=tuple(signs),
+        signs=signs,
         critical_values=np.sort(crit_vals),
     )
 

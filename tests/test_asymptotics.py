@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from strainflow.asymptotics import (
 from strainflow.displacement import integrate, seeded_state
 from strainflow.errors import DegenerateDataError, HypothesisError, NotConvergedError
 from strainflow.state import SimpleState
-from strainflow.stress_models import make_model
+from strainflow.stress_models import critical_points, make_model, roots_at
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,18 @@ class TestChiFunctional:
         with pytest.warns(RuntimeWarning):
             chi_functional(cubic, converged_run, -0.1, c_plus)
 
+    def test_band_near_large_critical_value_warns(self, converged_run):
+        # |c| >> 1: an endpoint 5e-9 from the critical value is within the
+        # relative tolerance 1e-9 * |c| that volume_fractions and
+        # equilibria_enumerate use, so the band check must agree with them
+        model = make_model("shifted-cubic", d=1e4)
+        c_plus = float(critical_points(model)[1][0])
+        with pytest.warns(RuntimeWarning):
+            chi_functional(model, converged_run, c_plus - 0.2, c_plus + 5e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chi_functional(model, converged_run, c_plus - 0.2, c_plus - 2e-5)
+
     def test_cubic_band_is_three_intervals(self, cubic, converged_run):
         series, limit, spread = chi_functional(cubic, converged_run, -0.1, 0.1)
         # oracle at the final record: decompose sigma^{-1}([a,b]) by polynomial roots
@@ -231,6 +246,61 @@ class TestVolumeFractions:
         assert fr.fractions[-1].sum() > 1.0 - 1e-6
         finite = np.isfinite(fr.residual)
         assert np.all(fr.fractions[finite].sum(axis=1) <= 1.0 + 1e-12)
+
+
+def _reference_volume_fractions(model, traj):
+    """Per-record loop: scalar roots_at at each record, slots by searchsorted."""
+    zs, crit_vals = critical_points(model)
+    fractions = np.full((traj.n_records, len(zs) + 1), np.nan)
+    for i, c in enumerate(traj.stress_mean):
+        if len(crit_vals) and np.min(np.abs(crit_vals - c)) < 1e-9 * max(1.0, abs(c)):
+            continue
+        roots = roots_at(model, float(c))
+        if len(roots) == 0:
+            continue
+        slots = np.searchsorted(zs, roots)
+        eps = 0.25 * float(np.min(np.diff(roots))) if len(roots) > 1 else np.inf
+        row = np.zeros(len(zs) + 1)
+        for r, slot in zip(roots, slots):
+            row[slot] = float(np.dot(traj.weights, np.abs(traj.values[i] - r) < eps))
+        fractions[i] = row
+    return fractions
+
+
+def _sigma_counted(model):
+    """The model with sigma wrapped to count its calls; replace keeps lambda_."""
+    calls = [0]
+
+    def sigma(p):
+        calls[0] += 1
+        return model.sigma(p)
+
+    return dataclasses.replace(model, sigma=sigma), calls
+
+
+class TestLevelSetWork:
+    """sigma-call budgets for the batched diagnostics: a per-level or
+    per-record loop (about 28k and 14k calls) fails them."""
+
+    @pytest.fixture(scope="class")
+    def run_201(self, cubic):
+        return integrate(cubic, seeded_state(cubic, 32, 0.5, seed=8), 50.0, n_records=201)
+
+    def test_volume_fractions_sigma_calls(self, cubic, run_201):
+        counted, calls = _sigma_counted(cubic)
+        volume_fractions(counted, run_201)
+        assert calls[0] <= 500
+
+    def test_nc3_check_sigma_calls(self, cubic):
+        counted, calls = _sigma_counted(cubic)
+        nc3_check(counted, mu=0.5)
+        assert calls[0] <= 300
+
+    def test_volume_fractions_match_per_record_reference(self, cubic, run_201):
+        # equal dyadic weights (1/32) make every weight sum exact in any order
+        fr = volume_fractions(cubic, run_201)
+        ref = _reference_volume_fractions(cubic, run_201)
+        assert fr.fractions.tobytes() == ref.tobytes()
 
 
 class TestNondegeneracy:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from strainflow.errors import BracketError, IntegrabilityError
+from strainflow.errors import BracketError, IntegrabilityError, IterationBudgetError
 from strainflow.numerics import (
     CumulativeCurve,
     bisect_root,
@@ -59,6 +59,28 @@ def test_bisect_root_simple():
     assert abs(r - np.sqrt(2.0)) < 1e-13
     with pytest.raises(BracketError):
         bisect_root(lambda x: x ** 2 + 1.0, -1.0, 1.0)
+
+
+def test_bisect_root_batched_matches_scalar_brackets():
+    # zero at a bracket start, zero at a bracket end, zero hit by the first
+    # midpoint, and two brackets that stop on the width rule
+    f = lambda x: x * x - 4.0
+    lo = np.array([2.0, -1.0, 0.0, 1.0, 0.0])
+    hi = np.array([5.0, 2.0, 4.0, 2.5, 3.0])
+    batched = bisect_root(f, lo, hi)
+    assert isinstance(batched, np.ndarray)
+    scalar = [bisect_root(f, a, b) for a, b in zip(lo, hi)]
+    assert all(isinstance(r, float) for r in scalar)
+    assert batched.tobytes() == np.array(scalar).tobytes()
+
+
+def test_bisect_root_budget_exhaustion_raises():
+    # three halvings cannot shrink [0, 1] to 1e-12: the midpoint is unconverged
+    with pytest.raises(IterationBudgetError):
+        bisect_root(lambda x: x - 0.3, 0.0, 1.0, max_iter=3)
+    with pytest.raises(IterationBudgetError):
+        bisect_root(lambda x: x - 0.3, np.zeros(2), np.array([1.0, 0.5]), max_iter=3)
+    assert bisect_root(lambda x: x - 0.5, 0.0, 1.0, max_iter=1) == 0.5  # exact hit
 
 
 def test_bisect_vec_componentwise():

@@ -18,6 +18,7 @@ from strainflow.stress_models import (
     eval_W,
     find_branches,
     make_model,
+    near_critical_value,
     roots_at,
 )
 
@@ -218,3 +219,153 @@ def test_cubic_branch_recomposition_property(level):
     roots = roots_at(cubic, level)
     assert len(roots) in (1, 3)
     assert np.max(np.abs(cubic.sigma(roots) - level)) <= 1e-10
+
+
+# -- batched level sets against the scalar reference -------------------------
+#
+# The reference is the per-level algorithm the batched kernels replaced: a
+# Python scan over the critical-point grid cells and one scalar bisection per
+# monotone piece and level, each evaluating sigma on a one-point array.
+
+
+def _scalar_bisect(f, lo, hi, xtol=1e-12, max_iter=200):
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    assert (flo > 0.0) != (fhi > 0.0)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _reference_critical_points(model, n=8193):
+    grid = model.grid(n)
+    dvals = np.asarray(model.sigma_prime(grid), dtype=float)
+    zs = []
+    for i in range(len(grid) - 1):
+        a, b = dvals[i], dvals[i + 1]
+        if not (np.isfinite(a) and np.isfinite(b)):
+            continue
+        if a == 0.0 and (i == 0 or dvals[i - 1] != 0.0):
+            zs.append(grid[i])
+        elif a != 0.0 and b != 0.0 and (a > 0.0) != (b > 0.0):
+            zs.append(_scalar_bisect(lambda x: float(model.sigma_prime(np.array([x]))[0]),
+                                     grid[i], grid[i + 1]))
+    return np.array(sorted(zs))
+
+
+def _reference_roots_at(model, c):
+    zs, _ = critical_points(model)
+    lo, hi = model.eval_window
+    if model.domain == POSITIVE:
+        lo = max(lo, 1e-300)
+    pieces = np.concatenate([[lo], zs, [hi]])
+    roots = []
+    f = lambda p: float(model.sigma(np.array([p]))[0]) - c
+    for a, b in zip(pieces[:-1], pieces[1:]):
+        aa = a + 1e-13 * max(1.0, abs(a)) if a == lo and model.domain == POSITIVE else a
+        fa, fb = f(aa), f(b)
+        if not (np.isfinite(fa) and np.isfinite(fb)):
+            continue
+        if fa == 0.0:
+            roots.append(aa)
+        elif (fa > 0.0) != (fb > 0.0) and fb != 0.0:
+            roots.append(_scalar_bisect(f, aa, b))
+    if f(float(pieces[-1])) == 0.0:
+        roots.append(float(pieces[-1]))
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-9 * max(1.0, abs(r)):
+            out.append(r)
+    return np.array(out, dtype=float)
+
+
+EQUIVALENCE_MODELS = {
+    "cubic": dict(name="cubic"),
+    "shifted-cubic": dict(name="shifted-cubic", a=1.0, b=-3.0, c=2.0, d=0.1),
+    "singular-cubic": dict(name="singular-cubic", kappa=0.05),
+    "quintic": dict(name="poly", coeffs=[1.0, 0.0, -5.0, 0.0, 4.0, 0.0]),  # p(p^2-1)(p^2-4)
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EQUIVALENCE_MODELS))
+def equivalence_model(request):
+    return make_model(**EQUIVALENCE_MODELS[request.param])
+
+
+def _special_levels(model):
+    """Critical values, sigma at each window end (at the nudged start that a
+    positive-only model bisects from, too) and levels outside the range."""
+    _, cs = critical_points(model)
+    lo, hi = model.eval_window
+    ends = [lo, hi] + ([lo + 1e-13 * max(1.0, lo)] if model.domain == POSITIVE else [])
+    at_ends = model.sigma(np.array(ends, dtype=float))
+    span = np.max(np.abs(model.sigma(model.grid(257))))
+    return np.concatenate([cs, at_ends, [-2.0 * span - 1.0, 2.0 * span + 1.0, 0.0]])
+
+
+def _assert_table_matches_reference(model, levels):
+    table = roots_at(model, levels)
+    assert table.shape == (len(levels), len(critical_points(model)[0]) + 1)
+    for row, c in zip(table, levels):
+        ref = _reference_roots_at(model, float(c))
+        assert row[~np.isnan(row)].tobytes() == ref.tobytes(), c
+        assert roots_at(model, float(c)).tobytes() == ref.tobytes(), c
+
+
+class TestBatchedLevelSetsMatchScalarReference:
+    def test_quintic_has_four_critical_points(self):
+        zs, _ = critical_points(make_model(**EQUIVALENCE_MODELS["quintic"]))
+        assert len(zs) == 4
+
+    def test_critical_points_bit_identical(self, equivalence_model):
+        zs, cs = critical_points(equivalence_model)
+        ref = _reference_critical_points(equivalence_model)
+        assert len(ref) >= 2
+        assert zs.tobytes() == ref.tobytes()
+        assert cs.tobytes() == np.asarray(equivalence_model.sigma(ref), dtype=float).tobytes()
+
+    def test_special_levels_bit_identical(self, equivalence_model):
+        _assert_table_matches_reference(equivalence_model, _special_levels(equivalence_model))
+
+    def test_interior_levels_bit_identical(self, equivalence_model):
+        _, cs = critical_points(equivalence_model)
+        levels = np.linspace(np.min(cs) - 0.5, np.max(cs) + 0.5, 41)
+        _assert_table_matches_reference(equivalence_model, levels)
+
+    def test_table_columns_are_branch_slots(self, cubic):
+        table = roots_at(cubic, np.array([0.0, 1.0, -1.0]))
+        assert np.all(np.isfinite(table[0]))
+        assert np.isnan(table[1, :2]).all() and table[1, 2] > 1.0  # right branch only
+        assert np.isnan(table[2, 1:]).all() and table[2, 0] < -1.0  # left branch only
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model_key=st.sampled_from(sorted(EQUIVALENCE_MODELS)),
+    levels=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=12),
+)
+def test_batched_roots_match_reference_property(model_key, levels):
+    model = make_model(**EQUIVALENCE_MODELS[model_key])
+    _assert_table_matches_reference(model, np.array(levels))
+
+
+def test_critical_value_proximity_is_relative():
+    # |c| >> 1: 5e-9 from a critical value is near under the relative rule
+    # (1e-9 * |c| ~ 1e-5) though not under an absolute 1e-9
+    model = make_model("shifted-cubic", d=1e4)
+    _, cs = critical_points(model)
+    assert near_critical_value(model, cs[0] + 5e-9)
+    assert not near_critical_value(model, cs[0] + 2e-5)
+    assert near_critical_value(model, np.array([cs[1] - 5e-9, 0.0])).tolist() == [True, False]
