@@ -35,7 +35,6 @@ from .displacement import (
     rhs,
     rhs_norm,
     seeded_state,
-    step_explicit,
 )
 from .mixed import PointwiseSolution, reconstruct_y, solve_field, solve_pointwise
 from .state import SimpleState, Trajectory, state_distance

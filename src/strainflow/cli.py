@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import asymptotics_report, equilibria_enumerate, volume_fractions
 from .bounds import bounds_profile
-from .counterexample import dense_data_demo, simulate_cyl
-from .displacement import approximate_initial_data, integrate, seeded_state
+from .counterexample import DEMO_Z0, member_summary, simulate_cyl
+from .displacement import _record_grid, approximate_initial_data, integrate, seeded_state
 from .errors import ConfigError, HypothesisError, StrainflowError
 from .mixed import solve_field
 from .state import SimpleState, Trajectory
@@ -108,6 +108,8 @@ class ExperimentConfig:
                 if not isinstance(value, dict):
                     raise ConfigError(f"field {key!r} must be an object")
                 merged[key].update(value)
+            elif isinstance(value, dict):
+                raise ConfigError(f"field {key!r} must not be an object")
             else:
                 merged[key] = value
         cfg = cls(**merged)
@@ -141,25 +143,30 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    for ov in overrides or []:
-        if "=" not in ov:
-            raise ConfigError(f"override {ov!r} must look like dotted.key=value")
-        key, raw = ov.split("=", 1)
+def _set_dotted(data: dict, key: str, value) -> None:
+    """Set ``data[a][b][c] = value`` for the dotted key ``a.b.c``, creating
+    missing objects on the way."""
+    *path, last = key.split(".")
+    target = data
+    for part in path:
+        target = target.setdefault(part, {}) if isinstance(target, dict) else None
+    if not isinstance(target, dict):
+        raise ConfigError(f"override {key!r} passes through a value that is not an object")
+    target[last] = value
+
+
+def load_config(path: str | None, overrides: list[str] | None = None) -> ExperimentConfig:
+    """Config from a JSON file (all defaults when ``path`` is None) with
+    ``dotted.key=value`` overrides applied in order."""
+    data: dict = {}
+    if path is not None:
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        target = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-        target[parts[-1]] = value
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    for key, value in map(_parse_assignment, overrides or []):
+        _set_dotted(data, key, value)
     return ExperimentConfig.from_dict(data)
 
 
@@ -277,9 +284,7 @@ def command_run(cfg: ExperimentConfig) -> int:
         want_lower = model.domain == POSITIVE
     if want_upper == "auto":
         want_upper = True
-    grid = np.arange(0.0, cfg.t_final + 0.5 * cfg.record_every, cfg.record_every)
-    grid = grid if grid[-1] >= cfg.t_final else np.append(grid, cfg.t_final)
-    grid[-1] = cfg.t_final
+    grid = _record_grid(cfg.t_final, cfg.record_every, None)
     if want_lower or want_upper:
         try:
             profile = bounds_profile(
@@ -441,16 +446,16 @@ def command_counterexample(args) -> int:
     out_dir = os.path.join(_output_root(), args.out)
     os.makedirs(out_dir, exist_ok=True)
     if args.demo:
-        summary = dense_data_demo(t_final=args.t_final)
-        _write_json_atomic(os.path.join(out_dir, "counterexample.json"), {"members": summary})
-        members = [(m["z0"],) for m in summary]
-        for i, (z0,) in enumerate(members):
+        summary = []
+        for i, z0 in enumerate(DEMO_Z0):
             traj = simulate_cyl(2.0, 0.0, z0, args.t_final, n_records=args.records)
+            summary.append(member_summary(z0, traj))
             _write_csv(
                 os.path.join(out_dir, f"member_{i:02d}.csv"),
                 ["t", "r", "theta", "z", "lyapunov"],
                 np.column_stack([traj.times, traj.r, traj.theta, traj.z, traj.lyapunov]),
             )
+        _write_json_atomic(os.path.join(out_dir, "counterexample.json"), {"members": summary})
         print(os.path.join(out_dir, "counterexample.json"))
         return 0
     traj = simulate_cyl(args.r0, args.theta0, args.z0, args.t_final, n_records=args.records)
@@ -569,11 +574,7 @@ def _sweep_member(payload) -> dict:
     index, base_config, assignment, out_root = payload
     data = copy.deepcopy(base_config)
     for key, value in assignment.items():
-        target = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-        target[parts[-1]] = value
+        _set_dotted(data, key, value)
     data["output_dir"] = os.path.join(out_root, f"member_{index:03d}")
     row = {"index": index, "params": assignment}
     try:
@@ -628,17 +629,20 @@ def command_sweep(args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _parse_assignment(item: str) -> tuple[str, object]:
+    """Split ``key=value``; the value is read as JSON when it parses, else
+    kept as a string."""
+    if "=" not in item:
+        raise ConfigError(f"{item!r} must look like key=value")
+    key, raw = item.split("=", 1)
+    try:
+        return key, json.loads(raw)
+    except json.JSONDecodeError:
+        return key, raw
+
+
 def _parse_params(items: list[str] | None) -> dict:
-    params = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ConfigError(f"model parameter {item!r} must look like key=value")
-        key, raw = item.split("=", 1)
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
+    return dict(map(_parse_assignment, items or []))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -735,23 +739,7 @@ def main(argv=None) -> int:
                 for key, val in flag_map.items()
                 if val is not None
             ]
-            if args.config is None:
-                data: dict = {}
-                for ov in overrides:
-                    key, raw = ov.split("=", 1)
-                    try:
-                        value = json.loads(raw)
-                    except json.JSONDecodeError:
-                        value = raw
-                    target = data
-                    parts = key.split(".")
-                    for part in parts[:-1]:
-                        target = target.setdefault(part, {})
-                    target[parts[-1]] = value
-                cfg = ExperimentConfig.from_dict(data)
-            else:
-                cfg = load_config(args.config, overrides)
-            return command_run(cfg)
+            return command_run(load_config(args.config, overrides))
         if args.command == "mixed":
             return command_mixed(args)
         if args.command == "bounds":

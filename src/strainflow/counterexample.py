@@ -88,27 +88,29 @@ def simulate_cyl(
     )
 
 
+DEMO_Z0 = (0.0,) + tuple(s * 10.0 ** -k for k in range(1, 7) for s in (1.0, -1.0))
+
+
+def member_summary(z0: float, traj: CylTrajectory) -> dict:
+    """Final state, winding gain and Lyapunov monotonicity of one member."""
+    lyap = traj.lyapunov
+    return {
+        "z0": z0,
+        "final_r": float(traj.r[-1]),
+        "final_theta": float(traj.theta[-1]),
+        "final_z": float(traj.z[-1]),
+        "final_abs_u": float(traj.abs_u[-1]),
+        "theta_gain": float(traj.theta[-1] - traj.theta[0]),
+        "lyapunov_monotone": bool(np.all(np.diff(lyap) <= 1e-9 * (1.0 + lyap[:-1]))),
+    }
+
+
 def dense_data_demo(t_final: float = 1e3, r0: float = 2.0) -> list[dict]:
-    """Ensemble over z(0) in {0} and +-10^-k, k = 1..6, all from r(0) = r0.
+    """Ensemble over z(0) in DEMO_Z0 = {0} and +-10^-k, k = 1..6, all from
+    r(0) = r0.
 
     Members with z(0) != 0 head for the origin; the z(0) = 0 member hugs the
     unit circle with its angle still advancing. Returns one summary per
     member.
     """
-    out = []
-    z_values = [0.0] + [s * 10.0 ** -k for k in range(1, 7) for s in (1.0, -1.0)]
-    for z0 in z_values:
-        traj = simulate_cyl(r0, 0.0, z0, t_final)
-        lyap = traj.lyapunov
-        out.append(
-            {
-                "z0": z0,
-                "final_r": float(traj.r[-1]),
-                "final_theta": float(traj.theta[-1]),
-                "final_z": float(traj.z[-1]),
-                "final_abs_u": float(traj.abs_u[-1]),
-                "theta_gain": float(traj.theta[-1] - traj.theta[0]),
-                "lyapunov_monotone": bool(np.all(np.diff(lyap) <= 1e-9 * (1.0 + lyap[:-1]))),
-            }
-        )
-    return out
+    return [member_summary(z0, simulate_cyl(r0, 0.0, z0, t_final)) for z0 in DEMO_Z0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError, StiffnessError, StrainflowError
-from .numerics import StepController, _DP_A, _DP_B5, _DP_ERR, bisect_vec, rk45
+from .numerics import bisect_vec, rk45
 from .state import SimpleState, Trajectory, state_distance
 from .stress_models import POSITIVE, StressModel, eval_W
 
@@ -33,11 +33,15 @@ def _require_strict_domain(model: StressModel, values: np.ndarray) -> None:
         raise DomainError("the mean-constrained flow needs strictly positive strains")
 
 
+def _velocity(model: StressModel, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    sig = np.asarray(model.sigma(values), dtype=float)
+    return -sig + float(np.dot(weights, sig))
+
+
 def rhs(model: StressModel, state: SimpleState) -> np.ndarray:
     """Velocity of the flow; a single vectorized stress evaluation."""
     _require_strict_domain(model, state.values)
-    sig = np.asarray(model.sigma(state.values), dtype=float)
-    return -sig + float(np.dot(state.weights, sig))
+    return _velocity(model, state.weights, state.values)
 
 
 def rhs_norm(model: StressModel, state: SimpleState) -> float:
@@ -56,49 +60,6 @@ def _ordering_ok(perm: np.ndarray, values: np.ndarray) -> bool:
     v = values[perm]
     scale = max(1.0, float(np.max(np.abs(v))))
     return bool(np.all(np.diff(v) >= -ORDER_SLACK * scale))
-
-
-def step_explicit(
-    model: StressModel,
-    state: SimpleState,
-    ctrl: StepController,
-) -> tuple[SimpleState, float]:
-    """One accepted embedded 5(4) step; returns the new state and the step
-    actually taken. Steps are rejected (and halved) on error-control failure,
-    domain exit, or ordering violation; the accepted state is shifted by a
-    scalar to cancel mass drift at roundoff scale."""
-    y = state.values.copy()
-    w = state.weights
-    mu = state.mu
-    perm = _order_permutation(y)
-
-    def f(v):
-        sig = np.asarray(model.sigma(v), dtype=float)
-        return -sig + float(np.dot(w, sig))
-
-    k = np.empty((7, len(y)))
-    k[0] = f(y)
-    while True:
-        dt = ctrl.dt
-        for s in range(1, 7):
-            k[s] = f(y + dt * (_DP_A[s] @ k[:s]))
-        y_new = y + dt * (_DP_B5 @ k)
-        err_vec = dt * (_DP_ERR @ k)
-        scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        domain_ok = model.domain != POSITIVE or np.all(y_new > 0.0)
-        ok = np.all(np.isfinite(y_new)) and err <= 1.0 and domain_ok
-        ok = ok and _ordering_ok(perm, y_new)
-        if ok:
-            y_new = y_new + (mu - float(np.dot(w, y_new)))  # mass renormalization
-            ctrl.after_accept(err)
-            return state.with_values(y_new), dt
-        ctrl.after_reject(err if np.isfinite(err) else float("nan"))
-        if ctrl.dt < ctrl.dt_min:
-            raise StiffnessError(
-                "explicit step size underflow; the proximal stepper handles "
-                "stiff regimes"
-            )
 
 
 # -- proximal (implicit Euler) stepper ----------------------------------------
@@ -271,8 +232,8 @@ def integrate(
 ) -> Trajectory:
     """Advance the nonlocal flow to ``t_final`` recording on a uniform grid.
 
-    Stepper failures mid-run do not raise: the partial trajectory is returned
-    with the failure recorded under ``metadata["error"]``.
+    Stepper failures mid-run do not raise: the records the failed run reached
+    are returned with the failure recorded under ``metadata["error"]``.
     """
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
@@ -294,10 +255,6 @@ def integrate(
     if stepper == "rk45":
         perm = _order_permutation(state0.values)
 
-        def f(v):
-            sig = np.asarray(model.sigma(v), dtype=float)
-            return -sig + float(np.dot(w, sig))
-
         def accept(y_old, y_new):
             if model.domain == POSITIVE and not np.all(y_new > 0.0):
                 return False
@@ -308,21 +265,15 @@ def integrate(
 
         try:
             res = rk45(
-                f, state0.values, grid, rtol=rtol, atol=atol,
-                accept_state=accept, postprocess=renorm,
+                lambda v: _velocity(model, w, v), state0.values, grid,
+                rtol=rtol, atol=atol, accept_state=accept, postprocess=renorm,
                 stage_rate=lambda k: float(np.dot(w, k * k)),
             )
-            values, diss_cum, n_done = res.states, res.aux_integral, len(grid)
-            n_steps = res.n_steps
         except StrainflowError as exc:
-            # salvage whatever was recorded before the failure
-            partial = _partial_rk(model, state0, grid, rtol, atol, w, mu, perm)
-            values, diss_cum, n_done = partial
+            res = exc.partial  # the records reached before the failure
             meta["error"] = str(exc)
-            n_steps = None
-        traj_values = values[:n_done]
-        return _diagnostics(model, grid[:n_done], traj_values, w,
-                            diss_cum[:n_done], meta, n_steps)
+        return _diagnostics(model, res.times, res.states, w, res.aux_integral,
+                            meta, res.n_steps)
 
     if stepper == "prox":
         values = np.empty((len(grid), state0.n))
@@ -348,36 +299,6 @@ def integrate(
         return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta)
 
     raise ValueError(f"unknown stepper {stepper!r}")
-
-
-def _partial_rk(model, state0, grid, rtol, atol, w, mu, perm):
-    """Re-run record by record to salvage the prefix before a failure."""
-    values = np.empty((len(grid), state0.n))
-    diss_cum = np.zeros(len(grid))
-    values[0] = state0.values
-    y = state0.values
-    n_done = 1
-
-    def f(v):
-        sig = np.asarray(model.sigma(v), dtype=float)
-        return -sig + float(np.dot(w, sig))
-
-    for i in range(1, len(grid)):
-        try:
-            res = rk45(
-                f, y, np.array([grid[i - 1], grid[i]]), rtol=rtol, atol=atol,
-                accept_state=lambda a, b: (model.domain != POSITIVE or np.all(b > 0.0))
-                and _ordering_ok(perm, b),
-                postprocess=lambda v: v + (mu - float(np.dot(w, v))),
-                stage_rate=lambda k: float(np.dot(w, k * k)),
-            )
-        except StrainflowError:
-            break
-        y = res.states[-1]
-        values[i] = y
-        diss_cum[i] = diss_cum[i - 1] + res.aux_integral[-1]
-        n_done = i + 1
-    return values, diss_cum, n_done
 
 
 # -- initial data -------------------------------------------------------------

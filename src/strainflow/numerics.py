@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, IntegrabilityError, IterationBudgetError, StiffnessError
+from .errors import (
+    BracketError,
+    IntegrabilityError,
+    IterationBudgetError,
+    StiffnessError,
+    StrainflowError,
+)
 
 # 5-point Gauss-Legendre rule on (-1, 1). All nodes are interior, which lets
 # the adaptive scheme integrate up to an endpoint where the integrand is
@@ -353,6 +359,11 @@ def rk45(
     after each accepted step (e.g. mass renormalization). ``stage_rate(k)``
     maps a stage derivative vector to a scalar rate whose time integral is
     accumulated with the same fifth-order weights (used for dissipation).
+
+    Raises StiffnessError when a rejection, or an accepted step that was not
+    clamped to a record time, leaves a proposed step below ``dt_min``. A
+    StrainflowError raised while stepping carries the records reached so far
+    as ``exc.partial``, an RKResult.
     """
     t_record = np.asarray(t_record, dtype=float)
     if t_record.ndim != 1 or len(t_record) == 0:
@@ -373,60 +384,67 @@ def rk45(
     ctrl.dt = min(1e-4 * max(1.0, span), span)
 
     k = np.empty((7, dim))
-    k[0] = f(y)
-    fsal_valid = True
+    fsal_valid = False
     n_steps = 0
     n_rejected = 0
     idx = 1
-    while idx < len(t_record):
-        t_next = float(t_record[idx])
-        dt = min(ctrl.dt, t_next - t)
-        clamped = dt < ctrl.dt
-        if not fsal_valid:
-            k[0] = f(y)
-            fsal_valid = True
-        for s in range(1, 7):
-            ys = y + dt * (_DP_A[s] @ k[:s])
-            k[s] = f(ys)
-        y_new = y + dt * (_DP_B5 @ k)
-        err_vec = dt * (_DP_ERR @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+    try:
+        while idx < len(t_record):
+            t_next = float(t_record[idx])
+            dt = min(ctrl.dt, t_next - t)
+            clamped = dt < ctrl.dt
+            if not fsal_valid:
+                k[0] = f(y)
+                fsal_valid = True
+            for s in range(1, 7):
+                ys = y + dt * (_DP_A[s] @ k[:s])
+                k[s] = f(ys)
+            y_new = y + dt * (_DP_B5 @ k)
+            err_vec = dt * (_DP_ERR @ k)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
-        bad = (not np.isfinite(err)) or (not np.all(np.isfinite(y_new))) or err > 1.0
-        if not bad and accept_state is not None and not accept_state(y, y_new):
-            bad = True
-            err = float("nan")
-        if bad:
-            n_rejected += 1
-            ctrl.after_reject(err)
-            # k[0] still holds f at the unchanged y, so FSAL stays valid
-            if ctrl.dt < dt_min:
-                raise StiffnessError(
-                    f"step size underflow at t={t!r} (dt={ctrl.dt!r})"
-                )
-            continue
+            bad = (not np.isfinite(err)) or (not np.all(np.isfinite(y_new))) or err > 1.0
+            if not bad and accept_state is not None and not accept_state(y, y_new):
+                bad = True
+                err = float("nan")
+            if bad:
+                n_rejected += 1
+                ctrl.after_reject(err)
+                # k[0] still holds f at the unchanged y, so FSAL stays valid
+                if ctrl.dt < dt_min:
+                    raise StiffnessError(
+                        f"step size underflow at t={t!r} (dt={ctrl.dt!r})"
+                    )
+                continue
 
-        if stage_rate is not None:
-            rates = np.array([stage_rate(k[s]) for s in range(7)])
-            aux_total += dt * float(_DP_B5 @ rates)
-        t += dt
-        n_steps += 1
-        k[0] = k[6]  # FSAL
-        y = y_new
-        if postprocess is not None:
-            y2 = postprocess(y)
-            if y2 is not y and not np.array_equal(y2, y):
-                y = y2
-                fsal_valid = False
-            else:
-                y = y2
-        if not clamped:
-            ctrl.after_accept(err)
-        while idx < len(t_record) and t >= t_record[idx] - 1e-14 * max(1.0, abs(t)):
-            records[idx] = y
-            aux[idx] = aux_total
-            idx += 1
+            if stage_rate is not None:
+                rates = np.array([stage_rate(k[s]) for s in range(7)])
+                aux_total += dt * float(_DP_B5 @ rates)
+            t += dt
+            n_steps += 1
+            k[0] = k[6]  # FSAL
+            y = y_new
+            if postprocess is not None:
+                y2 = postprocess(y)
+                if y2 is not y and not np.array_equal(y2, y):
+                    y = y2
+                    fsal_valid = False
+                else:
+                    y = y2
+            if not clamped:
+                ctrl.after_accept(err)
+            while idx < len(t_record) and t >= t_record[idx] - 1e-14 * max(1.0, abs(t)):
+                records[idx] = y
+                aux[idx] = aux_total
+                idx += 1
+            # a step clamped to a record time leaves ctrl.dt as it was
+            if not clamped and ctrl.dt < dt_min and idx < len(t_record):
+                raise StiffnessError(f"step size underflow at t={t!r} (dt={ctrl.dt!r})")
+    except StrainflowError as exc:
+        exc.partial = RKResult(times=t_record[:idx], states=records[:idx],
+                               aux_integral=aux[:idx], n_steps=n_steps, n_rejected=n_rejected)
+        raise
     return RKResult(times=t_record, states=records, aux_integral=aux, n_steps=n_steps, n_rejected=n_rejected)
 
 

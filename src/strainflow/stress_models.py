@@ -477,69 +477,39 @@ def _poly_sigma(coeffs: np.ndarray, kappa: float):
     return sigma, sigma_prime, energy
 
 
+_CUBIC = {"a": 1.0, "b": 0.0, "c": -1.0, "d": 0.0}
+
+# The polynomial families are presets of ``poly``: their defaults for its
+# parameters, which the caller's parameters override. The cubic presets name
+# their coefficients a, b, c, d.
+_POLY_PRESETS = {
+    "cubic": _CUBIC,
+    "shifted-cubic": _CUBIC,
+    "singular-cubic": {**_CUBIC, "kappa": 0.5, "theta": 0.5},
+    "linear": {"coeffs": [1.0, -1.0], "domain": POSITIVE, "theta": 0.5, "window": (1e-9, 12.0)},
+    "hyperbolic": {"coeffs": [1.0, 0.0], "kappa": 1.0, "theta": 0.5, "window": (1e-9, 10.0)},
+}
+
+
 def make_model(name: str, **params) -> StressModel:
     """Build a registered stress model by name.
 
     Registered families:
-      cubic                       p^3 - p on the full line
-      shifted-cubic               a p^3 + b p^2 + c p + d (full line)
-      singular-cubic              a p^3 + b p^2 + c p + d - kappa/p on (0, inf)
-      poly                        coeffs=[...] highest power first, optional kappa
-      linear                      p - 1 on (0, inf)
-      log                         ln p on (0, inf)
-      hyperbolic                  p - 1/p on (0, inf)
+      poly            coeffs=[...] highest power first, optional kappa (a
+                      -kappa/p term, which puts the law on (0, inf)), domain
+                      (full line by default), window and theta
+      log             ln p on (0, inf)
+
+    and presets of poly, which take every poly parameter (the cubic presets
+    take a, b, c, d in place of coeffs):
+      cubic           p^3 - p on the full line
+      shifted-cubic   a p^3 + b p^2 + c p + d (full line)
+      singular-cubic  a p^3 + b p^2 + c p + d - kappa/p on (0, inf),
+                      kappa = 0.5 and theta = 0.5 by default
+      linear          p - 1 on (0, inf)
+      hyperbolic      p - 1/p on (0, inf): coeffs=[1, 0], kappa=1
     """
     spec = {"name": name, "params": dict(params)}
-    if name == "cubic":
-        sig, sigp, en = _poly_sigma(np.array([1.0, 0.0, -1.0, 0.0]), 0.0)
-        return StressModel(
-            name="cubic", sigma=sig, sigma_prime=sigp, domain=FULL_LINE,
-            eval_window=(-3.0, 3.0), closed_form_energy=en, spec=spec,
-        )
-    if name == "shifted-cubic":
-        a = params.get("a", 1.0)
-        b = params.get("b", 0.0)
-        c = params.get("c", -1.0)
-        d = params.get("d", 0.0)
-        window = tuple(params.get("window", (-3.0, 3.0)))
-        sig, sigp, en = _poly_sigma(np.array([a, b, c, d]), 0.0)
-        return StressModel(
-            name="shifted-cubic", sigma=sig, sigma_prime=sigp, domain=FULL_LINE,
-            eval_window=window, closed_form_energy=en, spec=spec,
-        )
-    if name == "singular-cubic":
-        a = params.get("a", 1.0)
-        b = params.get("b", 0.0)
-        c = params.get("c", -1.0)
-        d = params.get("d", 0.0)
-        kappa = params.get("kappa", 0.5)
-        if kappa <= 0:
-            raise ValueError("singular-cubic needs kappa > 0")
-        window = tuple(params.get("window", (1e-8, 10.0)))
-        sig, sigp, en = _poly_sigma(np.array([a, b, c, d]), kappa)
-        return StressModel(
-            name="singular-cubic", sigma=sig, sigma_prime=sigp, domain=POSITIVE,
-            theta=params.get("theta", 0.5), eval_window=window,
-            closed_form_energy=en, spec=spec,
-        )
-    if name == "poly":
-        coeffs = np.asarray(params["coeffs"], dtype=float)
-        kappa = params.get("kappa", 0.0)
-        domain = POSITIVE if kappa != 0.0 else params.get("domain", FULL_LINE)
-        default_window = (1e-8, 10.0) if domain == POSITIVE else (-3.0, 3.0)
-        window = tuple(params.get("window", default_window))
-        sig, sigp, en = _poly_sigma(coeffs, kappa)
-        return StressModel(
-            name="poly", sigma=sig, sigma_prime=sigp, domain=domain,
-            theta=params.get("theta"), eval_window=window,
-            closed_form_energy=en, spec=spec,
-        )
-    if name == "linear":
-        sig, sigp, en = _poly_sigma(np.array([1.0, -1.0]), 0.0)
-        return StressModel(
-            name="linear", sigma=sig, sigma_prime=sigp, domain=POSITIVE,
-            theta=0.5, eval_window=(1e-9, 12.0), closed_form_energy=en, spec=spec,
-        )
     if name == "log":
         return StressModel(
             name="log",
@@ -551,15 +521,22 @@ def make_model(name: str, **params) -> StressModel:
             closed_form_energy=lambda p: p * np.log(p) - p + 1.0,
             spec=spec,
         )
-    if name == "hyperbolic":
-        return StressModel(
-            name="hyperbolic",
-            sigma=lambda p: np.asarray(p, dtype=float) - 1.0 / np.asarray(p, dtype=float),
-            sigma_prime=lambda p: 1.0 + 1.0 / np.asarray(p, dtype=float) ** 2,
-            domain=POSITIVE,
-            theta=0.5,
-            eval_window=(1e-9, 10.0),
-            closed_form_energy=lambda p: 0.5 * (p ** 2 - 1.0) - np.log(p),
-            spec=spec,
-        )
-    raise ValueError(f"unknown model name {name!r}")
+    if name in _POLY_PRESETS:
+        params = {**_POLY_PRESETS[name], **params}
+        if "a" in _POLY_PRESETS[name]:
+            params["coeffs"] = [params[k] for k in "abcd"]
+    elif name != "poly":
+        raise ValueError(f"unknown model name {name!r}")
+    coeffs = np.asarray(params["coeffs"], dtype=float)
+    kappa = params.get("kappa", 0.0)
+    if name == "singular-cubic" and kappa <= 0:
+        raise ValueError("singular-cubic needs kappa > 0")
+    domain = POSITIVE if kappa != 0.0 else params.get("domain", FULL_LINE)
+    default_window = (1e-8, 10.0) if domain == POSITIVE else (-3.0, 3.0)
+    window = tuple(params.get("window", default_window))
+    sig, sigp, en = _poly_sigma(coeffs, kappa)
+    return StressModel(
+        name=name, sigma=sig, sigma_prime=sigp, domain=domain,
+        theta=params.get("theta"), eval_window=window,
+        closed_form_energy=en, spec=spec,
+    )

@@ -89,6 +89,22 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("with_config", [False, True])
+    @pytest.mark.parametrize("overrides", [
+        ["foo"],                        # no '='
+        ["mu.x=1"],                     # object for a scalar field
+        ["mu=0.7", "mu.x=1"],           # dotted path through a number
+        ['record_every={"x": 1}'],      # object for a scalar field
+    ])
+    def test_malformed_override_exits_2(self, out_env, tmp_path, capsys, with_config, overrides):
+        argv = ["run", "--out", "bad"]
+        if with_config:
+            argv += ["--config", str(write_config(tmp_path / "c.json"))]
+        for ov in overrides:
+            argv += ["--set", ov]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_integration_failure_exits_4_with_partial_outputs(self, out_env, tmp_path):
         # records spaced wider than 1/lambda force a proximal step beyond the
         # monotonicity threshold, which fails the run mid-flight

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,8 @@ from strainflow.displacement import (
     rhs,
     rhs_norm,
     seeded_state,
-    step_explicit,
 )
 from strainflow.errors import DegenerateDataError, StrainflowError
-from strainflow.numerics import StepController
 from strainflow.state import SimpleState, state_distance
 from strainflow.stress_models import eval_W, make_model
 
@@ -33,6 +33,12 @@ def singular():
 @pytest.fixture(scope="module")
 def identity_law():
     return make_model("poly", coeffs=[1.0, 0.0], domain="full-line")  # sigma(p) = p
+
+
+@pytest.fixture(scope="module")
+def blow_up():
+    # sigma = -p^3: the largest value escapes to infinity near t = 0.33
+    return make_model("poly", coeffs=[-1.0, 0.0, 0.0, 0.0]), SimpleState.uniform([0.0, 0.5, 1.5])
 
 
 class TestRhs:
@@ -54,30 +60,6 @@ class TestRhs:
         state = SimpleState.uniform([-0.3, 0.2, 1.1, 2.0])
         v = rhs(cubic, state)
         assert abs(np.dot(state.weights, v)) < 1e-15
-
-
-class TestExplicitStep:
-    def test_equilibrium_fixed_point_and_dt_growth(self, cubic):
-        state = SimpleState.uniform([0.5])
-        ctrl = StepController(dt=1e-3)
-        new, dt = step_explicit(cubic, state, ctrl)
-        assert np.allclose(new.values, state.values, atol=1e-15)
-        assert ctrl.dt > dt  # controller opens up on a trivial field
-
-    def test_linear_law_matches_exact_flow(self, identity_law):
-        state = SimpleState.uniform([0.2, 0.6, 2.2])
-        mu = state.mu
-        ctrl = StepController(rtol=1e-11, atol=1e-13, dt=0.05)
-        new, dt = step_explicit(identity_law, state, ctrl)
-        exact = mu + (state.values - mu) * np.exp(-dt)
-        assert np.max(np.abs(new.values - exact)) < 1e-9
-
-    def test_mass_renormalized_exactly(self, cubic):
-        state = SimpleState.uniform([-0.8, 0.1, 0.9, 1.8])
-        mu = state.mu
-        ctrl = StepController(dt=0.01)
-        new, _ = step_explicit(cubic, state, ctrl)
-        assert abs(new.mu - mu) <= 1e-14 * max(1.0, abs(mu))
 
 
 class TestProxStep:
@@ -136,6 +118,52 @@ class TestIntegrate:
         traj = integrate(cubic, state, 1.0, n_records=11)
         assert traj.converged
         assert np.allclose(traj.values, 0.5, atol=1e-14)
+        # the controller opens up on the zero field: 5 growing steps, then
+        # one step per record
+        assert traj.metadata["n_steps"] < 20
+
+    def test_linear_law_matches_exact_flow_at_every_record(self, identity_law):
+        state = SimpleState.uniform([0.2, 0.6, 2.2])
+        mu = state.mu
+        traj = integrate(identity_law, state, 2.0, n_records=21, rtol=1e-11, atol=1e-13)
+        exact = mu + (state.values - mu) * np.exp(-traj.times)[:, None]
+        assert np.max(np.abs(traj.values - exact)) < 1e-9
+
+    def test_mass_renormalized_exactly(self, cubic):
+        state = SimpleState.uniform([-0.8, 0.1, 0.9, 1.8])
+        mu = state.mu
+        traj = integrate(cubic, state, 2.0, n_records=21)
+        assert np.max(np.abs(traj.mass() - mu)) <= 1e-14 * max(1.0, abs(mu))
+
+    def test_blow_up_fails_without_crawling(self, blow_up):
+        # accepted steps that shrink below dt_min end the run: about 46
+        # steps per decade of dt from 1e-3 down to 1e-14
+        model, state = blow_up
+        calls = [0]
+
+        def counted(p):
+            calls[0] += 1
+            return model.sigma(p)
+
+        traj = integrate(dataclasses.replace(model, sigma=counted), state, 5.0, record_every=0.1)
+        assert "error" in traj.metadata
+        assert calls[0] < 5000
+
+    def test_failure_returns_the_runs_own_prefix(self, blow_up):
+        # the first step is 1e-4 * max(1, horizon), so both horizons here
+        # start from the same step and take the same steps to t_last
+        model, state = blow_up
+        failed = integrate(model, state, 1.0, record_every=0.1)
+        assert failed.metadata["error"]
+        assert failed.n_records >= 2
+        assert np.all(np.abs(failed.mass() - state.mu) <= 1e-12)
+        assert isinstance(failed.metadata["n_steps"], int)
+        t_last = float(failed.times[-1])
+        ok = integrate(model, state, t_last, record_every=0.1)
+        assert "error" not in ok.metadata
+        assert np.array_equal(ok.times, failed.times)
+        assert np.array_equal(ok.values, failed.values)
+        assert np.array_equal(ok.dissipation_cum, failed.dissipation_cum)
 
     def test_two_phase_convergence_to_shared_stress(self, cubic):
         state = SimpleState.uniform([-0.8, 1.8])

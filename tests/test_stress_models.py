@@ -57,6 +57,34 @@ class TestStoredEnergy:
             eval_W(singular, -1.0)
 
 
+class TestRegistry:
+    def test_hyperbolic_preset_matches_hand_written_law(self):
+        # the hand-written p - 1/p law the poly preset replaced, as reference
+        model = make_model("hyperbolic")
+        p = np.geomspace(*model.eval_window, 4096)
+        assert np.array_equal(model.sigma(p), p - 1.0 / p)
+        assert np.array_equal(model.sigma_prime(p), 1.0 + 1.0 / p ** 2)
+        assert np.array_equal(model.closed_form_energy(p), 0.5 * (p ** 2 - 1.0) - np.log(p))
+        assert (model.name, model.domain, model.theta) == ("hyperbolic", POSITIVE, 0.5)
+
+    @pytest.mark.parametrize("name, params, poly", [
+        ("cubic", {}, dict(coeffs=[1, 0, -1, 0])),
+        ("shifted-cubic", dict(a=2.0, d=0.3), dict(coeffs=[2.0, 0, -1, 0.3])),
+        ("singular-cubic", dict(b=0.1), dict(coeffs=[1, 0.1, -1, 0], kappa=0.5, theta=0.5)),
+        ("hyperbolic", {}, dict(coeffs=[1, 0], kappa=1, theta=0.5, window=(1e-9, 10.0))),
+    ])
+    def test_preset_is_its_poly_spelling(self, name, params, poly):
+        model, ref = make_model(name, **params), make_model("poly", **poly)
+        p = ref.grid(4096)
+        assert np.array_equal(model.sigma(p), ref.sigma(p))
+        assert (model.domain, model.eval_window, model.theta) == (ref.domain, ref.eval_window, ref.theta)
+        assert model.spec == {"name": name, "params": params}
+
+    def test_singular_cubic_needs_positive_kappa(self):
+        with pytest.raises(ValueError):
+            make_model("singular-cubic", kappa=0.0)
+
+
 class TestLambda:
     def test_cubic_lambda_inflated_unit(self, cubic):
         # inf sigma' = -1 at p = 0, inflated by the 5% safety factor
