@@ -112,10 +112,7 @@ def mixed_lower(model: StressModel, t_grid=None) -> tuple[np.ndarray, dict]:
     inverse travel time from zero strain."""
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     curve, p_minus = time_from_zero_curve(model)
-    out = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        inv = curve.invert(float(t))
-        out[i] = min(p_minus, inv * (1.0 - _MARGIN))
+    out = np.minimum(p_minus, curve.invert(t_grid) * (1.0 - _MARGIN))
     constants = {"p_minus": p_minus, "t_saturate_lower": curve.max_value}
     return out, constants
 
@@ -126,13 +123,8 @@ def mixed_upper(model: StressModel, t_grid=None) -> tuple[np.ndarray, dict]:
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     curve, p_plus, total = _tail_time_curve(model)
     start = p_plus + 1.0
-    out = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        if t >= total:
-            out[i] = start
-        else:
-            inv = curve.invert(total - float(t))
-            out[i] = max(start, inv * (1.0 + _MARGIN))
+    inv = curve.invert(total - t_grid)
+    out = np.where(t_grid >= total, start, np.maximum(start, inv * (1.0 + _MARGIN)))
     constants = {"p_plus": p_plus, "t_saturate_upper": total}
     return out, constants
 
@@ -237,12 +229,8 @@ def displacement_upper(model: StressModel, mu: float, t_grid=None) -> tuple[np.n
         ) from exc
     nodes = np.geomspace(M * (1.0 + 1e-12), M * 1e8, 600)
     curve = CumulativeCurve(integrand, nodes, tol=1e-9, x0=M)
-    out = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        if t >= t0:
-            out[i] = M
-        else:
-            out[i] = max(M, curve.invert(t0 - float(t)) * (1.0 + _MARGIN))
+    inv = curve.invert(t0 - t_grid)
+    out = np.where(t_grid >= t0, M, np.maximum(M, inv * (1.0 + _MARGIN)))
     constants = {"M": M, "t0_upper": t0}
     return out, constants
 

@@ -18,6 +18,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -117,6 +118,19 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        numbers = {"mu": self.mu, "t_final": self.t_final, "record_every": self.record_every}
+        numbers.update({f"stepper.{k}": self.stepper[k]
+                        for k in ("rtol", "atol", "tau") if k in self.stepper})
+        numbers.update({f"initial.{k}": self.initial[k]
+                        for k in ("lo", "hi") if self.initial.get(k) is not None})
+        for name, value in numbers.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name, value in {"n": self.n, "initial.seed": self.initial.get("seed", 0)}.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.bc not in ("displacement", "mixed"):
             raise ConfigError(f"unknown boundary condition kind {self.bc!r}")
         if not isinstance(self.model.get("name"), str):
@@ -125,7 +139,7 @@ class ExperimentConfig:
             raise ConfigError("t_final must be positive")
         if self.record_every <= 0:
             raise ConfigError("record_every must be positive")
-        if int(self.n) < 1:
+        if self.n < 1:
             raise ConfigError("n must be at least 1")
         kind = self.initial.get("kind")
         if kind not in ("seeded", "explicit", "ramp", "file"):
@@ -216,22 +230,32 @@ def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
 
 def _run_checks(cfg, model, traj: Trajectory, profile) -> dict[str, bool]:
     checks: dict[str, bool] = {}
-    mu = cfg.mu
-    checks["mass_conservation"] = bool(
-        np.max(np.abs(traj.mass() - mu)) <= 1e-12 * max(1.0, abs(mu))
-    )
-    order0 = np.argsort(traj.values[0], kind="stable")
-    ordered = traj.values[:, order0]
-    checks["ordering_preserved"] = bool(np.all(np.diff(ordered, axis=1) >= -1e-10))
-    if cfg.stepper["kind"] == "rk45":
-        i0 = 1 if traj.n_records > 1 else 0
-        e0, z0 = traj.energy[i0], traj.dissipation_cum[i0]
-        resid = traj.energy[i0:] - e0 + (traj.dissipation_cum[i0:] - z0)
-        checks["energy_equation"] = bool(
-            np.max(np.abs(resid)) <= 1e-6 * (1.0 + abs(e0))
-        )
+    if cfg.bc == "mixed":
+        # each p_i(t) solves a scalar autonomous ODE, so it is monotone in t
+        # and moves downhill in W
+        step = np.diff(traj.values, axis=0)
+        slack = 1e-12 * (1.0 + np.abs(traj.values[1:]))
+        checks["monotone_paths"] = bool(np.all(
+            np.all(step >= -slack, axis=0) | np.all(step <= slack, axis=0)
+        ))
+        checks["energy_nonincreasing"] = bool(np.all(np.diff(traj.energy) <= 1e-10))
     else:
-        checks["energy_nonincreasing"] = bool(np.all(np.diff(traj.energy) <= 1e-8))
+        mu = cfg.mu
+        checks["mass_conservation"] = bool(
+            np.max(np.abs(traj.mass() - mu)) <= 1e-12 * max(1.0, abs(mu))
+        )
+        order0 = np.argsort(traj.values[0], kind="stable")
+        ordered = traj.values[:, order0]
+        checks["ordering_preserved"] = bool(np.all(np.diff(ordered, axis=1) >= -1e-10))
+        if cfg.stepper["kind"] == "rk45":
+            i0 = 1 if traj.n_records > 1 else 0
+            e0, z0 = traj.energy[i0], traj.dissipation_cum[i0]
+            resid = traj.energy[i0:] - e0 + (traj.dissipation_cum[i0:] - z0)
+            checks["energy_equation"] = bool(
+                np.max(np.abs(resid)) <= 1e-6 * (1.0 + abs(e0))
+            )
+        else:
+            checks["energy_nonincreasing"] = bool(np.all(np.diff(traj.energy) <= 1e-8))
     if profile is not None:
         sel = traj.times > 0
         ok = True
@@ -333,7 +357,7 @@ def command_run(cfg: ExperimentConfig) -> int:
         report["asymptotics"] = asymptotics_report(model, traj).to_dict()
     report["converged"] = bool(traj.converged)
     report["final_stress_mean"] = float(traj.stress_mean[-1])
-    if cfg.analyses.get("invariants", True) and cfg.bc == "displacement":
+    if cfg.analyses.get("invariants", True):
         checks.update(_run_checks(cfg, model, traj, profile))
     report["checks"] = checks
     report["wall_time_s"] = time.perf_counter() - t_start

@@ -1,10 +1,12 @@
 """Traction-free problem: the flow decouples into pointwise ODEs dp/dt = -sigma(p).
 
-Each material point evolves independently; the field solver just maps the
-pointwise solver over the samples and reassembles diagnostics. Strains
-starting at exactly zero are bootstrapped through the travel-time relation
-int_0^p -dz/sigma(z) = t (exact where the explicit stepper would be hopeless)
-and handed to the adaptive stepper once clear of the singularity.
+Each material point evolves independently, so the field solver integrates
+every sample in one vector rk45 call and reassembles diagnostics; the
+pointwise solver is its one-sample case. Strains starting at exactly zero
+outside the domain are bootstrapped once through the travel-time relation
+int_0^p -dz/sigma(z) = t (exact where the explicit stepper would be
+hopeless), inverted in batch, and handed to the adaptive stepper once clear
+of the singularity.
 """
 
 from __future__ import annotations
@@ -36,13 +38,66 @@ class PointwiseSolution:
         return float(self.values[-1])
 
 
-def _classify_limit(model: StressModel, p_final: float) -> float | None:
-    if abs(float(model.sigma(np.array([p_final]))[0])) >= EQUILIBRIUM_TOL:
-        return None
+def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
+          rtol: float, atol: float) -> np.ndarray:
+    """Values (records x samples) of dp/dt = -sigma(p) from each sample.
+
+    Samples away from exactly 0 share one vector rk45 call; the flow is
+    decoupled, so only the step sizes couple them. A zero strain outside the
+    domain is bootstrapped once and its column copied to every zero sample.
+    """
+    if samples.ndim != 1 or len(samples) == 0:
+        raise ValueError("p0_samples must be a non-empty 1-d array")
+    if np.any(samples < 0):
+        raise DomainError("all samples must be nonnegative")
+    if t_grid[0] != 0.0:
+        raise ValueError("the record grid must start at t = 0")
+
+    f = lambda y: -np.asarray(model.sigma(y), dtype=float)
+    guard = None
+    if model.domain == POSITIVE:
+        guard = lambda y_old, y_new: bool(np.all(y_new > 0.0))
+    boot = (samples == 0.0) & (model.domain == POSITIVE)
+    values = np.empty((len(t_grid), len(samples)))
+    if np.any(boot):
+        values[:, boot] = _zero_start(model, t_grid, f, guard, rtol, atol)[:, None]
+    if not np.all(boot):
+        res = rk45(f, samples[~boot], t_grid, rtol=rtol, atol=atol, accept_state=guard)
+        values[:, ~boot] = res.states
+    return values
+
+
+def _zero_start(model, t_grid, f, guard, rtol, atol) -> np.ndarray:
+    """Trajectory from strain 0 where 0 is not in the domain: invert the
+    travel-time relation for small times, then continue with the stepper."""
+    curve, _ = time_from_zero_curve(model)
+    t_boot = min(curve.value(BOOTSTRAP_STRAIN), float(t_grid[-1]))
+    early = t_grid[(t_grid > 0.0) & (t_grid <= t_boot)]
+    inv = curve.invert(np.append(early, t_boot))
+    p_start = inv[-1]
+    if p_start <= 0.0:
+        raise HypothesisError(
+            "travel-time relation from zero strain is not solvable; "
+            "the stress does not blow down fast enough at zero"
+        )
+    vals = np.concatenate([[0.0], inv[:-1]])
+    rest = t_grid[t_grid > t_boot]
+    if len(rest):
+        grid2 = np.concatenate([[t_boot], rest])
+        res = rk45(f, np.array([p_start]), grid2, rtol=rtol, atol=atol, accept_state=guard)
+        vals = np.concatenate([vals, res.states[1:, 0]])
+    return vals
+
+
+def _limit_roots(model: StressModel, finals: np.ndarray) -> np.ndarray:
+    """Nearest root of sigma for each final value whose residual |sigma| is
+    below EQUILIBRIUM_TOL, NaN where the limit is unresolved."""
+    resolved = np.abs(np.asarray(model.sigma(finals), dtype=float)) < EQUILIBRIUM_TOL
     roots = model.roots_of_sigma
     if len(roots) == 0:
-        return None
-    return float(roots[np.argmin(np.abs(roots - p_final))])
+        return np.full(len(finals), np.nan)
+    nearest = roots[np.argmin(np.abs(roots[None, :] - finals[:, None]), axis=1)]
+    return np.where(resolved, nearest, np.nan)
 
 
 def solve_pointwise(
@@ -52,57 +107,23 @@ def solve_pointwise(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> PointwiseSolution:
-    """Solve dp/dt = -sigma(p), p(0) = p0 >= 0, recording on ``t_grid``."""
+    """Solve dp/dt = -sigma(p), p(0) = p0 >= 0, recording on ``t_grid``: the
+    one-sample case of ``solve_field``."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if p0 < 0:
-        raise DomainError("initial strain must be nonnegative")
-    if t_grid[0] != 0.0:
-        raise ValueError("the record grid must start at t = 0")
-
-    zero_ok = model.domain != POSITIVE
-    if p0 == 0.0 and zero_ok:
-        sigma0 = float(model.sigma(np.array([0.0]))[0])
-        if sigma0 == 0.0:
-            vals = np.zeros_like(t_grid)
-            return PointwiseSolution(p0, "rest-point", t_grid, vals, 0.0)
-
-    f = lambda y: -np.asarray(model.sigma(y), dtype=float)
-    guard = None
-    if model.domain == POSITIVE:
-        guard = lambda y_old, y_new: bool(np.all(y_new > 0.0))
-
-    if p0 == 0.0 and not zero_ok:
-        # strain 0 is not in the domain: invert the travel-time relation for
-        # small times, then continue with the stepper
-        curve, p_minus = time_from_zero_curve(model)
-        t_boot = min(curve.value(BOOTSTRAP_STRAIN), float(t_grid[-1]))
-        early = t_grid[(t_grid > 0.0) & (t_grid <= t_boot)]
-        early_vals = np.array([curve.invert(float(t)) for t in early])
-        p_start = curve.invert(t_boot)
-        if p_start <= 0.0:
-            raise HypothesisError(
-                "travel-time relation from zero strain is not solvable; "
-                "the stress does not blow down fast enough at zero"
-            )
-        rest = t_grid[t_grid > t_boot]
-        if len(rest):
-            grid2 = np.concatenate([[t_boot], rest])
-            res = rk45(f, np.array([p_start]), grid2, rtol=rtol, atol=atol,
-                       accept_state=guard)
-            vals = np.concatenate([[0.0], early_vals, res.states[1:, 0]])
-        else:
-            vals = np.concatenate([[0.0], early_vals])
+    values = _flow(model, np.array([float(p0)]), t_grid, rtol, atol)[:, 0]
+    if p0 != 0.0:
+        method = "stiff-ode"
+    elif model.domain == POSITIVE:
         method = "quadrature-inversion"
     else:
-        res = rk45(f, np.array([p0]), t_grid, rtol=rtol, atol=atol, accept_state=guard)
-        vals = res.states[:, 0]
-        method = "stiff-ode"
+        method = "rest-point" if float(model.sigma(np.array([0.0]))[0]) == 0.0 else "stiff-ode"
+    root = _limit_roots(model, values[-1:])[0]
     return PointwiseSolution(
         p0=p0,
         method=method,
         times=t_grid,
-        values=vals,
-        limit_root=_classify_limit(model, float(vals[-1])),
+        values=values,
+        limit_root=None if np.isnan(root) else float(root),
     )
 
 
@@ -118,14 +139,7 @@ def solve_field(
     limit is unresolved)."""
     samples = np.asarray(p0_samples, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    if samples.ndim != 1 or len(samples) == 0:
-        raise ValueError("p0_samples must be a non-empty 1-d array")
-    if np.any(samples < 0):
-        raise DomainError("all samples must be nonnegative")
-
-    solutions = [solve_pointwise(model, float(p), t_grid, rtol=rtol, atol=atol)
-                 for p in samples]
-    values = np.column_stack([s.values for s in solutions])
+    values = _flow(model, samples, t_grid, rtol, atol)
     weights = np.full(len(samples), 1.0 / len(samples))
 
     # diagnostics evaluated just inside the domain when a sample sits at 0
@@ -147,9 +161,8 @@ def solve_field(
         metadata={"kind": "mixed", "model": model.spec},
         converged=bool(np.max(np.abs(sig[-1])) < EQUILIBRIUM_TOL),
     )
-    limit = np.array(
-        [s.limit_root if s.limit_root is not None else s.final for s in solutions]
-    )
+    roots = _limit_roots(model, values[-1])
+    limit = np.where(np.isnan(roots), values[-1], roots)
     return traj, limit
 
 

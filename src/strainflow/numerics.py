@@ -2,7 +2,8 @@
 
 Bracketed root finding (scalar and vectorized), adaptive quadrature built on
 interval halving with interior-node panels (so integrable endpoint
-singularities never get sampled), truncated improper integrals with geometric
+singularities never get sampled), batched for the cumulative-curve tables
+and their inversion, truncated improper integrals with geometric
 tail extrapolation, and an embedded Runge-Kutta 5(4) driver with PI step-size
 control. Everything here is independent of the stress-model layer, so the
 higher modules can cross-check each other through these primitives.
@@ -227,6 +228,60 @@ def bisect_vec(f, lo: np.ndarray, hi: np.ndarray, xtol: float = 1e-13, max_iter:
     return 0.5 * (lo + hi)
 
 
+def _quad_batch(f, a, b, tol: float) -> np.ndarray:
+    """Componentwise int_a^b f for arrays ``a`` and ``b``, one ``f`` call per
+    refinement level.
+
+    ``quad_adaptive``'s panel test applied panel by panel: a panel's 5-point
+    Gauss value is compared with the sum over its two halves, the
+    Richardson-corrected halves are kept when the difference is within
+    ``tol``, and the panel is split otherwise. A component whose first panel
+    passes therefore gets exactly quad_adaptive's answer. Holding each panel
+    to ``tol`` rather than to a share of it keeps roundoff in ``f`` (such as
+    the cancellation in a stress evaluated near its root) from forcing
+    endless splits; the kept value is far more accurate than the estimate.
+    Endpoints are never evaluated. Raises IntegrabilityError on a non-finite
+    panel that cannot be split and IterationBudgetError when a component
+    needs more than 4096 splits (quad_adaptive's panel budget).
+    """
+    a, b = (np.array(x, dtype=float).ravel() for x in np.broadcast_arrays(a, b))
+    total = np.zeros(a.size)
+    owner = np.arange(a.size)
+    whole = None
+    splits = np.zeros(a.size, dtype=int)
+    while owner.size:
+        m = 0.5 * (a + b)
+        lo = np.stack([a, m]) if whole is not None else np.stack([a, a, m])
+        hi = np.stack([m, b]) if whole is not None else np.stack([b, m, b])
+        half = 0.5 * (hi - lo)
+        pts = (0.5 * (lo + hi))[..., None] + half[..., None] * _GL_NODES
+        sums = half * (np.asarray(f(pts), dtype=float) @ _GL_WEIGHTS)
+        if whole is None:
+            whole, sums = sums[0], sums[1:]
+        left, right = sums
+        halves = left + right
+        with np.errstate(invalid="ignore"):
+            err = np.abs(halves - whole)
+            value = halves + (halves - whole) / 1023.0
+        splittable = (b - a) > 1e-15 * np.maximum(np.abs(a), np.abs(b)) + 1e-300
+        finite = np.isfinite(value)
+        if np.any(~finite & ~splittable):
+            i = np.flatnonzero(~finite & ~splittable)[0]
+            raise IntegrabilityError(
+                f"integrand not finite and not resolvable on ({a[i]!r}, {b[i]!r})"
+            )
+        done = finite & (~splittable | (err <= tol))
+        np.add.at(total, owner[done], value[done])
+        split = ~done
+        splits += np.bincount(owner[split], minlength=total.size)
+        if np.any(splits > 4096):
+            raise IterationBudgetError("batch quadrature needs more than 4096 panel splits")
+        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
+        whole = np.concatenate([left[split], right[split]])
+        owner = np.tile(owner[split], 2)
+    return total
+
+
 class CumulativeCurve:
     """Monotone cumulative integral x -> ``base`` + int_{x0}^{x} f(z) dz.
 
@@ -243,10 +298,8 @@ class CumulativeCurve:
             raise ValueError("nodes must be strictly increasing")
         self.tol = tol
         start = self.nodes[0] if x0 is None else x0
-        panels = [quad_adaptive(f, start, self.nodes[0], tol=tol)] if x0 is not None else [0.0]
-        for a, b in zip(self.nodes[:-1], self.nodes[1:]):
-            panels.append(quad_adaptive(f, a, b, tol=tol))
-        self.cum = base + np.cumsum(panels)
+        lefts = np.concatenate([[start], self.nodes[:-1]])
+        self.cum = base + np.cumsum(_quad_batch(f, lefts, self.nodes, tol))
 
     def value(self, x: float) -> float:
         j = int(np.clip(np.searchsorted(self.nodes, x) - 1, 0, len(self.nodes) - 1))
@@ -256,36 +309,51 @@ class CumulativeCurve:
     def max_value(self) -> float:
         return float(self.cum[-1])
 
-    def invert(self, target: float, xtol: float = 1e-12) -> float:
-        """Solve value(x) = target; clips to the tabulated range."""
-        if target <= self.cum[0]:
-            return float(self.nodes[0])
-        if target >= self.cum[-1]:
-            return float(self.nodes[-1])
-        j = int(np.searchsorted(self.cum, target) - 1)
-        anchor = float(self.nodes[j])      # fixed left anchor of the panel
-        g_anchor = float(self.cum[j])
-        lo, hi = anchor, float(self.nodes[j + 1])
+    def invert(self, target, xtol: float = 1e-12, max_iter: int = 120):
+        """Solve value(x) = target; clips to the tabulated range.
+
+        ``target`` may be an array, solved componentwise by one vectorised
+        Newton iteration (a scalar target gives a float). Each target keeps
+        the left node of its table panel as a fixed anchor, so value(x) is
+        the anchor's table entry plus one batch quadrature from the anchor.
+        Newton steps that leave the bracket maintained from the signs of
+        value(x) - target are replaced by bisection. A target converges when
+        its residual is within 1e-14 * max(1, |target|) or its bracket is
+        within ``xtol``; IterationBudgetError is raised when any target is
+        still open after ``max_iter`` iterations.
+        """
+        t = np.asarray(target, dtype=float)
+        flat = t.ravel()
+        out = np.where(flat <= self.cum[0], self.nodes[0], self.nodes[-1])
+        idx = np.flatnonzero((flat > self.cum[0]) & (flat < self.cum[-1]))
+        goal = flat[idx]
+        j = np.searchsorted(self.cum, goal) - 1
+        anchor, g_anchor = self.nodes[j], self.cum[j]
+        lo, hi = anchor, self.nodes[j + 1]
         x = 0.5 * (lo + hi)
-        for _ in range(120):
-            gx = g_anchor + quad_adaptive(self.f, anchor, x, tol=self.tol)
-            if gx < target:
-                lo = x
-            else:
-                hi = x
-            if abs(gx - target) <= 1e-14 * max(1.0, abs(target)):
-                return x
-            deriv = float(self.f(np.array([x]))[0])
-            if np.isfinite(deriv) and deriv > 0:
-                x_new = x - (gx - target) / deriv
-            else:
-                x_new = 0.5 * (lo + hi)
-            if not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)
-            if hi - lo <= xtol * max(1.0, abs(hi)):
-                return x_new
-            x = x_new
-        return x
+        for _ in range(max_iter):
+            if idx.size == 0:
+                break
+            gx = g_anchor + _quad_batch(self.f, anchor, x, self.tol)
+            below = gx < goal
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            hit = np.abs(gx - goal) <= 1e-14 * np.maximum(1.0, np.abs(goal))
+            deriv = np.asarray(self.f(x), dtype=float)
+            bisect = 0.5 * (lo + hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = np.where(np.isfinite(deriv) & (deriv > 0), x - (gx - goal) / deriv, bisect)
+            x_new = np.where((lo < x_new) & (x_new < hi), x_new, bisect)
+            narrow = hi - lo <= xtol * np.maximum(1.0, np.abs(hi))
+            out[idx] = np.where(hit, x, x_new)
+            keep = ~(hit | narrow)
+            idx, goal, anchor, g_anchor, lo, hi, x = (
+                v[keep] for v in (idx, goal, anchor, g_anchor, lo, hi, x_new)
+            )
+        if idx.size:
+            raise IterationBudgetError(
+                f"curve inversion left {idx.size} target(s) open after {max_iter} iterations"
+            )
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 # --- embedded Runge-Kutta 5(4), Dormand-Prince coefficients ---

@@ -10,8 +10,11 @@ from strainflow.bounds import (
     displacement_upper,
     mixed_lower,
     mixed_upper,
+    time_from_zero_curve,
 )
 from strainflow.errors import CertificationError, HypothesisError, IntegrabilityError
+from strainflow.mixed import solve_field
+from strainflow.numerics import CumulativeCurve, quad_adaptive
 from strainflow.stress_models import make_model
 
 
@@ -230,3 +233,79 @@ class TestProfiles:
             assert list(inspect.signature(fn).parameters) == ["model", "t_grid"]
         for fn in (displacement_lower, displacement_upper):
             assert list(inspect.signature(fn).parameters) == ["model", "mu", "t_grid"]
+
+
+def _scalar_invert(curve, target, xtol=1e-12):
+    """The per-target inversion the batch invert replaced: safeguarded Newton
+    with an adaptive quadrature from the panel anchor at every iterate."""
+    if target <= curve.cum[0]:
+        return float(curve.nodes[0])
+    if target >= curve.cum[-1]:
+        return float(curve.nodes[-1])
+    j = int(np.searchsorted(curve.cum, target) - 1)
+    anchor, g_anchor = float(curve.nodes[j]), float(curve.cum[j])
+    lo, hi = anchor, float(curve.nodes[j + 1])
+    x = 0.5 * (lo + hi)
+    for _ in range(120):
+        gx = g_anchor + quad_adaptive(curve.f, anchor, x, tol=curve.tol)
+        if gx < target:
+            lo = x
+        else:
+            hi = x
+        if abs(gx - target) <= 1e-14 * max(1.0, abs(target)):
+            return x
+        deriv = float(curve.f(np.array([x]))[0])
+        x_new = x - (gx - target) / deriv if np.isfinite(deriv) and deriv > 0 else 0.5 * (lo + hi)
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)
+        if hi - lo <= xtol * max(1.0, abs(hi)):
+            return x_new
+        x = x_new
+    raise AssertionError("reference inversion did not converge")
+
+
+class TestBatchInversion:
+    """Every target each envelope inverts, against the scalar reference."""
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        calls = []
+        batch = CumulativeCurve.invert
+
+        def spy(curve, target, *args, **kwargs):
+            out = batch(curve, target, *args, **kwargs)
+            calls.append((curve, np.atleast_1d(target).copy(), np.atleast_1d(out)))
+            return out
+
+        monkeypatch.setattr(CumulativeCurve, "invert", spy)
+        return calls
+
+    def _check(self, calls, n_calls):
+        assert len(calls) == n_calls
+        for curve, targets, got in calls:
+            ref = np.array([_scalar_invert(curve, float(t)) for t in targets])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+
+    def test_mixed_envelopes(self, recorded):
+        model = make_model("singular-cubic")
+        zero_curve = time_from_zero_curve(model)[0]
+        # times whose inverse lies in the last table panel below p_minus,
+        # where 1/sigma blows up
+        last = np.linspace(zero_curve.cum[-2], zero_curve.cum[-1], 24)[1:-1]
+        t = np.sort(np.concatenate([np.geomspace(1e-6, 1e3, 40), last]))
+        mixed_lower(model, t)
+        mixed_upper(model, t)
+        self._check(recorded, 2)
+        curve, targets, _ = recorded[0]
+        j = np.searchsorted(curve.cum, targets) - 1
+        assert np.count_nonzero(j == len(curve.nodes) - 2) >= 20
+
+    @pytest.mark.parametrize("name, mu", [("cubic", 0.5), ("singular-cubic", 1.0)])
+    def test_displacement_upper(self, recorded, name, mu):
+        displacement_upper(make_model(name), mu, np.geomspace(1e-6, 1e3, 60))
+        self._check(recorded, 1)
+
+    def test_zero_strain_bootstrap(self, recorded):
+        t = np.concatenate([[0.0], np.geomspace(1e-6, 2.0, 40)])
+        solve_field(make_model("log"), [0.0, 0.5], t)
+        self._check(recorded, 1)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from strainflow import cli
 from strainflow.cli import ExperimentConfig, load_config, main
 from strainflow.errors import ConfigError
 
@@ -95,6 +96,10 @@ class TestRunCommand:
         ["mu.x=1"],                     # object for a scalar field
         ["mu=0.7", "mu.x=1"],           # dotted path through a number
         ['record_every={"x": 1}'],      # object for a scalar field
+        ["n=[1]"],                      # list for an integer field
+        ['mu="a"'],                     # string for a number
+        ['t_final="5"'],                # numeric string for a number
+        ["initial.seed=[1]"],           # list for an integer field
     ])
     def test_malformed_override_exits_2(self, out_env, tmp_path, capsys, with_config, overrides):
         argv = ["run", "--out", "bad"]
@@ -158,6 +163,42 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (out_env / "run_mixed" / "trajectory.csv").exists()
+        checks = json.loads((out_env / "run_mixed" / "report.json").read_text())["checks"]
+        assert set(checks) == {"monotone_paths", "energy_nonincreasing", "bound_enclosure"}
+        assert all(checks.values())
+
+    @pytest.mark.parametrize("tamper, failing", [
+        ("reverse", "monotone_paths"),
+        ("energy", "energy_nonincreasing"),
+        ("below_lower", "bound_enclosure"),
+    ])
+    def test_mixed_checks_catch_tampered_trajectory(self, out_env, tmp_path, monkeypatch,
+                                                   tamper, failing):
+        real = cli.solve_field
+
+        def tampered(*args, **kwargs):
+            traj, limit = real(*args, **kwargs)
+            if tamper == "reverse":    # one path turns back once
+                traj.values[5, 0] = traj.values[4, 0] - 1e-3 * (traj.values[5, 0] - traj.values[4, 0])
+            elif tamper == "energy":
+                traj.energy[-1] = traj.energy[-2] + 1e-9
+            else:
+                traj.values[1:, 0] = 1e-9
+            return traj, limit
+
+        monkeypatch.setattr(cli, "solve_field", tampered)
+        cfg_path = write_config(
+            tmp_path / "c.json",
+            model={"name": "singular-cubic", "params": {}},
+            bc="mixed",
+            initial={"kind": "explicit", "values": [0.0, 0.5, 2.0]},
+            output_dir="run_tampered",
+            t_final=3.0,
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        manifest = json.loads((out_env / "run_tampered" / "manifest.json").read_text())
+        assert manifest["checks"][failing] is False
+        assert manifest["exit_code"] == 1
 
 
 class TestOtherCommands:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -125,6 +127,77 @@ class TestFieldSolve:
         # errors shrink as the record times shrink toward zero
         assert gaps[0] < 1e-4
         assert gaps[0] < gaps[-1]
+
+
+def _free_field_samples(seed: int) -> np.ndarray:
+    """64 samples: 8 at exactly 0 and 56 uniform in (0.05, 2.8), shuffled."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.zeros(8), rng.uniform(0.05, 2.8, 56)])
+    return rng.permutation(values)
+
+
+def _per_sample_reference(model, samples, t):
+    """The field solved one sample at a time, as the loop over
+    solve_pointwise did before the vector solve."""
+    return np.column_stack([solve_pointwise(model, float(p), t).values for p in samples])
+
+
+class TestVectorFieldSolve:
+    """The free-field configuration: singular cubic, 64 samples, 201 records."""
+
+    T = np.linspace(0.0, 20.0, 201)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return make_model("singular-cubic")
+
+    @pytest.mark.parametrize("seed", [3, 2024])
+    def test_matches_per_sample_loop(self, model, seed):
+        samples = _free_field_samples(seed)
+        traj, _ = solve_field(model, samples, self.T)
+        ref = _per_sample_reference(model, samples, self.T)
+        rel = np.abs(traj.values - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(rel) <= 1e-8
+
+    def test_zero_columns_equal_pointwise_bits(self, model):
+        samples = _free_field_samples(5)
+        traj, _ = solve_field(model, samples, self.T)
+        single = solve_pointwise(model, 0.0, self.T).values
+        zero = samples == 0.0
+        assert zero.sum() == 8
+        for col in traj.values[:, zero].T:
+            assert np.array_equal(col, single)
+
+    def test_sigma_call_budget(self, model):
+        # one vector rk45 call plus one zero-strain bootstrap; the
+        # per-sample loop makes about 131k sigma calls
+        calls = [0]
+
+        def sigma(p):
+            calls[0] += 1
+            return model.sigma(p)
+
+        counted = dataclasses.replace(model, sigma=sigma)
+        solve_field(counted, _free_field_samples(9), self.T)
+        assert calls[0] <= 15_000
+
+    def test_limits_classified_per_sample(self, model):
+        samples = _free_field_samples(4)
+        t = np.linspace(0.0, 60.0, 61)
+        traj, limit = solve_field(model, samples, t)
+        for p0, lim in zip(samples, limit):
+            sol = solve_pointwise(model, float(p0), t)
+            expect = sol.limit_root if sol.limit_root is not None else sol.final
+            assert lim == pytest.approx(expect, rel=1e-9)
+
+    def test_linear_law_oracle_with_root_sample(self, linear):
+        # sigma = p - 1: p(t) = 1 + (p0 - 1) exp(-t); p0 = 1 is a rest point
+        samples = np.concatenate([[1.0, 0.0], np.linspace(0.1, 6.0, 30)])
+        t = np.linspace(0.0, 10.0, 101)
+        traj, limit = solve_field(linear, samples, t)
+        exact = 1.0 + (samples[None, :] - 1.0) * np.exp(-t)[:, None]
+        assert np.max(np.abs(traj.values - exact)) <= 1e-8
+        assert np.all(traj.values[:, 0] == 1.0)
 
 
 class TestReconstructY:

@@ -98,7 +98,29 @@ def test_cumulative_curve_value_and_inverse():
     assert curve.value(x) == pytest.approx(np.log(2.0), abs=1e-10)
     t = 1.3
     inv = curve.invert(t)
+    assert isinstance(inv, float)
     assert inv == pytest.approx(1.0 - np.exp(-t), abs=1e-10)
+    # a batch of targets, clipped ones included, keeps its shape
+    targets = np.array([[-1.0, 1e-3, 0.7], [1.3, 5.0, 50.0]])
+    batch = curve.invert(targets)
+    assert batch.shape == targets.shape
+    exact = np.clip(1.0 - np.exp(-targets), nodes[0], nodes[-1])
+    assert np.max(np.abs(batch - exact)) < 1e-10
+    assert batch[1, 0] == pytest.approx(inv, rel=1e-15)
+
+
+def test_cumulative_curve_table_budget_raises():
+    # an integrand that stays rough on every scale never meets the panel test
+    rough = lambda z: 1.0 + 0.5 * np.sign(np.sin(1e12 * z))
+    with pytest.raises(IterationBudgetError):
+        CumulativeCurve(rough, np.array([0.5, 1.0]), tol=1e-12)
+
+
+def test_cumulative_curve_invert_budget_raises():
+    nodes = np.geomspace(1e-6, 0.999, 200)
+    curve = CumulativeCurve(lambda z: 1.0 / (1.0 - z), nodes, tol=1e-12, x0=0.0)
+    with pytest.raises(IterationBudgetError):
+        curve.invert(np.array([0.4, 1.3]), max_iter=1)
 
 
 def test_rk45_linear_decay_accuracy():
