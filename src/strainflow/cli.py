@@ -319,6 +319,9 @@ def command_run(cfg: ExperimentConfig) -> int:
         except HypothesisError as exc:
             print(f"hypothesis failure: {exc}", file=sys.stderr)
             return finish(3, str(exc))
+        except StrainflowError as exc:
+            print(f"bound failure: {exc}", file=sys.stderr)
+            return finish(4, str(exc))
 
     # integration
     if cfg.bc == "displacement":

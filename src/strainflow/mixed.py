@@ -43,7 +43,8 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
     """Values (records x samples) of dp/dt = -sigma(p) from each sample.
 
     Samples away from exactly 0 share one vector rk45 call; the flow is
-    decoupled, so only the step sizes couple them. A zero strain outside the
+    decoupled, so only the step sizes couple them, and ``rtol``/``atol``
+    still bound each sample's local error. A zero strain outside the
     domain is bootstrapped once and its column copied to every zero sample.
     """
     if samples.ndim != 1 or len(samples) == 0:
@@ -62,7 +63,11 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
     if np.any(boot):
         values[:, boot] = _zero_start(model, t_grid, f, guard, rtol, atol)[:, None]
     if not np.all(boot):
-        res = rk45(f, samples[~boot], t_grid, rtol=rtol, atol=atol, accept_state=guard)
+        # rk45 bounds the RMS of the scaled errors over the samples by 1;
+        # tolerances divided by sqrt(m) make that bound hold for each sample
+        shrink = np.sqrt(np.count_nonzero(~boot))
+        res = rk45(f, samples[~boot], t_grid, rtol=rtol / shrink, atol=atol / shrink,
+                   accept_state=guard)
         values[:, ~boot] = res.states
     return values
 

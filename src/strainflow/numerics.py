@@ -236,13 +236,14 @@ def _quad_batch(f, a, b, tol: float) -> np.ndarray:
     Gauss value is compared with the sum over its two halves, the
     Richardson-corrected halves are kept when the difference is within
     ``tol``, and the panel is split otherwise. A component whose first panel
-    passes therefore gets exactly quad_adaptive's answer. Holding each panel
-    to ``tol`` rather than to a share of it keeps roundoff in ``f`` (such as
-    the cancellation in a stress evaluated near its root) from forcing
-    endless splits; the kept value is far more accurate than the estimate.
-    Endpoints are never evaluated. Raises IntegrabilityError on a non-finite
-    panel that cannot be split and IterationBudgetError when a component
-    needs more than 4096 splits (quad_adaptive's panel budget).
+    passes therefore gets exactly quad_adaptive's answer. ``tol`` bounds each
+    kept panel's error estimate, not that of the whole integral as in
+    quad_adaptive: a share of ``tol`` per panel would let roundoff in ``f``
+    (such as the cancellation in a stress evaluated near its root) force
+    endless splits, and the kept value is far more accurate than the
+    estimate. Endpoints are never evaluated. Raises IntegrabilityError on a
+    non-finite panel that cannot be split and IterationBudgetError when a
+    component needs more than 4096 splits (quad_adaptive's panel budget).
     """
     a, b = (np.array(x, dtype=float).ravel() for x in np.broadcast_arrays(a, b))
     total = np.zeros(a.size)
@@ -263,7 +264,7 @@ def _quad_batch(f, a, b, tol: float) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             err = np.abs(halves - whole)
             value = halves + (halves - whole) / 1023.0
-        splittable = (b - a) > 1e-15 * np.maximum(np.abs(a), np.abs(b)) + 1e-300
+        splittable = np.abs(b - a) > 1e-15 * np.maximum(np.abs(a), np.abs(b)) + 1e-300
         finite = np.isfinite(value)
         if np.any(~finite & ~splittable):
             i = np.flatnonzero(~finite & ~splittable)[0]
@@ -280,6 +281,9 @@ def _quad_batch(f, a, b, tol: float) -> np.ndarray:
         whole = np.concatenate([left[split], right[split]])
         owner = np.tile(owner[split], 2)
     return total
+
+
+_INVERT_MAX_ITER = 120  # Newton iterations per CumulativeCurve.invert call
 
 
 class CumulativeCurve:
@@ -303,13 +307,13 @@ class CumulativeCurve:
 
     def value(self, x: float) -> float:
         j = int(np.clip(np.searchsorted(self.nodes, x) - 1, 0, len(self.nodes) - 1))
-        return self.cum[j] + quad_adaptive(self.f, self.nodes[j], x, tol=self.tol)
+        return float(self.cum[j] + _quad_batch(self.f, self.nodes[j], x, self.tol)[0])
 
     @property
     def max_value(self) -> float:
         return float(self.cum[-1])
 
-    def invert(self, target, xtol: float = 1e-12, max_iter: int = 120):
+    def invert(self, target, xtol: float = 1e-12):
         """Solve value(x) = target; clips to the tabulated range.
 
         ``target`` may be an array, solved componentwise by one vectorised
@@ -320,7 +324,7 @@ class CumulativeCurve:
         value(x) - target are replaced by bisection. A target converges when
         its residual is within 1e-14 * max(1, |target|) or its bracket is
         within ``xtol``; IterationBudgetError is raised when any target is
-        still open after ``max_iter`` iterations.
+        still open after _INVERT_MAX_ITER iterations.
         """
         t = np.asarray(target, dtype=float)
         flat = t.ravel()
@@ -331,7 +335,7 @@ class CumulativeCurve:
         anchor, g_anchor = self.nodes[j], self.cum[j]
         lo, hi = anchor, self.nodes[j + 1]
         x = 0.5 * (lo + hi)
-        for _ in range(max_iter):
+        for _ in range(_INVERT_MAX_ITER):
             if idx.size == 0:
                 break
             gx = g_anchor + _quad_batch(self.f, anchor, x, self.tol)
@@ -351,7 +355,7 @@ class CumulativeCurve:
             )
         if idx.size:
             raise IterationBudgetError(
-                f"curve inversion left {idx.size} target(s) open after {max_iter} iterations"
+                f"curve inversion left {idx.size} target(s) open after {_INVERT_MAX_ITER} iterations"
             )
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 

@@ -83,6 +83,15 @@ class TestRunCommand:
         assert manifest["exit_code"] == 3
         assert "diverges" in manifest["error"]
 
+    def test_bound_budget_failure_exits_4_with_manifest(self, out_env, tmp_path, monkeypatch):
+        # one Newton iteration cannot invert the cubic's upper-bound curve
+        monkeypatch.setattr("strainflow.numerics._INVERT_MAX_ITER", 1)
+        cfg_path = write_config(tmp_path / "c.json", output_dir="run_budget")
+        assert main(["run", "--config", str(cfg_path)]) == 4
+        manifest = json.loads((out_env / "run_budget" / "manifest.json").read_text())
+        assert manifest["exit_code"] == 4
+        assert "after 1 iterations" in manifest["error"]
+
     def test_empty_initial_values_exit_2(self, out_env, tmp_path):
         cfg_path = write_config(
             tmp_path / "c.json",

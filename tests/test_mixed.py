@@ -159,6 +159,24 @@ class TestVectorFieldSolve:
         rel = np.abs(traj.values - ref) / np.maximum(1.0, np.abs(ref))
         assert np.max(rel) <= 1e-8
 
+    def test_large_field_error_per_sample(self, model):
+        # rk45 holds the RMS error over the samples to the tolerance, so a
+        # 4096-sample field must shrink it to keep each sample's error within
+        # that of a one-sample solve
+        rng = np.random.default_rng(8)
+        samples = rng.uniform(0.05, 2.8, 4096)
+        pick = np.concatenate([[np.argmin(samples), np.argmax(samples)],
+                               rng.choice(4096, 10, replace=False)])
+        traj, _ = solve_field(model, samples, self.T)
+        ref = _per_sample_reference(model, samples[pick], self.T)
+        tight = np.column_stack([
+            solve_pointwise(model, float(p), self.T, rtol=1e-13, atol=1e-15).values
+            for p in samples[pick]
+        ])
+        rel = lambda v, r: np.max(np.abs(v - r) / np.maximum(1.0, np.abs(r)))
+        assert rel(traj.values[:, pick], ref) <= 1e-8
+        assert rel(traj.values[:, pick], tight) <= rel(ref, tight)
+
     def test_zero_columns_equal_pointwise_bits(self, model):
         samples = _free_field_samples(5)
         traj, _ = solve_field(model, samples, self.T)

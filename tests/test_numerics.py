@@ -116,11 +116,12 @@ def test_cumulative_curve_table_budget_raises():
         CumulativeCurve(rough, np.array([0.5, 1.0]), tol=1e-12)
 
 
-def test_cumulative_curve_invert_budget_raises():
+def test_cumulative_curve_invert_budget_raises(monkeypatch):
     nodes = np.geomspace(1e-6, 0.999, 200)
     curve = CumulativeCurve(lambda z: 1.0 / (1.0 - z), nodes, tol=1e-12, x0=0.0)
+    monkeypatch.setattr("strainflow.numerics._INVERT_MAX_ITER", 1)
     with pytest.raises(IterationBudgetError):
-        curve.invert(np.array([0.4, 1.3]), max_iter=1)
+        curve.invert(np.array([0.4, 1.3]))
 
 
 def test_rk45_linear_decay_accuracy():
