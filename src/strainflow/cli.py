@@ -256,6 +256,11 @@ def _run_checks(cfg, model, traj: Trajectory, profile) -> dict[str, bool]:
             )
         else:
             checks["energy_nonincreasing"] = bool(np.all(np.diff(traj.energy) <= 1e-8))
+            # each proximal step minimises W + |v - p|^2 / 2 tau and v = p is
+            # feasible, so E(t) + D(t)/2 <= E(0) with D the recorded sum
+            e0 = traj.energy[0]
+            gap = traj.energy + 0.5 * traj.dissipation_cum - e0
+            checks["energy_inequality"] = bool(np.all(gap <= 1e-10 * (1.0 + abs(e0))))
     if profile is not None:
         sel = traj.times > 0
         ok = True

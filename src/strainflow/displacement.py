@@ -6,8 +6,9 @@ Two steppers with independent mechanics cross-validate each other:
   rejection on domain exit or ordering violation, and a scalar mass
   renormalization after every accepted step;
 * a proximal (implicit Euler) step that solves the stationarity system
-  sigma(v_i) + (v_i - p_i)/tau = c under the mass constraint, with a
-  per-component bisection inside a bisection on the multiplier c.
+  sigma(v_i) + (v_i - p_i)/tau = c under the mass constraint by damped
+  Newton on its KKT system, whose diagonal-plus-rank-one matrix gives each
+  step and the multiplier c in closed form.
 
 The flow conserves the mean strain exactly and dissipates the stored energy;
 both facts are enforced (renormalization) or measured (diagnostics) here.
@@ -19,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DomainError, StiffnessError, StrainflowError
-from .numerics import bisect_vec, rk45
+from .errors import DomainError, IterationBudgetError, StiffnessError, StrainflowError
+from .numerics import rk45
 from .state import SimpleState, Trajectory, state_distance
 from .stress_models import POSITIVE, StressModel, eval_W
 
 CONVERGENCE_TOL = 1e-8   # weighted rhs norm below which a state counts as settled
 ORDER_SLACK = 1e-12      # roundoff allowance in the ordering guard
+_PROX_MAX_ITER = 100     # Newton steps per proximal step
+_PROX_MIN_STEP = 2.0 ** -40  # shortest damped Newton step tried
 
 
 def _require_strict_domain(model: StressModel, values: np.ndarray) -> None:
@@ -66,11 +69,16 @@ def _ordering_ok(perm: np.ndarray, values: np.ndarray) -> bool:
 
 
 def prox_step(model: StressModel, state: SimpleState, tau: float) -> SimpleState:
-    """Implicit Euler with a mass multiplier.
+    """Implicit Euler with a mass multiplier: one minimising-movement step.
 
-    Solves sigma(v_i) + (v_i - p_i)/tau = c componentwise with the multiplier
-    c fixed by sum_i w_i v_i = mu. Needs tau < 1/lambda so that
-    h(v) = sigma(v) + v/tau is strictly increasing on the domain.
+    Minimises sum_i w_i [W(v_i) + (v_i - p_i)^2 / 2 tau] under sum_i w_i v_i =
+    mu, strictly convex for tau < 1/lambda, by damped Newton on its KKT system
+    from v = p. With g = sigma(v) + (v - p)/tau and d = sigma'(v) + 1/tau > 0,
+    the multiplier is c = sum w g/d / sum w/d and the step (c - g)/d keeps the
+    mass. Steps are halved until the point is in the domain and the residual
+    sum_i w_i (g_i - sum_j w_j g_j)^2 falls (Armijo), so W is never evaluated.
+    Raises IterationBudgetError after ``_PROX_MAX_ITER`` steps, and
+    StrainflowError when no step length lowers a residual off roundoff.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -85,100 +93,49 @@ def prox_step(model: StressModel, state: SimpleState, tau: float) -> SimpleState
     mu = state.mu
     _require_strict_domain(model, p)
 
-    def h(v):
-        return np.asarray(model.sigma(v), dtype=float) + v / tau
+    def gradient(v):
+        return np.asarray(model.sigma(v), dtype=float) + (v - p) / tau
 
-    def h_inverse(targets: np.ndarray) -> np.ndarray:
-        lo = p.copy()
-        hi = p.copy()
-        span = np.maximum(1.0, np.abs(p))
-        # expand brackets geometrically; h -> -inf toward the domain floor
-        # for blow-up models and h grows at least linearly upward
-        for _ in range(200):
-            need = h(lo) > targets
-            if not np.any(need):
-                break
-            if model.domain == POSITIVE:
-                lo = np.where(need, 0.5 * lo, lo)
-            else:
-                lo = np.where(need, lo - span, lo)
-                span = np.where(need, 2.0 * span, span)
-        else:
-            raise BracketError("no lower bracket for the proximal inner solve")
-        span = np.maximum(1.0, np.abs(p))
-        for _ in range(200):
-            need = h(hi) < targets
-            if not np.any(need):
-                break
-            hi = np.where(need, hi + span, hi)
-            span = np.where(need, 2.0 * span, span)
-        else:
-            raise BracketError("no upper bracket for the proximal inner solve")
-        # bisect to a tight bracket, then finish with bracket-safeguarded
-        # Newton (the residual must reach roundoff, and h' is available)
-        v = bisect_vec(lambda x: h(x) - targets, lo, hi, xtol=1e-4, max_iter=60)
-        scale = np.maximum(1.0, np.abs(v))
-        lo = np.maximum(lo, v - 2e-4 * scale)
-        hi = np.minimum(hi, v + 2e-4 * scale)
-        for _ in range(40):
-            res = h(v) - targets
-            above = res > 0.0
-            hi = np.where(above, v, hi)
-            lo = np.where(above, lo, v)
-            hp = np.asarray(model.sigma_prime(v), dtype=float) + 1.0 / tau
-            v_new = v - res / hp
-            inside = (v_new > lo) & (v_new < hi)
-            v_new = np.where(inside, v_new, 0.5 * (lo + hi))
-            done = np.max(np.abs(v_new - v) / np.maximum(1.0, np.abs(v_new)))
-            v = v_new
-            if done < 1e-15:
-                break
-        return v
+    def residual(g):
+        r = g - float(np.dot(w, g))
+        return float(np.dot(w, r * r))
 
-    sig = np.asarray(model.sigma(p), dtype=float)
-    spread0 = max(1.0, float(np.max(sig) - np.min(sig)))
-    c_lo = float(np.min(sig)) - spread0
-    c_hi = float(np.max(sig)) + spread0
-    spread = spread0
-    for _ in range(80):
-        if float(np.dot(w, h_inverse(c_lo + p / tau))) <= mu:
+    v = p
+    g = gradient(v)
+    res = residual(g)
+    for _ in range(_PROX_MAX_ITER):
+        d = np.asarray(model.sigma_prime(v), dtype=float) + 1.0 / tau
+        c = float(np.dot(w, g / d)) / float(np.dot(w, 1.0 / d))
+        delta = (c - g) / d
+        # relative to each strain on (0, inf): near a singular stress at 0 a
+        # step can be tiny in absolute terms and still double the strain
+        scale = np.abs(v) if model.domain == POSITIVE else np.maximum(1.0, np.abs(v))
+        size = float(np.max(np.abs(delta) / scale))
+        if size <= 1e-15:
             break
-        c_lo -= spread
-        spread *= 2.0
+        # a full Newton step this short fails the Armijo test only when the
+        # residual is at roundoff, which ends the solve
+        short = size <= 1e-8
+        alpha = 1.0
+        while alpha >= (1.0 if short else _PROX_MIN_STEP):
+            trial = v + alpha * delta
+            if np.all(model.in_domain(trial)):
+                g_trial = gradient(trial)
+                res_trial = residual(g_trial)
+                if res_trial <= (1.0 - 1e-4 * alpha) * res:
+                    break
+            alpha *= 0.5
+        else:
+            if short:
+                break
+            raise StrainflowError(
+                f"proximal Newton line search stalled at step size {size:.3g}"
+            )
+        v, g, res = trial, g_trial, res_trial
     else:
-        raise BracketError("no lower bracket for the mass multiplier")
-    spread = spread0
-    for _ in range(80):
-        if float(np.dot(w, h_inverse(c_hi + p / tau))) >= mu:
-            break
-        c_hi += spread
-        spread *= 2.0
-    else:
-        raise BracketError("no upper bracket for the mass multiplier")
-
-    # bisection on the multiplier, accelerated by Newton steps kept inside
-    # the shrinking bracket (the mass map is strictly increasing in c)
-    c = 0.5 * (c_lo + c_hi)
-    v = h_inverse(c + p / tau)
-    for _ in range(200):
-        m = float(np.dot(w, v))
-        if abs(m - mu) <= 1e-12 * max(1.0, abs(mu)):
-            break
-        if m < mu:
-            c_lo = c
-        else:
-            c_hi = c
-        hp = np.asarray(model.sigma_prime(v), dtype=float) + 1.0 / tau
-        eta_prime = float(np.dot(w, 1.0 / hp))
-        c_new = c + (mu - m) / eta_prime if eta_prime > 0 else 0.5 * (c_lo + c_hi)
-        if not (c_lo < c_new < c_hi):
-            c_new = 0.5 * (c_lo + c_hi)
-        if c_hi - c_lo <= 1e-15 * max(1.0, abs(c_hi)):
-            c = c_new
-            v = h_inverse(c + p / tau)
-            break
-        c = c_new
-        v = h_inverse(c + p / tau)
+        raise IterationBudgetError(
+            f"proximal Newton solve did not converge in {_PROX_MAX_ITER} steps"
+        )
     v = v + (mu - float(np.dot(w, v)))  # exact mass
     return state.with_values(v)
 

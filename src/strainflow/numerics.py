@@ -206,28 +206,6 @@ def bisect_root(f, lo, hi, xtol: float = 1e-12, max_iter: int = 200):
     return float(out) if out.ndim == 0 else out
 
 
-def bisect_vec(f, lo: np.ndarray, hi: np.ndarray, xtol: float = 1e-13, max_iter: int = 120) -> np.ndarray:
-    """Componentwise bisection for a vectorized monotone-increasing ``f``.
-
-    Brackets must satisfy f(lo) <= 0 <= f(hi) componentwise.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = np.asarray(f(lo), dtype=float)
-    fhi = np.asarray(f(hi), dtype=float)
-    if np.any(flo > 0.0) or np.any(fhi < 0.0):
-        raise BracketError("vector bisection called with invalid brackets")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(f(mid), dtype=float)
-        take_hi = fm > 0.0
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-        if np.all(hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))):
-            break
-    return 0.5 * (lo + hi)
-
-
 def _quad_batch(f, a, b, tol: float) -> np.ndarray:
     """Componentwise int_a^b f for arrays ``a`` and ``b``, one ``f`` call per
     refinement level.
@@ -453,7 +431,7 @@ def rk45(
 
     ctrl = StepController(rtol=rtol, atol=atol, dt_min=dt_min, dt_max=dt_max)
     span = t_record[-1] - t_record[0]
-    ctrl.dt = min(1e-4 * max(1.0, span), span)
+    ctrl.dt = min(1e-4, span)
 
     k = np.empty((7, dim))
     fsal_valid = False

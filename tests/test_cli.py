@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from strainflow import cli
+from strainflow import cli, displacement
 from strainflow.cli import ExperimentConfig, load_config, main
 from strainflow.errors import ConfigError
 
@@ -135,6 +135,28 @@ class TestRunCommand:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["exit_code"] == 4
         assert (run_dir / "trajectory.csv").exists()
+
+    def test_prox_run_checks_energy_inequality(self, out_env, tmp_path):
+        cfg_path = write_config(tmp_path / "c.json", stepper={"kind": "prox", "tau": 0.01},
+                                output_dir="run_prox")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        checks = json.loads((out_env / "run_prox" / "report.json").read_text())["checks"]
+        assert checks["energy_inequality"] and checks["energy_nonincreasing"]
+
+    def test_overshooting_step_fails_energy_inequality(self, out_env, tmp_path, monkeypatch):
+        # 2.9 explicit Euler steps per step: the energy still falls, but by
+        # less than half the recorded dissipation
+        def overshoot(model, state, tau):
+            velocity = displacement._velocity(model, state.weights, state.values)
+            return state.with_values(state.values + 2.9 * tau * velocity)
+
+        monkeypatch.setattr(displacement, "prox_step", overshoot)
+        cfg_path = write_config(tmp_path / "c.json", stepper={"kind": "prox", "tau": 0.01},
+                                output_dir="run_overshoot")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        checks = json.loads((out_env / "run_overshoot" / "report.json").read_text())["checks"]
+        assert checks["energy_inequality"] is False
+        assert all(ok for name, ok in checks.items() if name != "energy_inequality")
 
     def test_determinism_bit_identical_csv(self, out_env, tmp_path):
         cfg_a = write_config(tmp_path / "a.json", output_dir="run_a")

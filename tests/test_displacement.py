@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strainflow import displacement
 from strainflow.displacement import (
     approximate_initial_data,
     gronwall_check,
@@ -15,9 +16,14 @@ from strainflow.displacement import (
     rhs_norm,
     seeded_state,
 )
-from strainflow.errors import DegenerateDataError, StrainflowError
+from strainflow.errors import (
+    BracketError,
+    DegenerateDataError,
+    IterationBudgetError,
+    StrainflowError,
+)
 from strainflow.state import SimpleState, state_distance
-from strainflow.stress_models import eval_W, make_model
+from strainflow.stress_models import POSITIVE, eval_W, make_model
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +156,10 @@ class TestIntegrate:
         assert calls[0] < 5000
 
     def test_failure_returns_the_runs_own_prefix(self, blow_up):
-        # the first step is 1e-4 * max(1, horizon), so both horizons here
-        # start from the same step and take the same steps to t_last
+        # the first step does not depend on the horizon, so both runs take
+        # the same steps to t_last
         model, state = blow_up
-        failed = integrate(model, state, 1.0, record_every=0.1)
+        failed = integrate(model, state, 5.0, record_every=0.1)
         assert failed.metadata["error"]
         assert failed.n_records >= 2
         assert np.all(np.abs(failed.mass() - state.mu) <= 1e-12)
@@ -210,6 +216,246 @@ class TestIntegrate:
         traj = integrate(singular, state, 0.5, stepper="prox", tau=5e-3, n_records=6)
         assert "error" not in traj.metadata
         assert np.max(np.abs(traj.mass() - 1.0)) <= 1e-12
+
+
+# -- the bisection proximal step, kept as the reference for the Newton solve --
+
+
+def _bisect_vec(f, lo, hi, xtol=1e-13, max_iter=120):
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo = np.asarray(f(lo), dtype=float)
+    fhi = np.asarray(f(hi), dtype=float)
+    if np.any(flo > 0.0) or np.any(fhi < 0.0):
+        raise BracketError("vector bisection called with invalid brackets")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(f(mid), dtype=float)
+        take_hi = fm > 0.0
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+        if np.all(hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _bisection_prox_step(model, state, tau):
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    lam = model.lambda_
+    if lam > 0.0 and tau >= 1.0 / lam:
+        raise StrainflowError(
+            f"tau = {tau} >= 1/lambda = {1.0 / lam}; the proximal map loses "
+            "monotonicity"
+        )
+    p = state.values
+    w = state.weights
+    mu = state.mu
+    displacement._require_strict_domain(model, p)
+
+    def h(v):
+        return np.asarray(model.sigma(v), dtype=float) + v / tau
+
+    def h_inverse(targets: np.ndarray) -> np.ndarray:
+        lo = p.copy()
+        hi = p.copy()
+        span = np.maximum(1.0, np.abs(p))
+        # expand brackets geometrically; h -> -inf toward the domain floor
+        # for blow-up models and h grows at least linearly upward
+        for _ in range(200):
+            need = h(lo) > targets
+            if not np.any(need):
+                break
+            if model.domain == POSITIVE:
+                lo = np.where(need, 0.5 * lo, lo)
+            else:
+                lo = np.where(need, lo - span, lo)
+                span = np.where(need, 2.0 * span, span)
+        else:
+            raise BracketError("no lower bracket for the proximal inner solve")
+        span = np.maximum(1.0, np.abs(p))
+        for _ in range(200):
+            need = h(hi) < targets
+            if not np.any(need):
+                break
+            hi = np.where(need, hi + span, hi)
+            span = np.where(need, 2.0 * span, span)
+        else:
+            raise BracketError("no upper bracket for the proximal inner solve")
+        # bisect to a tight bracket, then finish with bracket-safeguarded
+        # Newton (the residual must reach roundoff, and h' is available)
+        v = _bisect_vec(lambda x: h(x) - targets, lo, hi, xtol=1e-4, max_iter=60)
+        scale = np.maximum(1.0, np.abs(v))
+        lo = np.maximum(lo, v - 2e-4 * scale)
+        hi = np.minimum(hi, v + 2e-4 * scale)
+        for _ in range(40):
+            res = h(v) - targets
+            above = res > 0.0
+            hi = np.where(above, v, hi)
+            lo = np.where(above, lo, v)
+            hp = np.asarray(model.sigma_prime(v), dtype=float) + 1.0 / tau
+            v_new = v - res / hp
+            inside = (v_new > lo) & (v_new < hi)
+            v_new = np.where(inside, v_new, 0.5 * (lo + hi))
+            done = np.max(np.abs(v_new - v) / np.maximum(1.0, np.abs(v_new)))
+            v = v_new
+            if done < 1e-15:
+                break
+        return v
+
+    sig = np.asarray(model.sigma(p), dtype=float)
+    spread0 = max(1.0, float(np.max(sig) - np.min(sig)))
+    c_lo = float(np.min(sig)) - spread0
+    c_hi = float(np.max(sig)) + spread0
+    spread = spread0
+    for _ in range(80):
+        if float(np.dot(w, h_inverse(c_lo + p / tau))) <= mu:
+            break
+        c_lo -= spread
+        spread *= 2.0
+    else:
+        raise BracketError("no lower bracket for the mass multiplier")
+    spread = spread0
+    for _ in range(80):
+        if float(np.dot(w, h_inverse(c_hi + p / tau))) >= mu:
+            break
+        c_hi += spread
+        spread *= 2.0
+    else:
+        raise BracketError("no upper bracket for the mass multiplier")
+
+    # bisection on the multiplier, accelerated by Newton steps kept inside
+    # the shrinking bracket (the mass map is strictly increasing in c)
+    c = 0.5 * (c_lo + c_hi)
+    v = h_inverse(c + p / tau)
+    for _ in range(200):
+        m = float(np.dot(w, v))
+        if abs(m - mu) <= 1e-12 * max(1.0, abs(mu)):
+            break
+        if m < mu:
+            c_lo = c
+        else:
+            c_hi = c
+        hp = np.asarray(model.sigma_prime(v), dtype=float) + 1.0 / tau
+        eta_prime = float(np.dot(w, 1.0 / hp))
+        c_new = c + (mu - m) / eta_prime if eta_prime > 0 else 0.5 * (c_lo + c_hi)
+        if not (c_lo < c_new < c_hi):
+            c_new = 0.5 * (c_lo + c_hi)
+        if c_hi - c_lo <= 1e-15 * max(1.0, abs(c_hi)):
+            c = c_new
+            v = h_inverse(c + p / tau)
+            break
+        c = c_new
+        v = h_inverse(c + p / tau)
+    v = v + (mu - float(np.dot(w, v)))  # exact mass
+    return state.with_values(v)
+
+
+_SWEEP_LAWS = {
+    "cubic": ("cubic", {}),
+    "singular-cubic-0.5": ("singular-cubic", {"kappa": 0.5}),
+    "singular-cubic-0.05": ("singular-cubic", {"kappa": 0.05}),
+    "log": ("log", {}),
+    "hyperbolic": ("hyperbolic", {}),
+    "quintic": ("poly", {"coeffs": [1.0, 0.0, -2.0, 0.0, 0.5, 0.0]}),
+}
+
+
+def _sweep_states(model):
+    """Seeded states at n = 2, 16, 256; on (0, inf) the third seed of each n
+    has a strain at 1e-6."""
+    mu = 1.0 if model.domain == POSITIVE else 0.5
+    for n in (2, 16, 256):
+        for seed in range(3):
+            state = seeded_state(model, n, mu, seed)
+            if seed == 2 and model.domain == POSITIVE:
+                values = state.values.copy()
+                values[0] = 1e-6
+                state = state.with_values(values)
+            yield state
+
+
+def _sweep_taus(model):
+    lam = model.lambda_
+    return [1e-3, 1e-2, 0.1] + ([0.5 / lam, 0.97 / lam] if lam > 0 else [1.0, 10.0])
+
+
+class TestProxNewton:
+    @pytest.mark.parametrize("law", sorted(_SWEEP_LAWS))
+    def test_matches_bisection_reference(self, law):
+        name, params = _SWEEP_LAWS[law]
+        model = make_model(name, **params)
+        for state in _sweep_states(model):
+            for tau in _sweep_taus(model):
+                new = prox_step(model, state, tau).values
+                ref = _bisection_prox_step(model, state, tau).values
+                rel = np.max(np.abs(new - ref) / np.maximum(1.0, np.abs(ref)))
+                assert rel <= 1e-10, (law, state.n, tau, rel)
+                assert abs(np.dot(state.weights, new) - state.mu) <= 1e-12 * max(1.0, state.mu)
+                resid = model.sigma(new) + (new - state.values) / tau
+                spread = (np.max(resid) - np.min(resid)) / max(1.0, np.max(np.abs(resid)))
+                assert spread <= 1e-10, (law, state.n, tau, spread)
+
+    @pytest.mark.parametrize("name", ["singular-cubic", "log"])
+    @pytest.mark.parametrize("tau", [0.01, 10.0])
+    def test_strain_near_a_singular_stress(self, name, tau):
+        # sigma' ~ 1/p^2 makes the first Newton steps from p = 1e-20 tiny in
+        # absolute terms although each one doubles the strain
+        model = make_model(name)
+        state = seeded_state(model, 16, 1.0, seed=2)
+        values = state.values.copy()
+        values[0] = 1e-20
+        state = state.with_values(values)
+        new = prox_step(model, state, tau).values
+        ref = _bisection_prox_step(model, state, tau).values
+        assert np.max(np.abs(new - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
+        resid = model.sigma(new) + (new - state.values) / tau
+        assert np.max(resid) - np.min(resid) <= 1e-10 * max(1.0, np.max(np.abs(resid)))
+
+    def test_sigma_call_budget_on_held_prox(self):
+        # singular cubic, n = 16, tau = 0.01 to t = 2: 200 proximal steps
+        model = make_model("singular-cubic")
+        calls = [0]
+
+        def counted(p):
+            calls[0] += 1
+            return model.sigma(p)
+
+        state = seeded_state(model, 16, 1.0, seed=31)
+        traj = integrate(dataclasses.replace(model, sigma=counted), state, 2.0,
+                         stepper="prox", tau=0.01, record_every=0.25)
+        assert "error" not in traj.metadata
+        assert calls[0] <= 20 * 200
+
+    def test_iteration_budget_raises_and_ends_run(self, singular, monkeypatch):
+        monkeypatch.setattr(displacement, "_PROX_MAX_ITER", 1)
+        state = seeded_state(singular, 8, 1.0, seed=1)
+        with pytest.raises(IterationBudgetError):
+            prox_step(singular, state, 0.01)
+        traj = integrate(singular, state, 0.5, stepper="prox", tau=0.01, n_records=6)
+        assert "proximal Newton" in traj.metadata["error"]
+        assert traj.n_records == 1
+        assert np.array_equal(traj.values[0], state.values)
+
+    def test_stalled_line_search_raises(self, cubic):
+        # a derivative of the wrong sign turns the Newton step uphill, so no
+        # step length lowers the residual and the step must not return
+        wrong = dataclasses.replace(cubic, sigma_prime=lambda p: np.full_like(p, -1e6))
+        state = seeded_state(cubic, 8, 0.5, seed=3)
+        with pytest.raises(StrainflowError, match="line search stalled"):
+            prox_step(wrong, state, 0.01)
+
+    def test_linear_law_first_order_in_tau(self):
+        # sigma = p - 1 with both ends held: p_i(t) = mu + (p_i(0) - mu) e^{-t}
+        model = make_model("linear")
+        state = seeded_state(model, 8, 1.0, seed=7)
+        exact = state.mu + (state.values - state.mu) * np.exp(-1.0)
+        errs = []
+        for tau in (0.02, 0.01, 0.005):
+            traj = integrate(model, state, 1.0, stepper="prox", tau=tau, n_records=2)
+            errs.append(np.max(np.abs(traj.values[-1] - exact)))
+        assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.2)
+        assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.2)
 
 
 class TestInitialData:

@@ -6,7 +6,6 @@ from strainflow.errors import BracketError, IntegrabilityError, IterationBudgetE
 from strainflow.numerics import (
     CumulativeCurve,
     bisect_root,
-    bisect_vec,
     quad_adaptive,
     quad_to_infinity,
     rk45,
@@ -81,13 +80,6 @@ def test_bisect_root_budget_exhaustion_raises():
     with pytest.raises(IterationBudgetError):
         bisect_root(lambda x: x - 0.3, np.zeros(2), np.array([1.0, 0.5]), max_iter=3)
     assert bisect_root(lambda x: x - 0.5, 0.0, 1.0, max_iter=1) == 0.5  # exact hit
-
-
-def test_bisect_vec_componentwise():
-    targets = np.array([1.0, 8.0, 27.0])
-    f = lambda v: v ** 3 - targets
-    roots = bisect_vec(f, np.zeros(3), np.full(3, 4.0), xtol=1e-14)
-    assert np.allclose(roots, [1.0, 2.0, 3.0], atol=1e-12)
 
 
 def test_cumulative_curve_value_and_inverse():
