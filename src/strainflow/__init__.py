@@ -24,7 +24,7 @@ from .bounds import (
     mixed_lower,
     mixed_upper,
 )
-from .counterexample import CylState, CylTrajectory, dense_data_demo, simulate_cyl
+from .counterexample import CylState, CylTrajectory, dense_data_demo, simulate_cyl, simulate_ensemble
 from .displacement import (
     GronwallReport,
     approximate_initial_data,

@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import asymptotics_report, equilibria_enumerate, volume_fractions
 from .bounds import bounds_profile
-from .counterexample import DEMO_Z0, member_summary, simulate_cyl
+from .counterexample import (DEMO_Z0, ensemble_checks, member_summary, simulate_cyl,
+                             simulate_ensemble)
 from .displacement import _record_grid, approximate_initial_data, integrate, seeded_state
 from .errors import ConfigError, HypothesisError, StrainflowError
 from .mixed import solve_field
@@ -295,6 +296,7 @@ def command_run(cfg: ExperimentConfig) -> int:
             "files": files,
             "wall_time_s": time.perf_counter() - t_start,
             "checks": checks,
+            "checked": bool(checks),
             "exit_code": exit_code,
         }
         if error:
@@ -368,6 +370,7 @@ def command_run(cfg: ExperimentConfig) -> int:
     if cfg.analyses.get("invariants", True):
         checks.update(_run_checks(cfg, model, traj, profile))
     report["checks"] = checks
+    report["checked"] = bool(checks)  # false: the run exits 0 with nothing checked
     report["wall_time_s"] = time.perf_counter() - t_start
     _write_json_atomic(os.path.join(out_dir, "report.json"), report)
     files.append("report.json")
@@ -478,18 +481,20 @@ def command_counterexample(args) -> int:
     out_dir = os.path.join(_output_root(), args.out)
     os.makedirs(out_dir, exist_ok=True)
     if args.demo:
-        summary = []
-        for i, z0 in enumerate(DEMO_Z0):
-            traj = simulate_cyl(2.0, 0.0, z0, args.t_final, n_records=args.records)
-            summary.append(member_summary(z0, traj))
+        trajs = simulate_ensemble(2.0, 0.0, np.array(DEMO_Z0), args.t_final, args.records)
+        for i, traj in enumerate(trajs):
             _write_csv(
                 os.path.join(out_dir, f"member_{i:02d}.csv"),
                 ["t", "r", "theta", "z", "lyapunov"],
                 np.column_stack([traj.times, traj.r, traj.theta, traj.z, traj.lyapunov]),
             )
-        _write_json_atomic(os.path.join(out_dir, "counterexample.json"), {"members": summary})
+        checks = ensemble_checks(DEMO_Z0, trajs)
+        _write_json_atomic(os.path.join(out_dir, "counterexample.json"), {
+            "members": [member_summary(z0, traj) for z0, traj in zip(DEMO_Z0, trajs)],
+            "checks": checks,
+        })
         print(os.path.join(out_dir, "counterexample.json"))
-        return 0
+        return 0 if all(c["pass"] for c in checks.values()) else 1
     traj = simulate_cyl(args.r0, args.theta0, args.z0, args.t_final, n_records=args.records)
     path = os.path.join(out_dir, "counterexample.csv")
     _write_csv(

@@ -1,12 +1,12 @@
 """Traction-free problem: the flow decouples into pointwise ODEs dp/dt = -sigma(p).
 
 Each material point evolves independently, so the field solver integrates
-every sample in one vector rk45 call and reassembles diagnostics; the
-pointwise solver is its one-sample case. Strains starting at exactly zero
-outside the domain are bootstrapped once through the travel-time relation
-int_0^p -dz/sigma(z) = t (exact where the explicit stepper would be
-hopeless), inverted in batch, and handed to the adaptive stepper once clear
-of the singularity.
+every sample in one rk45 call, one ensemble member per sample, and
+reassembles diagnostics; the pointwise solver is its one-sample case.
+Strains starting at exactly zero outside the domain are bootstrapped once
+through the travel-time relation int_0^p -dz/sigma(z) = t (exact where the
+explicit stepper would be hopeless), inverted in batch, and handed to the
+adaptive stepper once clear of the singularity.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
           rtol: float, atol: float) -> np.ndarray:
     """Values (records x samples) of dp/dt = -sigma(p) from each sample.
 
-    Samples away from exactly 0 share one vector rk45 call; the flow is
-    decoupled, so only the step sizes couple them, and ``rtol``/``atol``
-    still bound each sample's local error. A zero strain outside the
-    domain is bootstrapped once and its column copied to every zero sample.
+    Samples away from exactly 0 share one rk45 call as an ensemble of
+    one-dimensional members; the flow is decoupled, so only the step sizes
+    couple them, and rk45's per-member error norm holds each sample to
+    ``rtol``/``atol``. A zero strain outside the domain is bootstrapped once
+    and its column copied to every zero sample.
     """
     if samples.ndim != 1 or len(samples) == 0:
         raise ValueError("p0_samples must be a non-empty 1-d array")
@@ -63,12 +64,8 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
     if np.any(boot):
         values[:, boot] = _zero_start(model, t_grid, f, guard, rtol, atol)[:, None]
     if not np.all(boot):
-        # rk45 bounds the RMS of the scaled errors over the samples by 1;
-        # tolerances divided by sqrt(m) make that bound hold for each sample
-        shrink = np.sqrt(np.count_nonzero(~boot))
-        res = rk45(f, samples[~boot], t_grid, rtol=rtol / shrink, atol=atol / shrink,
-                   accept_state=guard)
-        values[:, ~boot] = res.states
+        res = rk45(f, samples[~boot, None], t_grid, rtol=rtol, atol=atol, accept_state=guard)
+        values[:, ~boot] = res.states[:, :, 0]
     return values
 
 

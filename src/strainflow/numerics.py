@@ -5,8 +5,10 @@ interval halving with interior-node panels (so integrable endpoint
 singularities never get sampled), batched for the cumulative-curve tables
 and their inversion, truncated improper integrals with geometric
 tail extrapolation, and an embedded Runge-Kutta 5(4) driver with PI step-size
-control. Everything here is independent of the stress-model layer, so the
-higher modules can cross-check each other through these primitives.
+control whose state may be an ensemble (members x dim) integrated in one
+call, each member held to the tolerance by its own error norm. Everything
+here is independent of the stress-model layer, so the higher modules can
+cross-check each other through these primitives.
 """
 
 from __future__ import annotations
@@ -300,9 +302,10 @@ class CumulativeCurve:
         the anchor's table entry plus one batch quadrature from the anchor.
         Newton steps that leave the bracket maintained from the signs of
         value(x) - target are replaced by bisection. A target converges when
-        its residual is within 1e-14 * max(1, |target|) or its bracket is
-        within ``xtol``; IterationBudgetError is raised when any target is
-        still open after _INVERT_MAX_ITER iterations.
+        its residual is within 1e-14 * max(1, |target|), its Newton
+        correction within ``xtol`` * max(1, |x|) or its bracket within
+        ``xtol``; IterationBudgetError is raised when any target is still
+        open after _INVERT_MAX_ITER iterations.
         """
         t = np.asarray(target, dtype=float)
         flat = t.ravel()
@@ -321,13 +324,16 @@ class CumulativeCurve:
             lo, hi = np.where(below, x, lo), np.where(below, hi, x)
             hit = np.abs(gx - goal) <= 1e-14 * np.maximum(1.0, np.abs(goal))
             deriv = np.asarray(self.f(x), dtype=float)
-            bisect = 0.5 * (lo + hi)
             with np.errstate(divide="ignore", invalid="ignore"):
-                x_new = np.where(np.isfinite(deriv) & (deriv > 0), x - (gx - goal) / deriv, bisect)
-            x_new = np.where((lo < x_new) & (x_new < hi), x_new, bisect)
+                step = np.where(np.isfinite(deriv) & (deriv > 0), (gx - goal) / deriv, np.nan)
+            # a Newton correction below xtol ends the target even where
+            # roundoff in f keeps the residual above the hit threshold
+            tiny = np.abs(step) <= xtol * np.maximum(1.0, np.abs(x))
+            inside = (lo < x - step) & (x - step < hi)
+            x_new = np.where(inside | tiny, x - step, 0.5 * (lo + hi))
             narrow = hi - lo <= xtol * np.maximum(1.0, np.abs(hi))
             out[idx] = np.where(hit, x, x_new)
-            keep = ~(hit | narrow)
+            keep = ~(hit | narrow | tiny)
             idx, goal, anchor, g_anchor, lo, hi, x = (
                 v[keep] for v in (idx, goal, anchor, g_anchor, lo, hi, x_new)
             )
@@ -384,7 +390,7 @@ class StepController:
 @dataclass
 class RKResult:
     times: np.ndarray
-    states: np.ndarray          # (n_records, dim)
+    states: np.ndarray          # (n_records, dim) or (n_records, members, dim)
     aux_integral: np.ndarray    # cumulative integral of the aux rate at records
     n_steps: int = 0
     n_rejected: int = 0
@@ -404,6 +410,13 @@ def rk45(
 ) -> RKResult:
     """Adaptive Dormand-Prince 5(4) integration recording at ``t_record``.
 
+    ``y0`` is one state (dim,) or an ensemble (members, dim) sharing the
+    steps; ``f``, ``accept_state``, ``postprocess`` and ``stage_rate`` see
+    the state's shape and the records come back as (records,) + y0.shape.
+    The step's error norm is the RMS of the scaled errors over each member's
+    components, maximised over members, so every accepted step passes each
+    member's own error test at ``rtol``/``atol``.
+
     ``accept_state(y_old, y_new)`` can veto a step (domain exits, ordering);
     vetoed steps are retried with half the step size. ``postprocess(y)`` runs
     after each accepted step (e.g. mass renormalization). ``stage_rate(k)``
@@ -422,9 +435,8 @@ def rk45(
         raise ValueError("t_record must be strictly increasing")
 
     y = np.array(y0, dtype=float)
-    dim = y.shape[0]
     t = float(t_record[0])
-    records = np.empty((len(t_record), dim))
+    records = np.empty((len(t_record),) + y.shape)
     aux = np.zeros(len(t_record))
     records[0] = y
     aux_total = 0.0
@@ -433,7 +445,8 @@ def rk45(
     span = t_record[-1] - t_record[0]
     ctrl.dt = min(1e-4, span)
 
-    k = np.empty((7, dim))
+    k = np.empty((7,) + y.shape)
+    kf = k.reshape(7, -1)  # flat view: one stage sum for every member at once
     fsal_valid = False
     n_steps = 0
     n_rejected = 0
@@ -447,14 +460,15 @@ def rk45(
                 k[0] = f(y)
                 fsal_valid = True
             for s in range(1, 7):
-                ys = y + dt * (_DP_A[s] @ k[:s])
+                ys = y + dt * (_DP_A[s] @ kf[:s]).reshape(y.shape)
                 k[s] = f(ys)
-            y_new = y + dt * (_DP_B5 @ k)
-            err_vec = dt * (_DP_ERR @ k)
+            y_new = y + dt * (_DP_B5 @ kf).reshape(y.shape)
+            err_vec = dt * (_DP_ERR @ kf).reshape(y.shape)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            # RMS over each member's components, max over members
+            err = float(np.sqrt(((err_vec / scale) ** 2).sum(axis=-1) / y.shape[-1]).max())
 
-            bad = (not np.isfinite(err)) or (not np.all(np.isfinite(y_new))) or err > 1.0
+            bad = (not np.isfinite(err)) or (not np.isfinite(y_new).all()) or err > 1.0
             if not bad and accept_state is not None and not accept_state(y, y_new):
                 bad = True
                 err = float("nan")

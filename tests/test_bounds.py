@@ -300,6 +300,23 @@ class TestBatchInversion:
         j = np.searchsorted(curve.cum, targets) - 1
         assert np.count_nonzero(j == len(curve.nodes) - 2) >= 20
 
+    def test_free_field_grid_quadrature_calls(self, monkeypatch):
+        # targets within about 1e-5 of p_minus cannot reach the 1e-14
+        # residual (roundoff in sigma) and stop on the Newton correction:
+        # the table build plus 20 iterations, against 42 calls without it
+        import strainflow.numerics as numerics
+
+        calls = [0]
+        real = numerics._quad_batch
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(numerics, "_quad_batch", counted)
+        mixed_lower(make_model("singular-cubic"), np.linspace(0.0, 20.0, 201))
+        assert calls[0] <= 24
+
     @pytest.mark.parametrize("name, mu", [("cubic", 0.5), ("singular-cubic", 1.0)])
     def test_displacement_upper(self, recorded, name, mu):
         displacement_upper(make_model(name), mu, np.geomspace(1e-6, 1e3, 60))

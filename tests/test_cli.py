@@ -68,6 +68,21 @@ class TestRunCommand:
         assert "bounds_constants" in report  # upper curve for the cubic
         assert report["checks"]["mass_conservation"]
 
+    def test_unchecked_run_says_so(self, out_env, tmp_path):
+        # with the invariants off nothing is checked: the run still exits 0,
+        # and its report and manifest record that it was not checked
+        cfg_path = write_config(tmp_path / "c.json", analyses={"invariants": False},
+                                output_dir="run_unchecked")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        run_dir = out_env / "run_unchecked"
+        for name in ("report.json", "manifest.json"):
+            payload = json.loads((run_dir / name).read_text())
+            assert payload["checks"] == {} and payload["checked"] is False
+        cfg_path = write_config(tmp_path / "c.json", output_dir="run_checked")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        for name in ("report.json", "manifest.json"):
+            assert json.loads((out_env / "run_checked" / name).read_text())["checked"] is True
+
     def test_hypothesis_failure_exits_3_with_manifest(self, out_env, tmp_path):
         cfg_path = write_config(
             tmp_path / "c.json",
@@ -269,6 +284,36 @@ class TestOtherCommands:
         assert len(summary["members"]) == 13
         header = (out_env / "cx" / "member_00.csv").read_text().splitlines()[0]
         assert header == "t,r,theta,z,lyapunov"
+        checks = summary["checks"]
+        assert set(checks) == {"z_closed_form", "theta_identity", "lyapunov_monotone"}
+        for check in checks.values():
+            assert check["pass"] and check["value"] <= check["threshold"]
+
+    @pytest.mark.parametrize("member, field, offset", [
+        (5, "z", 1e-9),       # z (about 1e-3) off the closed form by 1e-6 relative
+        (0, "theta", 1e-6),   # the plane member's angle off its identity
+        (2, "r", 0.1),        # r^2 + z^2 rises
+    ])
+    def test_counterexample_demo_corrupted_member_exits_1(self, out_env, monkeypatch,
+                                                          member, field, offset):
+        real = cli.simulate_ensemble
+
+        def corrupted(*args, **kwargs):
+            trajs = real(*args, **kwargs)
+            values = getattr(trajs[member], field).copy()
+            values[len(values) // 2:] += offset
+            setattr(trajs[member], field, values)
+            return trajs
+
+        monkeypatch.setattr(cli, "simulate_ensemble", corrupted)
+        code = main(["counterexample", "--demo", "--t-final", "50", "--records", "11",
+                     "--out", "cxbad"])
+        assert code == 1
+        summary = json.loads((out_env / "cxbad" / "counterexample.json").read_text())
+        assert len(summary["members"]) == 13
+        assert [name for name, c in summary["checks"].items() if not c["pass"]] == [
+            {"z": "z_closed_form", "theta": "theta_identity", "r": "lyapunov_monotone"}[field]
+        ]
 
     def test_plotdata_kinds(self, out_env, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", output_dir="runp", n=8)

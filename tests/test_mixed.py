@@ -28,6 +28,16 @@ class TestPointwise:
         exact = 1.0 + (p0 - 1.0) * np.exp(-t)
         assert np.max(np.abs(sol.values - exact)) < 1e-8
 
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-8])
+    def test_linear_law_error_follows_tolerance(self, linear, rtol):
+        # rk45 order oracle: tightening rtol 100x lowers the error against
+        # p(t) = 1 + (p0 - 1) exp(-t) at least 10x (about 45-75x here)
+        t = np.linspace(0.0, 20.0, 41)
+        samples = np.array([0.2, 3.0, 10.0])
+        exact = 1.0 + (samples - 1.0) * np.exp(-t)[:, None]
+        err = lambda tol: np.max(np.abs(solve_field(linear, samples, t, rtol=tol)[0].values - exact))
+        assert err(rtol / 100.0) * 10.0 <= err(rtol)
+
     def test_limit_classification_on_long_horizon(self, linear):
         t = np.linspace(0.0, 40.0, 81)
         sol = solve_pointwise(linear, 10.0, t)
@@ -160,9 +170,9 @@ class TestVectorFieldSolve:
         assert np.max(rel) <= 1e-8
 
     def test_large_field_error_per_sample(self, model):
-        # rk45 holds the RMS error over the samples to the tolerance, so a
-        # 4096-sample field must shrink it to keep each sample's error within
-        # that of a one-sample solve
+        # each sample is one rk45 ensemble member, held to the tolerance by
+        # its own error norm: an RMS over the 4096 samples would let each
+        # sample's error grow past that of a one-sample solve
         rng = np.random.default_rng(8)
         samples = rng.uniform(0.05, 2.8, 4096)
         pick = np.concatenate([[np.argmin(samples), np.argmax(samples)],
