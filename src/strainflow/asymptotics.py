@@ -19,7 +19,7 @@ from .errors import (
     HypothesisError,
     NotConvergedError,
 )
-from .numerics import _GL_NODES, _GL_WEIGHTS, trailing_stats
+from .numerics import CumulativeCurve, trailing_stats
 from .state import Trajectory
 from .stress_models import (
     POSITIVE,
@@ -95,53 +95,6 @@ def convergence_monitor(traj: Trajectory) -> tuple[np.ndarray, bool]:
 # -- integral functionals of the stress -----------------------------------------
 
 
-class _CumulativeAntiderivative:
-    """Phi(p) = int_1^p F(sigma(z)) dz on a panel table, refined globally by
-    doubling until the table stabilizes, then queried in vectorized batches."""
-
-    def __init__(self, model: StressModel, F, lo: float, hi: float, tol: float = 1e-10):
-        self.model = model
-        self.F = F
-        lo = min(lo, 1.0)
-        hi = max(hi, 1.0)
-        pad = 1e-6 * (hi - lo + 1.0)
-        self.lo, self.hi = lo - pad if model.domain != POSITIVE else max(lo * 0.5, lo - pad), hi + pad
-        n = 1024
-        prev = None
-        for _ in range(8):
-            nodes, cum = self._build(n)
-            if prev is not None:
-                shared = cum[::2]
-                if np.max(np.abs(shared - prev[1])) <= tol:
-                    break
-            prev = (nodes, cum)
-            n *= 2
-        self.nodes, self.cum = nodes, cum
-        self.offset = self._raw(np.array([1.0]))[0]
-
-    def _build(self, n: int):
-        nodes = np.linspace(self.lo, self.hi, n + 1)
-        mid = 0.5 * (nodes[1:] + nodes[:-1])
-        half = 0.5 * (nodes[1:] - nodes[:-1])
-        z = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = self.F(np.asarray(self.model.sigma(z), dtype=float))
-        panels = half * (vals @ _GL_WEIGHTS)
-        return nodes, np.concatenate([[0.0], np.cumsum(panels)])
-
-    def _raw(self, p: np.ndarray) -> np.ndarray:
-        p = np.clip(p, self.nodes[0], self.nodes[-1])
-        j = np.clip(np.searchsorted(self.nodes, p) - 1, 0, len(self.nodes) - 2)
-        a = self.nodes[j]
-        mid = 0.5 * (a + p)
-        half = 0.5 * (p - a)
-        z = mid[..., None] + half[..., None] * _GL_NODES
-        vals = self.F(np.asarray(self.model.sigma(z), dtype=float))
-        return self.cum[j] + half * (vals @ _GL_WEIGHTS)
-
-    def __call__(self, p) -> np.ndarray:
-        return self._raw(np.asarray(p, dtype=float)) - self.offset
-
-
 @dataclass(frozen=True)
 class FunctionalSeries:
     times: np.ndarray
@@ -155,11 +108,15 @@ class FunctionalSeries:
 def F_functional(model: StressModel, traj: Trajectory, F, F_prime=None,
                  tol: float = 1e-10) -> FunctionalSeries:
     """Series t -> sum_i w_i int_1^{p_i(t)} F(sigma(z)) dz and its trailing
-    limit. When F is nondecreasing on the attained stress range the series is
-    checked for monotone decay (within ten times the quadrature tolerance)."""
+    limit. The antiderivative is a cumulative curve from 1 tabulated over
+    [min(p, 1), max(p, 1)], ``tol`` bounding each kept quadrature panel. When
+    F is nondecreasing on the attained stress range the series is checked
+    for monotone decay (within ten times ``tol``)."""
     vals = traj.values
-    phi = _CumulativeAntiderivative(model, F, float(np.min(vals)), float(np.max(vals)), tol=tol)
-    series = phi(vals) @ traj.weights
+    nodes = np.unique(np.linspace(min(np.min(vals), 1.0), max(np.max(vals), 1.0), 129))
+    integrand = lambda z: F(np.asarray(model.sigma(z), dtype=float))
+    phi = CumulativeCurve(integrand, nodes, tol=tol, x0=1.0)
+    series = phi.value(vals) @ traj.weights
     limit, spread = trailing_stats(traj.times, series, TRAILING_FRAC)
     monotone_expected = False
     if F_prime is not None:

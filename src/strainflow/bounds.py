@@ -59,8 +59,12 @@ def time_from_zero_curve(model: StressModel) -> tuple[CumulativeCurve, float]:
     root, for models whose stress blows down at zero strain.
 
     Returns the curve and the smallest root. Also used by the traction-free
-    solver to start trajectories from exactly zero strain.
+    solver to start trajectories from exactly zero strain. Built once per
+    model and kept on the instance, as ``cached_property`` keeps
+    ``critical_data``.
     """
+    if "time_from_zero" in model.__dict__:
+        return model.__dict__["time_from_zero"]
     if model.domain != POSITIVE:
         raise HypothesisError(
             "the zero-strain travel-time construction needs a positive-only domain"
@@ -81,6 +85,7 @@ def time_from_zero_curve(model: StressModel) -> tuple[CumulativeCurve, float]:
     # error is the time error scaled by |sigma|, which vanishes at the root)
     nodes = np.geomspace(1e-12 * p_minus, (1.0 - 1e-6) * p_minus, 480)
     curve = CumulativeCurve(integrand, nodes, tol=1e-9, x0=0.0)
+    model.__dict__["time_from_zero"] = (curve, p_minus)
     return curve, p_minus
 
 

@@ -502,8 +502,13 @@ def command_counterexample(args) -> int:
         ["t", "r", "theta", "z", "lyapunov"],
         np.column_stack([traj.times, traj.r, traj.theta, traj.z, traj.lyapunov]),
     )
+    checks = ensemble_checks([args.z0], [traj])
+    _write_json_atomic(os.path.join(out_dir, "counterexample.json"), {
+        "members": [member_summary(args.z0, traj)],
+        "checks": checks,
+    })
     print(path)
-    return 0
+    return 0 if all(c["pass"] for c in checks.values()) else 1
 
 
 # -- plot data --------------------------------------------------------------------

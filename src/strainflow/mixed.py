@@ -6,7 +6,7 @@ reassembles diagnostics; the pointwise solver is its one-sample case.
 Strains starting at exactly zero outside the domain are bootstrapped once
 through the travel-time relation int_0^p -dz/sigma(z) = t (exact where the
 explicit stepper would be hopeless), inverted in batch, and handed to the
-adaptive stepper once clear of the singularity.
+adaptive stepper near the smallest root, well clear of the singularity.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .state import Trajectory
 from .stress_models import POSITIVE, StressModel, eval_W
 
 EQUILIBRIUM_TOL = 1e-8  # residual |sigma| below which a limit counts as a root
-BOOTSTRAP_STRAIN = 1e-4  # hand-off level from the travel-time relation to the ODE
+BOOTSTRAP_FRACTION = 0.999  # hand-off from the travel-time relation to the ODE, times p_minus
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,12 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
 
 def _zero_start(model, t_grid, f, guard, rtol, atol) -> np.ndarray:
     """Trajectory from strain 0 where 0 is not in the domain: invert the
-    travel-time relation for small times, then continue with the stepper."""
-    curve, _ = time_from_zero_curve(model)
-    t_boot = min(curve.value(BOOTSTRAP_STRAIN), float(t_grid[-1]))
+    travel-time relation until the strain reaches BOOTSTRAP_FRACTION of the
+    smallest root p_minus, then continue with the stepper. The inversion
+    stays accurate that far, and the stepper never sees the steep start,
+    where dp/dt ~ -sigma(p) is large and the tolerance relative to p small."""
+    curve, p_minus = time_from_zero_curve(model)
+    t_boot = min(curve.value(BOOTSTRAP_FRACTION * p_minus), float(t_grid[-1]))
     early = t_grid[(t_grid > 0.0) & (t_grid <= t_boot)]
     inv = curve.invert(np.append(early, t_boot))
     p_start = inv[-1]

@@ -1,19 +1,21 @@
 """Low-level numerical kernels.
 
-Bracketed root finding (scalar and vectorized), adaptive quadrature built on
-interval halving with interior-node panels (so integrable endpoint
-singularities never get sampled), batched for the cumulative-curve tables
-and their inversion, truncated improper integrals with geometric
-tail extrapolation, and an embedded Runge-Kutta 5(4) driver with PI step-size
-control whose state may be an ensemble (members x dim) integrated in one
-call, each member held to the tolerance by its own error norm. Everything
-here is independent of the stress-model layer, so the higher modules can
-cross-check each other through these primitives.
+Bracketed root finding (scalar and vectorized); one adaptive quadrature
+kernel, interval halving on interior-node Gauss panels (so integrable
+endpoint singularities never get sampled), whose tolerance bounds each kept
+panel and which takes scalar or array endpoints, so that a cumulative
+curve's table, its point values and each step of its inversion cost one
+``f`` call per refinement level; truncated improper integrals, segment by
+segment through the same kernel, with geometric tail extrapolation; and an
+embedded Runge-Kutta 5(4) driver with PI step-size control whose state may
+be an ensemble (members x dim) integrated in one call, each member held to
+the tolerance by its own error norm. Everything here is independent of the
+stress-model layer, so the higher modules can cross-check each other
+through these primitives.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,71 +51,59 @@ _GL_WEIGHTS = np.array(
 )
 
 
-def _panel(f, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+def quad_adaptive(f, a, b, tol: float = 1e-10):
+    """int_a^b f, componentwise for array endpoints (broadcast together),
+    with one ``f`` call per refinement level; scalar endpoints give a float.
 
-
-def quad_adaptive(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 4096) -> float:
-    """Integrate ``f`` over (a, b) to absolute tolerance ``tol``.
-
-    Globally adaptive interval halving on 5-point Gauss panels: the panel
-    with the largest error estimate is split until the summed estimates meet
-    the tolerance. The global budget keeps work bounded even when roundoff
-    noise in ``f`` makes local tolerances unreachable. ``f`` must accept
-    numpy arrays; endpoints are never evaluated, so integrable endpoint
-    singularities are fine.
+    A panel's 5-point Gauss value is compared with the sum over its two
+    halves; the Richardson-corrected halves are kept when the difference is
+    within ``tol``, and the panel is split otherwise. ``tol`` bounds each
+    kept panel's error estimate, not that of the whole integral: a share of
+    ``tol`` per panel would let roundoff in ``f`` (such as the cancellation
+    in a stress evaluated near its root) force endless splits, and the kept
+    value is far more accurate than the estimate. ``f`` must accept numpy
+    arrays of any shape. Endpoints are never evaluated, so integrable
+    endpoint singularities are fine; b < a gives the negated integral.
+    Raises IntegrabilityError on a non-finite panel that cannot be split and
+    IterationBudgetError when a component needs more than 4096 splits.
     """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    def make(a0: float, b0: float, whole: float):
-        m = 0.5 * (a0 + b0)
-        left = _panel(f, a0, m)
-        right = _panel(f, m, b0)
+    shape = np.broadcast(a, b).shape
+    a, b = (np.array(x, dtype=float).ravel() for x in np.broadcast_arrays(a, b))
+    total = np.zeros(a.size)
+    owner = np.arange(a.size)
+    whole = None
+    splits = np.zeros(a.size, dtype=int)
+    while owner.size:
+        m = 0.5 * (a + b)
+        lo = np.array((a, m)) if whole is not None else np.array((a, a, m))
+        hi = np.array((m, b)) if whole is not None else np.array((b, m, b))
+        half = 0.5 * (hi - lo)
+        pts = (0.5 * (lo + hi))[..., None] + half[..., None] * _GL_NODES
+        sums = half * (np.asarray(f(pts), dtype=float) @ _GL_WEIGHTS)
+        if whole is None:
+            whole, sums = sums[0], sums[1:]
+        left, right = sums
         halves = left + right
-        err = abs(halves - whole)
-        if not np.isfinite(halves):
-            err = float("inf")
-        value = halves + (halves - whole) / 1023.0  # Richardson, order-10 rule
-        splittable = (b0 - a0) > 1e-15 * max(abs(a0), abs(b0)) + 1e-300
-        return err, a0, b0, m, left, right, value, splittable
-
-    counter = 0
-    heap = []  # refinable panels, worst first
-    err_sum = 0.0
-    total = 0.0
-
-    def push(nd):
-        nonlocal counter, err_sum, total
-        total += nd[6]
-        err_sum += nd[0] if np.isfinite(nd[0]) else 0.0
-        if nd[7] and np.isfinite(nd[0]):
-            heapq.heappush(heap, (-nd[0], counter, nd))
-        elif not np.isfinite(nd[6]):
+        with np.errstate(invalid="ignore"):
+            err = np.abs(halves - whole)
+            value = halves + (halves - whole) / 1023.0
+        splittable = np.abs(b - a) > 1e-15 * np.maximum(np.abs(a), np.abs(b)) + 1e-300
+        finite = np.isfinite(value)
+        if (~finite & ~splittable).any():
+            i = np.flatnonzero(~finite & ~splittable)[0]
             raise IntegrabilityError(
-                f"integrand not finite and not resolvable on ({nd[1]!r}, {nd[2]!r})"
+                f"integrand not finite and not resolvable on ({a[i]!r}, {b[i]!r})"
             )
-        counter += 1
-
-    push(make(a, b, _panel(f, a, b)))
-    n_panels = 1
-    while heap and n_panels < max_panels and err_sum > tol:
-        neg_err, _, nd = heapq.heappop(heap)
-        err, a0, b0, m, left, right, value, _ = nd
-        if not np.isfinite(value):
-            raise IntegrabilityError(f"integrand not finite on ({a0!r}, {b0!r})")
-        total -= value
-        err_sum -= err
-        push(make(a0, m, left))
-        push(make(m, b0, right))
-        n_panels += 1
-    return sign * total
+        done = finite & (~splittable | (err <= tol))
+        np.add.at(total, owner[done], value[done])
+        split = ~done
+        splits += np.bincount(owner[split], minlength=total.size)
+        if (splits > 4096).any():
+            raise IterationBudgetError("adaptive quadrature needs more than 4096 panel splits")
+        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
+        whole = np.concatenate([left[split], right[split]])
+        owner = np.concatenate([owner[split], owner[split]])
+    return float(total[0]) if shape == () else total.reshape(shape)
 
 
 def quad_to_infinity(
@@ -125,11 +115,12 @@ def quad_to_infinity(
 ) -> float:
     """Integrate ``f`` over (a, infinity).
 
-    Sums panel integrals over geometrically doubling segments and closes the
-    remainder with a geometric-series extrapolation of the last segment. The
-    Cauchy test for convergence is that segment sums decay with a stable
-    ratio below ``ratio_cap``; when they refuse to decay the integral is
-    declared divergent.
+    Sums ``quad_adaptive`` integrals over geometrically doubling segments,
+    each to ``tol``/16 per kept panel, and closes the remainder with a
+    geometric-series extrapolation of the last segment. The Cauchy test for
+    convergence is that segment sums decay with a stable ratio below
+    ``ratio_cap``; when they refuse to decay the integral is declared
+    divergent.
     """
     seg_len = max(1.0, abs(a))
     lo = float(a)
@@ -208,71 +199,17 @@ def bisect_root(f, lo, hi, xtol: float = 1e-12, max_iter: int = 200):
     return float(out) if out.ndim == 0 else out
 
 
-def _quad_batch(f, a, b, tol: float) -> np.ndarray:
-    """Componentwise int_a^b f for arrays ``a`` and ``b``, one ``f`` call per
-    refinement level.
-
-    ``quad_adaptive``'s panel test applied panel by panel: a panel's 5-point
-    Gauss value is compared with the sum over its two halves, the
-    Richardson-corrected halves are kept when the difference is within
-    ``tol``, and the panel is split otherwise. A component whose first panel
-    passes therefore gets exactly quad_adaptive's answer. ``tol`` bounds each
-    kept panel's error estimate, not that of the whole integral as in
-    quad_adaptive: a share of ``tol`` per panel would let roundoff in ``f``
-    (such as the cancellation in a stress evaluated near its root) force
-    endless splits, and the kept value is far more accurate than the
-    estimate. Endpoints are never evaluated. Raises IntegrabilityError on a
-    non-finite panel that cannot be split and IterationBudgetError when a
-    component needs more than 4096 splits (quad_adaptive's panel budget).
-    """
-    a, b = (np.array(x, dtype=float).ravel() for x in np.broadcast_arrays(a, b))
-    total = np.zeros(a.size)
-    owner = np.arange(a.size)
-    whole = None
-    splits = np.zeros(a.size, dtype=int)
-    while owner.size:
-        m = 0.5 * (a + b)
-        lo = np.stack([a, m]) if whole is not None else np.stack([a, a, m])
-        hi = np.stack([m, b]) if whole is not None else np.stack([b, m, b])
-        half = 0.5 * (hi - lo)
-        pts = (0.5 * (lo + hi))[..., None] + half[..., None] * _GL_NODES
-        sums = half * (np.asarray(f(pts), dtype=float) @ _GL_WEIGHTS)
-        if whole is None:
-            whole, sums = sums[0], sums[1:]
-        left, right = sums
-        halves = left + right
-        with np.errstate(invalid="ignore"):
-            err = np.abs(halves - whole)
-            value = halves + (halves - whole) / 1023.0
-        splittable = np.abs(b - a) > 1e-15 * np.maximum(np.abs(a), np.abs(b)) + 1e-300
-        finite = np.isfinite(value)
-        if np.any(~finite & ~splittable):
-            i = np.flatnonzero(~finite & ~splittable)[0]
-            raise IntegrabilityError(
-                f"integrand not finite and not resolvable on ({a[i]!r}, {b[i]!r})"
-            )
-        done = finite & (~splittable | (err <= tol))
-        np.add.at(total, owner[done], value[done])
-        split = ~done
-        splits += np.bincount(owner[split], minlength=total.size)
-        if np.any(splits > 4096):
-            raise IterationBudgetError("batch quadrature needs more than 4096 panel splits")
-        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
-        whole = np.concatenate([left[split], right[split]])
-        owner = np.tile(owner[split], 2)
-    return total
-
-
 _INVERT_MAX_ITER = 120  # Newton iterations per CumulativeCurve.invert call
 
 
 class CumulativeCurve:
-    """Monotone cumulative integral x -> ``base`` + int_{x0}^{x} f(z) dz.
+    """Cumulative integral x -> ``base`` + int_{x0}^{x} f(z) dz.
 
     Panel sums are precomputed on a fixed node grid so that point values cost
     one short local quadrature, and inversion costs a table lookup plus a few
-    safeguarded Newton steps (the derivative is ``f`` itself).
-    Requires f > 0 between the nodes.
+    safeguarded Newton steps (the derivative is ``f`` itself). ``tol`` bounds
+    each kept quadrature panel, as in ``quad_adaptive``. Only ``invert``
+    needs the curve monotone, that is f > 0 between the nodes.
     """
 
     def __init__(self, f, nodes: np.ndarray, tol: float = 1e-10, base: float = 0.0, x0: float | None = None):
@@ -283,11 +220,16 @@ class CumulativeCurve:
         self.tol = tol
         start = self.nodes[0] if x0 is None else x0
         lefts = np.concatenate([[start], self.nodes[:-1]])
-        self.cum = base + np.cumsum(_quad_batch(f, lefts, self.nodes, tol))
+        self.cum = base + np.cumsum(quad_adaptive(f, lefts, self.nodes, tol))
 
-    def value(self, x: float) -> float:
-        j = int(np.clip(np.searchsorted(self.nodes, x) - 1, 0, len(self.nodes) - 1))
-        return float(self.cum[j] + _quad_batch(self.f, self.nodes[j], x, self.tol)[0])
+    def value(self, x):
+        """The curve at ``x``, componentwise for an array (a scalar gives a
+        float): each point's table entry plus one batch quadrature from the
+        left node of its panel."""
+        x = np.asarray(x, dtype=float)
+        j = np.clip(np.searchsorted(self.nodes, x) - 1, 0, len(self.nodes) - 1)
+        out = self.cum[j] + quad_adaptive(self.f, self.nodes[j], x, self.tol)
+        return float(out) if x.ndim == 0 else out
 
     @property
     def max_value(self) -> float:
@@ -319,7 +261,7 @@ class CumulativeCurve:
         for _ in range(_INVERT_MAX_ITER):
             if idx.size == 0:
                 break
-            gx = g_anchor + _quad_batch(self.f, anchor, x, self.tol)
+            gx = g_anchor + quad_adaptive(self.f, anchor, x, self.tol)
             below = gx < goal
             lo, hi = np.where(below, x, lo), np.where(below, hi, x)
             hit = np.abs(gx - goal) <= 1e-14 * np.maximum(1.0, np.abs(goal))

@@ -108,8 +108,8 @@ def _fd_derivative(sigma):
 def eval_W(model: StressModel, p, force_quadrature: bool = False, tol: float = 1e-10):
     """Stored energy W(p), the antiderivative of sigma vanishing at p = 1.
 
-    Uses the registered closed form when available, otherwise adaptive
-    quadrature from 1 to p at absolute tolerance ``tol``.
+    Uses the registered closed form when available, otherwise one adaptive
+    quadrature from 1 to every p at once, ``tol`` bounding each kept panel.
     """
     model.require_in_domain(p)
     scalar = np.isscalar(p) or np.ndim(p) == 0
@@ -117,7 +117,7 @@ def eval_W(model: StressModel, p, force_quadrature: bool = False, tol: float = 1
     if model.closed_form_energy is not None and not force_quadrature:
         out = np.asarray(model.closed_form_energy(p_arr), dtype=float)
     else:
-        out = np.array([quad_adaptive(model.sigma, 1.0, float(x), tol=tol) for x in p_arr])
+        out = quad_adaptive(model.sigma, 1.0, p_arr, tol)
     return float(out[0]) if scalar else out
 
 

@@ -17,9 +17,16 @@ from strainflow.asymptotics import (
     volume_fractions,
 )
 from strainflow.displacement import integrate, seeded_state
-from strainflow.errors import DegenerateDataError, HypothesisError, NotConvergedError
+from strainflow.errors import (
+    DegenerateDataError,
+    HypothesisError,
+    IterationBudgetError,
+    NotConvergedError,
+)
 from strainflow.state import SimpleState
 from strainflow.stress_models import critical_points, make_model, roots_at
+
+from reference_quadrature import CumulativeAntiderivative
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +126,26 @@ class TestFFunctional:
                            F_prime=lambda s: 3 * s ** 2)
         assert res.monotone_expected
         assert res.monotone_ok
+
+    @pytest.mark.parametrize("F", [np.ones_like, lambda s: s, lambda s: s ** 2, lambda s: s ** 3])
+    @pytest.mark.parametrize("n, seed", [(32, 8), (64, 31)])
+    def test_matches_doubling_reference(self, cubic, converged_run, F, n, seed):
+        # the 32-point run is the fixture; the 64-point one has 201 records
+        traj = converged_run if n == 32 else integrate(
+            cubic, seeded_state(cubic, n, 0.5, seed=seed), 50.0, n_records=201)
+        res = F_functional(cubic, traj, F)
+        phi = CumulativeAntiderivative(cubic, F, float(np.min(traj.values)),
+                                       float(np.max(traj.values)))
+        assert np.max(np.abs(res.series - phi(traj.values) @ traj.weights)) <= 1e-12
+
+    def test_rough_F_raises(self, cubic, converged_run):
+        # rough only in a narrow stress band around sigma(1), so that a few
+        # table panels exhaust their split budget; the doubling table
+        # returned an unconverged series here
+        s1 = float(cubic.sigma(np.array([1.0]))[0])
+        rough = lambda s: 1.0 + 0.5 * np.sign(np.sin(1e12 * s)) * (np.abs(s - s1) < 1e-3)
+        with pytest.raises(IterationBudgetError):
+            F_functional(cubic, converged_run, rough)
 
 
 class TestChiFunctional:

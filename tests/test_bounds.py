@@ -14,8 +14,10 @@ from strainflow.bounds import (
 )
 from strainflow.errors import CertificationError, HypothesisError, IntegrabilityError
 from strainflow.mixed import solve_field
-from strainflow.numerics import CumulativeCurve, quad_adaptive
+from strainflow.numerics import CumulativeCurve
 from strainflow.stress_models import make_model
+
+from reference_quadrature import heap_quad_adaptive
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +249,7 @@ def _scalar_invert(curve, target, xtol=1e-12):
     lo, hi = anchor, float(curve.nodes[j + 1])
     x = 0.5 * (lo + hi)
     for _ in range(120):
-        gx = g_anchor + quad_adaptive(curve.f, anchor, x, tol=curve.tol)
+        gx = g_anchor + heap_quad_adaptive(curve.f, anchor, x, tol=curve.tol)
         if gx < target:
             lo = x
         else:
@@ -307,15 +309,32 @@ class TestBatchInversion:
         import strainflow.numerics as numerics
 
         calls = [0]
-        real = numerics._quad_batch
+        real = numerics.quad_adaptive
 
         def counted(*args):
             calls[0] += 1
             return real(*args)
 
-        monkeypatch.setattr(numerics, "_quad_batch", counted)
+        monkeypatch.setattr(numerics, "quad_adaptive", counted)
         mixed_lower(make_model("singular-cubic"), np.linspace(0.0, 20.0, 201))
         assert calls[0] <= 24
+
+    def test_free_field_builds_zero_strain_curve_once(self, monkeypatch):
+        # the bounds and the zero-strain samples share one travel-time curve
+        builds = []
+        real = CumulativeCurve.__init__
+
+        def counted(curve, f, nodes, *args, **kwargs):
+            builds.append(np.asarray(nodes)[-1])
+            real(curve, f, nodes, *args, **kwargs)
+
+        monkeypatch.setattr(CumulativeCurve, "__init__", counted)
+        model = make_model("singular-cubic")
+        bounds_profile(model, "mixed", t_grid=np.linspace(0.0, 20.0, 201))
+        solve_field(model, [0.0, 0.0, 0.5, 2.0], np.linspace(0.0, 20.0, 201))
+        p_minus = float(model.roots_of_sigma[0])
+        assert len(builds) == 2  # the zero-strain curve and the tail curve
+        assert sum(end < p_minus for end in builds) == 1
 
     @pytest.mark.parametrize("name, mu", [("cubic", 0.5), ("singular-cubic", 1.0)])
     def test_displacement_upper(self, recorded, name, mu):

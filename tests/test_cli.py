@@ -315,6 +315,36 @@ class TestOtherCommands:
             {"z": "z_closed_form", "theta": "theta_identity", "r": "lyapunov_monotone"}[field]
         ]
 
+    @pytest.mark.parametrize("args, expected", [
+        ([], {"theta_identity", "lyapunov_monotone"}),
+        (["--z0", "0.01"], {"z_closed_form", "lyapunov_monotone"}),
+        (["--r0", "0.5"], {"lyapunov_monotone"}),  # no angle identity from r0 < 1
+    ])
+    def test_counterexample_single_run_checked(self, out_env, args, expected):
+        code = main(["counterexample", "--t-final", "50", "--records", "11",
+                     "--out", "cx1"] + args)
+        assert code == 0
+        assert (out_env / "cx1" / "counterexample.csv").exists()
+        summary = json.loads((out_env / "cx1" / "counterexample.json").read_text())
+        assert len(summary["members"]) == 1
+        assert set(summary["checks"]) == expected
+        assert all(c["pass"] for c in summary["checks"].values())
+
+    def test_counterexample_single_run_corrupted_z_exits_1(self, out_env, monkeypatch):
+        real = cli.simulate_cyl
+
+        def corrupted(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            traj.z = traj.z * (1.0 + 1e-6)
+            return traj
+
+        monkeypatch.setattr(cli, "simulate_cyl", corrupted)
+        code = main(["counterexample", "--z0", "0.01", "--t-final", "50", "--records", "11",
+                     "--out", "cx1bad"])
+        assert code == 1
+        checks = json.loads((out_env / "cx1bad" / "counterexample.json").read_text())["checks"]
+        assert [name for name, c in checks.items() if not c["pass"]] == ["z_closed_form"]
+
     def test_plotdata_kinds(self, out_env, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", output_dir="runp", n=8)
         assert main(["run", "--config", str(cfg_path)]) == 0

@@ -2,9 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
-from strainflow.bounds import mixed_lower, mixed_upper
+from strainflow.bounds import mixed_lower, mixed_upper, time_from_zero_curve
 from strainflow.errors import DomainError
 from strainflow.mixed import reconstruct_y, solve_field, solve_pointwise
 from strainflow.stress_models import eval_W, make_model
@@ -62,6 +62,21 @@ class TestPointwise:
         for ti, pi in zip(t[1:6], sol.values[1:6]):
             val, _ = quad(lambda z: -1.0 / np.log(z), 0.0, pi)
             assert val == pytest.approx(ti, rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["singular-cubic", "log", "hyperbolic"])
+    def test_zero_start_matches_dop853(self, name):
+        # the stepper takes over near the smallest root, past the singular
+        # start; reference: DOP853 at rtol 1e-13 from the exact travel-time
+        # inverse at 1e-6 p_minus
+        model = make_model(name)
+        t = np.linspace(0.0, 20.0, 201)
+        values = solve_pointwise(model, 0.0, t).values
+        curve, p_minus = time_from_zero_curve(model)
+        t_s = curve.value(1e-6 * p_minus)
+        later = t > t_s
+        ref = solve_ivp(lambda _t, y: -model.sigma(y), (t_s, t[-1]), [curve.invert(t_s)],
+                        method="DOP853", rtol=1e-13, atol=1e-16, t_eval=t[later]).y[0]
+        assert np.max(np.abs(values[later] - ref) / ref) <= 1e-10
 
     def test_negative_start_rejected(self, linear):
         with pytest.raises(DomainError):

@@ -12,6 +12,8 @@ from strainflow.numerics import (
     trailing_stats,
 )
 
+from reference_quadrature import heap_quad_adaptive
+
 
 def test_quad_polynomial_exact():
     val = quad_adaptive(lambda z: z ** 3 - z, 1.0, 2.0, tol=1e-12)
@@ -38,6 +40,41 @@ def test_quad_matches_scipy_on_smooth_integrand():
 
 def test_quad_reversed_limits():
     assert quad_adaptive(lambda z: z, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
+
+
+_QUAD_CASES = [
+    (lambda z: z ** 3 - z, 1.0, 2.0, 1e-12),
+    (np.log, 0.0, 1.0, 1e-10),
+    (lambda z: 1.0 / np.sqrt(z), 0.0, 1.0, 1e-10),
+    (lambda z: np.exp(-z) * np.sin(3 * z), 0.0, 4.0, 1e-12),
+    (lambda z: z, 1.0, 0.0, 1e-10),
+]
+
+
+@pytest.mark.parametrize("f, a, b, tol", _QUAD_CASES)
+def test_quad_matches_heap_reference(f, a, b, tol):
+    # the per-panel rule against the summed-estimate heap quadrature it
+    # replaced (1.7e-10 apart on 1/sqrt(z), 3.9e-11 on ln z, <= 2e-16 else)
+    ours = quad_adaptive(f, a, b, tol=tol)
+    assert isinstance(ours, float)
+    assert abs(ours - heap_quad_adaptive(f, a, b, tol=tol)) <= 2.0 * tol
+
+
+def test_quad_array_endpoints_match_scalar_calls():
+    a = np.array([[0.0, 0.5], [1.0, 2.0]])
+    b = np.array([1.0, 3.0])
+    batch = quad_adaptive(np.log1p, a, b, tol=1e-12)
+    assert batch.shape == (2, 2)
+    scalar = [[quad_adaptive(np.log1p, x, y, tol=1e-12) for x, y in zip(row, b)] for row in a]
+    assert np.max(np.abs(batch - np.array(scalar))) <= 1e-15
+
+
+def test_quad_budget_exhaustion_raises():
+    # the heap quadrature returned its unconverged total here
+    rough = lambda z: 1.0 + 0.5 * np.sign(np.sin(1e12 * z))
+    heap_quad_adaptive(rough, 0.5, 1.0, tol=1e-12)
+    with pytest.raises(IterationBudgetError):
+        quad_adaptive(rough, 0.5, 1.0, tol=1e-12)
 
 
 def test_tail_integral_power_law():
@@ -99,6 +136,12 @@ def test_cumulative_curve_value_and_inverse():
     exact = np.clip(1.0 - np.exp(-targets), nodes[0], nodes[-1])
     assert np.max(np.abs(batch - exact)) < 1e-10
     assert batch[1, 0] == pytest.approx(inv, rel=1e-15)
+    # point values take arrays the same way
+    xs = np.array([[0.1, 0.5], [0.9, 0.99]])
+    values = curve.value(xs)
+    assert values.shape == xs.shape
+    assert np.max(np.abs(values - (-np.log1p(-xs)))) < 1e-10
+    assert values[0, 1] == curve.value(0.5)
 
 
 def test_cumulative_curve_table_budget_raises():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,29 @@ class TestStoredEnergy:
         ps = np.linspace(-3.0, 3.0, 25)
         numeric = eval_W(cubic, ps, force_quadrature=True)
         assert np.max(np.abs(numeric - 0.25 * (ps ** 2 - 1.0) ** 2)) < 1e-9
+
+    @pytest.mark.parametrize("name, ps", [
+        ("cubic", np.linspace(-3.0, 3.0, 25)),
+        ("singular-cubic", np.geomspace(1e-6, 3.0, 25)),
+    ])
+    def test_quadrature_one_sigma_call_per_level(self, name, ps):
+        # every point shares each refinement level's sigma call, so the whole
+        # batch takes as many calls as its deepest single point
+        model = make_model(name)
+        calls = [0]
+
+        def counted(p):
+            calls[0] += 1
+            return model.sigma(p)
+
+        counted_model = dataclasses.replace(model, sigma=counted)
+        batch = eval_W(counted_model, ps, force_quadrature=True)
+        n_batch, deepest = calls[0], 0
+        for p, w in zip(ps, batch):
+            calls[0] = 0
+            assert eval_W(counted_model, p, force_quadrature=True) == pytest.approx(w, abs=1e-14)
+            deepest = max(deepest, calls[0])
+        assert n_batch == deepest
 
     def test_log_model_W_at_e(self):
         # int_1^e ln z dz = [z ln z - z] = 1
