@@ -34,21 +34,8 @@ from .counterexample import (DEMO_Z0, ensemble_checks, member_summary, simulate_
 from .displacement import _record_grid, approximate_initial_data, integrate, seeded_state
 from .errors import ConfigError, HypothesisError, StrainflowError
 from .mixed import solve_field
-from .state import SimpleState, Trajectory
+from .state import SimpleState, Trajectory, write_csv
 from .stress_models import POSITIVE, StressModel, make_model
-
-FMT = ".17g"
-
-
-def _fmt(x) -> str:
-    return format(float(x), FMT)
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def _write_json_atomic(path, payload: dict) -> None:
@@ -400,7 +387,7 @@ def command_mixed(args) -> int:
     rows = np.column_stack([traj.times, traj.values, traj.energy])
     header = ["t"] + [f"p_{i + 1}" for i in range(traj.values.shape[1])] + ["energy"]
     path = os.path.join(out_dir, "mixed.csv")
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
     _write_json_atomic(
         os.path.join(out_dir, "mixed.json"),
         {
@@ -422,7 +409,7 @@ def command_bounds(args) -> int:
     lower = profile.lower if profile.lower is not None else nan
     upper = profile.upper if profile.upper is not None else nan
     path = os.path.join(out_dir, "bounds.csv")
-    _write_csv(path, ["t", "lower", "upper"], np.column_stack([profile.t_grid, lower, upper]))
+    write_csv(path, ["t", "lower", "upper"], np.column_stack([profile.t_grid, lower, upper]))
     _write_json_atomic(
         os.path.join(out_dir, "bounds.json"),
         {"kind": profile.kind, "mu": profile.mu, "constants": profile.constants},
@@ -472,7 +459,7 @@ def command_asympt(args) -> int:
             cols.append(fr.fractions[:, j])
         header.append("fraction_residual")
         cols.append(fr.residual)
-    _write_csv(os.path.join(out_dir, "asympt.csv"), header, np.column_stack(cols))
+    write_csv(os.path.join(out_dir, "asympt.csv"), header, np.column_stack(cols))
     print(os.path.join(out_dir, "asympt.json"))
     return 0
 
@@ -483,7 +470,7 @@ def command_counterexample(args) -> int:
     if args.demo:
         trajs = simulate_ensemble(2.0, 0.0, np.array(DEMO_Z0), args.t_final, args.records)
         for i, traj in enumerate(trajs):
-            _write_csv(
+            write_csv(
                 os.path.join(out_dir, f"member_{i:02d}.csv"),
                 ["t", "r", "theta", "z", "lyapunov"],
                 np.column_stack([traj.times, traj.r, traj.theta, traj.z, traj.lyapunov]),
@@ -497,7 +484,7 @@ def command_counterexample(args) -> int:
         return 0 if all(c["pass"] for c in checks.values()) else 1
     traj = simulate_cyl(args.r0, args.theta0, args.z0, args.t_final, n_records=args.records)
     path = os.path.join(out_dir, "counterexample.csv")
-    _write_csv(
+    write_csv(
         path,
         ["t", "r", "theta", "z", "lyapunov"],
         np.column_stack([traj.times, traj.r, traj.theta, traj.z, traj.lyapunov]),
@@ -579,16 +566,16 @@ def command_plotdata(args) -> int:
                 pass
         header = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["lower", "upper"]
         rows = np.column_stack([traj.times, traj.values, lower, upper])
-        _write_csv(base + ".csv", header, rows)
+        write_csv(base + ".csv", header, rows)
         series = {f"p_{i + 1}": traj.values[:, i] for i in range(min(n, 6))}
         series["lower"] = lower
         series["upper"] = upper
         _svg_polyline(base + ".svg", traj.times, series)
     elif args.kind == "c":
-        _write_csv(base + ".csv", ["t", "c"], np.column_stack([traj.times, traj.stress_mean]))
+        write_csv(base + ".csv", ["t", "c"], np.column_stack([traj.times, traj.stress_mean]))
         _svg_polyline(base + ".svg", traj.times, {"c": traj.stress_mean})
     elif args.kind == "energy":
-        _write_csv(
+        write_csv(
             base + ".csv",
             ["t", "energy", "dissipation"],
             np.column_stack([traj.times, traj.energy, traj.dissipation]),
@@ -599,7 +586,7 @@ def command_plotdata(args) -> int:
         fr = volume_fractions(model, traj)
         header = ["t"] + [f"fraction_{j + 1}" for j in range(fr.n_slots)] + ["residual"]
         rows = np.column_stack([traj.times, fr.fractions, fr.residual])
-        _write_csv(base + ".csv", header, rows)
+        write_csv(base + ".csv", header, rows)
         _svg_polyline(base + ".svg", traj.times,
                       {f"fraction_{j + 1}": fr.fractions[:, j] for j in range(fr.n_slots)})
     else:

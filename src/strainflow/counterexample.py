@@ -65,9 +65,12 @@ class CylTrajectory:
 
 def _field(y: np.ndarray) -> np.ndarray:
     """Velocity of one state (3,) or of an ensemble (members, 3)."""
-    r, _, z = y.T
-    az = np.abs(z)
-    return np.array([-r * ((1.0 - r) ** 2 + az), r * (r - 1.0), -z * az]).T
+    r, z = y[..., 0], y[..., 2]
+    az, r_1, out = np.abs(z), r - 1.0, np.empty_like(y)  # r_1 * r_1 is (1 - r)^2, bit for bit
+    np.multiply(-r, r_1 * r_1 + az, out=out[..., 0])
+    np.multiply(r, r_1, out=out[..., 1])
+    np.multiply(-z, az, out=out[..., 2])
+    return out
 
 
 def simulate_ensemble(r0, theta0, z0, t_final: float, n_records: int = 401,
@@ -83,7 +86,7 @@ def simulate_ensemble(r0, theta0, z0, t_final: float, n_records: int = 401,
     if np.any(y0[:, 0] < 0):
         raise ValueError("radius must be nonnegative")
     t_rec = np.linspace(0.0, t_final, n_records)
-    guard = lambda y_old, y_new: bool((y_new[:, 0] >= 0.0).all())
+    guard = lambda y_old, y_new: y_new[:, 0].min() >= 0.0
     res = rk45(_field, y0, t_rec, rtol=rtol, atol=atol, accept_state=guard)
     return [CylTrajectory(t_rec, *res.states[:, i].T) for i in range(len(y0))]
 

@@ -58,7 +58,7 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
     f = lambda y: -np.asarray(model.sigma(y), dtype=float)
     guard = None
     if model.domain == POSITIVE:
-        guard = lambda y_old, y_new: bool(np.all(y_new > 0.0))
+        guard = lambda y_old, y_new: y_new.min() > 0.0
     boot = (samples == 0.0) & (model.domain == POSITIVE)
     values = np.empty((len(t_grid), len(samples)))
     if np.any(boot):

@@ -5,17 +5,19 @@ kernel, interval halving on interior-node Gauss panels (so integrable
 endpoint singularities never get sampled), whose tolerance bounds each kept
 panel and which takes scalar or array endpoints, so that a cumulative
 curve's table, its point values and each step of its inversion cost one
-``f`` call per refinement level; truncated improper integrals, segment by
-segment through the same kernel, with geometric tail extrapolation; and an
-embedded Runge-Kutta 5(4) driver with PI step-size control whose state may
-be an ensemble (members x dim) integrated in one call, each member held to
-the tolerance by its own error norm. Everything here is independent of the
+``f`` call per refinement level; truncated improper integrals, several
+doubling segments to a kernel call, with geometric tail extrapolation; and
+an embedded Runge-Kutta 5(4) driver with PI step-size control whose state
+may be an ensemble (members x dim) integrated in one call, each member held
+to the tolerance by its own error norm, and whose cost at small dimensions
+is its numpy calls per step. Everything here is independent of the
 stress-model layer, so the higher modules can cross-check each other
 through these primitives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,10 @@ _GL_WEIGHTS = np.array(
         0.236926885056189088,
     ]
 )
+# Panels of one quad_adaptive refinement level over all components: bounds a
+# call's memory (the largest level seen: 4,096 in the tests, 110 in runs).
+_QUAD_MAX_PANELS = 2 ** 17
+_TAIL_BATCH = 8  # doubling segments per quad_adaptive call in quad_to_infinity
 
 
 def quad_adaptive(f, a, b, tol: float = 1e-10):
@@ -64,8 +70,9 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
     value is far more accurate than the estimate. ``f`` must accept numpy
     arrays of any shape. Endpoints are never evaluated, so integrable
     endpoint singularities are fine; b < a gives the negated integral.
-    Raises IntegrabilityError on a non-finite panel that cannot be split and
-    IterationBudgetError when a component needs more than 4096 splits.
+    Raises IntegrabilityError on a non-finite panel that cannot be split, and
+    IterationBudgetError when a component needs more than 4096 splits or a
+    refinement level more than ``_QUAD_MAX_PANELS`` panels.
     """
     shape = np.broadcast(a, b).shape
     a, b = (np.array(x, dtype=float).ravel() for x in np.broadcast_arrays(a, b))
@@ -98,8 +105,9 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
         np.add.at(total, owner[done], value[done])
         split = ~done
         splits += np.bincount(owner[split], minlength=total.size)
-        if (splits > 4096).any():
-            raise IterationBudgetError("adaptive quadrature needs more than 4096 panel splits")
+        if (splits > 4096).any() or 2 * np.count_nonzero(split) > _QUAD_MAX_PANELS:
+            raise IterationBudgetError("adaptive quadrature needs more than 4096 panel "
+                                       f"splits or {_QUAD_MAX_PANELS} live panels")
         a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
         whole = np.concatenate([left[split], right[split]])
         owner = np.concatenate([owner[split], owner[split]])
@@ -120,35 +128,34 @@ def quad_to_infinity(
     geometric-series extrapolation of the last segment. The Cauchy test for
     convergence is that segment sums decay with a stable ratio below
     ``ratio_cap``; when they refuse to decay the integral is declared
-    divergent.
+    divergent. Segments are summed and tested one by one but integrated
+    ``_TAIL_BATCH`` to a kernel call, a few past the one that ends the sum.
     """
-    seg_len = max(1.0, abs(a))
-    lo = float(a)
+    # segment ends added one by one, as a loop over doubling lengths would
+    ends = np.add.accumulate(np.append(float(a), np.ldexp(max(1.0, abs(a)), np.arange(max_segments))))
     total = 0.0
     seg_values: list[float] = []
-    for _ in range(max_segments):
-        hi = lo + seg_len
-        part = quad_adaptive(f, lo, hi, tol=tol / 16.0)
-        seg_values.append(part)
-        total += part
-        if len(seg_values) >= 2:
-            prev, cur = abs(seg_values[-2]), abs(seg_values[-1])
-            ratio = cur / prev if prev > 0 else 0.0
-            if cur <= tol / 4.0 and ratio <= ratio_cap:
-                return total + seg_values[-1] * ratio / (1.0 - ratio)
-            if len(seg_values) >= 5:
-                recent = [abs(v) for v in seg_values[-4:]]
-                ratios = [
-                    recent[i + 1] / recent[i] if recent[i] > 0 else 0.0
-                    for i in range(3)
-                ]
-                if min(ratios) > ratio_cap:
-                    raise IntegrabilityError(
-                        "tail segments of the improper integral do not decay "
-                        f"(recent ratios {ratios}); integral treated as divergent"
-                    )
-        lo = hi
-        seg_len *= 2.0
+    for start in range(0, max_segments, _TAIL_BATCH):
+        batch = slice(start, start + _TAIL_BATCH)
+        for part in quad_adaptive(f, ends[:-1][batch], ends[1:][batch], tol / 16.0).tolist():
+            seg_values.append(part)
+            total += part
+            if len(seg_values) >= 2:
+                prev, cur = abs(seg_values[-2]), abs(seg_values[-1])
+                ratio = cur / prev if prev > 0 else 0.0
+                if cur <= tol / 4.0 and ratio <= ratio_cap:
+                    return total + seg_values[-1] * ratio / (1.0 - ratio)
+                if len(seg_values) >= 5:
+                    recent = [abs(v) for v in seg_values[-4:]]
+                    ratios = [
+                        recent[i + 1] / recent[i] if recent[i] > 0 else 0.0
+                        for i in range(3)
+                    ]
+                    if min(ratios) > ratio_cap:
+                        raise IntegrabilityError(
+                            "tail segments of the improper integral do not decay "
+                            f"(recent ratios {ratios}); integral treated as divergent"
+                        )
     raise IntegrabilityError(
         "improper integral did not converge within the segment budget"
     )
@@ -353,17 +360,18 @@ def rk45(
     """Adaptive Dormand-Prince 5(4) integration recording at ``t_record``.
 
     ``y0`` is one state (dim,) or an ensemble (members, dim) sharing the
-    steps; ``f``, ``accept_state``, ``postprocess`` and ``stage_rate`` see
-    the state's shape and the records come back as (records,) + y0.shape.
-    The step's error norm is the RMS of the scaled errors over each member's
-    components, maximised over members, so every accepted step passes each
-    member's own error test at ``rtol``/``atol``.
+    steps; ``f``, ``accept_state`` and ``postprocess`` see the state's shape
+    and the records come back as (records,) + y0.shape. The step's error
+    norm is the RMS of the scaled errors over each member's components,
+    maximised over members, so every accepted step passes each member's own
+    error test at ``rtol``/``atol``.
 
     ``accept_state(y_old, y_new)`` can veto a step (domain exits, ordering);
     vetoed steps are retried with half the step size. ``postprocess(y)`` runs
-    after each accepted step (e.g. mass renormalization). ``stage_rate(k)``
-    maps a stage derivative vector to a scalar rate whose time integral is
-    accumulated with the same fifth-order weights (used for dissipation).
+    after each accepted step (e.g. mass renormalization) and returns ``y``
+    itself when it changes nothing, which keeps FSAL. ``stage_rate(k)`` maps
+    the 7-stage stack k, shape (7,) + y0.shape, to the 7 rates whose time
+    integral is accumulated with the fifth-order weights (dissipation).
 
     Raises StiffnessError when a rejection, or an accepted step that was not
     clamped to a record time, leaves a proposed step below ``dt_min``. A
@@ -388,29 +396,37 @@ def rk45(
     ctrl.dt = min(1e-4, span)
 
     k = np.empty((7,) + y.shape)
-    kf = k.reshape(7, -1)  # flat view: one stage sum for every member at once
+    kf = k.reshape(7, -1)  # flat views: one stage sum for every member at once
+    ys = np.empty(y.shape)
+    ys_f = ys.reshape(-1)
+    t_rec = t_record.tolist()
     fsal_valid = False
     n_steps = 0
     n_rejected = 0
     idx = 1
     try:
-        while idx < len(t_record):
-            t_next = float(t_record[idx])
-            dt = min(ctrl.dt, t_next - t)
+        while idx < len(t_rec):
+            dt = min(ctrl.dt, t_rec[idx] - t)
             clamped = dt < ctrl.dt
             if not fsal_valid:
                 k[0] = f(y)
                 fsal_valid = True
             for s in range(1, 7):
-                ys = y + dt * (_DP_A[s] @ kf[:s]).reshape(y.shape)
+                np.matmul(_DP_A[s], kf[:s], out=ys_f)
+                ys *= dt
+                ys += y
                 k[s] = f(ys)
-            y_new = y + dt * (_DP_B5 @ kf).reshape(y.shape)
-            err_vec = dt * (_DP_ERR @ kf).reshape(y.shape)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            # RMS over each member's components, max over members
-            err = float(np.sqrt(((err_vec / scale) ** 2).sum(axis=-1) / y.shape[-1]).max())
+            np.matmul(_DP_B5, kf, out=ys_f)
+            y_new = y + dt * ys
+            np.matmul(_DP_ERR, kf, out=ys_f)
+            ys *= dt
+            ys /= atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            ys *= ys
+            # RMS over each member's components, max over members (taken
+            # first: it commutes with the monotone division and square root)
+            err = math.sqrt(float(ys.reshape(-1, y.shape[-1]).sum(axis=1).max()) / y.shape[-1])
 
-            bad = (not np.isfinite(err)) or (not np.isfinite(y_new).all()) or err > 1.0
+            bad = not err <= 1.0 or not np.isfinite(y_new).all()
             if not bad and accept_state is not None and not accept_state(y, y_new):
                 bad = True
                 err = float("nan")
@@ -425,27 +441,24 @@ def rk45(
                 continue
 
             if stage_rate is not None:
-                rates = np.array([stage_rate(k[s]) for s in range(7)])
-                aux_total += dt * float(_DP_B5 @ rates)
+                aux_total += dt * float(_DP_B5 @ stage_rate(k))
             t += dt
             n_steps += 1
             k[0] = k[6]  # FSAL
             y = y_new
             if postprocess is not None:
-                y2 = postprocess(y)
-                if y2 is not y and not np.array_equal(y2, y):
-                    y = y2
+                y_post = postprocess(y)
+                if y_post is not y:
+                    y = y_post
                     fsal_valid = False
-                else:
-                    y = y2
             if not clamped:
                 ctrl.after_accept(err)
-            while idx < len(t_record) and t >= t_record[idx] - 1e-14 * max(1.0, abs(t)):
+            while idx < len(t_rec) and t >= t_rec[idx] - 1e-14 * max(1.0, abs(t)):
                 records[idx] = y
                 aux[idx] = aux_total
                 idx += 1
             # a step clamped to a record time leaves ctrl.dt as it was
-            if not clamped and ctrl.dt < dt_min and idx < len(t_record):
+            if not clamped and ctrl.dt < dt_min and idx < len(t_rec):
                 raise StiffnessError(f"step size underflow at t={t!r} (dt={ctrl.dt!r})")
     except StrainflowError as exc:
         exc.partial = RKResult(times=t_record[:idx], states=records[:idx],

@@ -120,15 +120,8 @@ class Trajectory:
         json_path = prefix + ".json"
         n = self.values.shape[1]
         header = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["c", "energy", "dissipation"]
-        with open(csv_path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(self.n_records):
-                row = (
-                    [self.times[i]]
-                    + list(self.values[i])
-                    + [self.stress_mean[i], self.energy[i], self.dissipation[i]]
-                )
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+        write_csv(csv_path, header, np.column_stack(
+            [self.times, self.values, self.stress_mean, self.energy, self.dissipation]))
         sidecar = {
             "weights": list(self.weights),
             "dissipation_cum": list(self.dissipation_cum),
@@ -142,21 +135,30 @@ class Trajectory:
     @classmethod
     def load(cls, prefix) -> "Trajectory":
         prefix = str(prefix)
-        data = np.genfromtxt(prefix + ".csv", delimiter=",", names=True)
+        with open(prefix + ".csv") as fh:
+            names = fh.readline().rstrip("\n").split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         with open(prefix + ".json") as fh:
             sidecar = json.load(fh)
-        names = list(data.dtype.names)
-        p_cols = [nm for nm in names if nm.startswith("p_")]
-        data = np.atleast_1d(data)
-        values = np.column_stack([data[nm] for nm in p_cols])
+        col = dict(zip(names, data.T))
         return cls(
-            times=np.asarray(data["t"], dtype=float),
-            values=values,
+            times=col["t"],
+            values=np.column_stack([c for nm, c in col.items() if nm.startswith("p_")]),
             weights=np.asarray(sidecar["weights"], dtype=float),
-            stress_mean=np.asarray(data["c"], dtype=float),
-            energy=np.asarray(data["energy"], dtype=float),
-            dissipation=np.asarray(data["dissipation"], dtype=float),
+            stress_mean=col["c"],
+            energy=col["energy"],
+            dissipation=col["dissipation"],
             dissipation_cum=np.asarray(sidecar["dissipation_cum"], dtype=float),
             metadata=sidecar.get("metadata", {}),
             converged=sidecar.get("converged", False),
         )
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write the 2-d array ``rows`` under a one-line ``header``, every value
+    as %.17g, which reads back to the same float64."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows.tolist())

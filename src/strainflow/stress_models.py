@@ -445,21 +445,30 @@ def check_hypotheses(model: StressModel) -> dict[str, HypothesisResult]:
 # -- registry ----------------------------------------------------------------
 
 
+def _horner(coeffs: list[float], p):
+    """``np.polyval(coeffs, p)``, bit for bit for finite p (its 0 * p + coeffs[0] is exact)."""
+    if len(coeffs) < 2:
+        return np.full_like(p, coeffs[0] if coeffs else 0.0)
+    out = p * coeffs[0] + coeffs[1]
+    for c in coeffs[2:]:
+        out = out * p + c
+    return out
+
+
 def _poly_sigma(coeffs: np.ndarray, kappa: float):
     coeffs = np.asarray(coeffs, dtype=float)
+    c_sig, c_der = coeffs.tolist(), np.polyder(coeffs).tolist()
 
     def sigma(p):
         p = np.asarray(p, dtype=float)
-        out = np.polyval(coeffs, p)
+        out = _horner(c_sig, p)
         if kappa != 0.0:
             out = out - kappa / p
         return out
 
-    dcoeffs = np.polyder(coeffs)
-
     def sigma_prime(p):
         p = np.asarray(p, dtype=float)
-        out = np.polyval(dcoeffs, p)
+        out = _horner(c_der, p)
         if kappa != 0.0:
             out = out + kappa / p ** 2
         return out

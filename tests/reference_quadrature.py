@@ -1,7 +1,8 @@
 """The quadratures the single adaptive kernel replaced, kept verbatim as
 references: the globally adaptive heap quadrature (summed error estimates
-against ``tol``, with a panel budget that returns the unconverged total) and
-the doubling antiderivative table behind ``F_functional``.
+against ``tol``, with a panel budget that returns the unconverged total),
+the doubling antiderivative table behind ``F_functional``, and the improper
+integral that called the kernel once per doubling segment.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import heapq
 import numpy as np
 
 from strainflow.errors import IntegrabilityError
-from strainflow.numerics import _GL_NODES, _GL_WEIGHTS
+from strainflow.numerics import _GL_NODES, _GL_WEIGHTS, quad_adaptive
 from strainflow.stress_models import POSITIVE, StressModel
 
 
@@ -127,3 +128,51 @@ class CumulativeAntiderivative:
 
     def __call__(self, p) -> np.ndarray:
         return self._raw(np.asarray(p, dtype=float)) - self.offset
+
+
+def sequential_quad_to_infinity(
+    f,
+    a: float,
+    tol: float = 1e-9,
+    max_segments: int = 64,
+    ratio_cap: float = 0.8,
+) -> float:
+    """Integrate ``f`` over (a, infinity).
+
+    Sums ``quad_adaptive`` integrals over geometrically doubling segments,
+    each to ``tol``/16 per kept panel, and closes the remainder with a
+    geometric-series extrapolation of the last segment. The Cauchy test for
+    convergence is that segment sums decay with a stable ratio below
+    ``ratio_cap``; when they refuse to decay the integral is declared
+    divergent.
+    """
+    seg_len = max(1.0, abs(a))
+    lo = float(a)
+    total = 0.0
+    seg_values: list[float] = []
+    for _ in range(max_segments):
+        hi = lo + seg_len
+        part = quad_adaptive(f, lo, hi, tol=tol / 16.0)
+        seg_values.append(part)
+        total += part
+        if len(seg_values) >= 2:
+            prev, cur = abs(seg_values[-2]), abs(seg_values[-1])
+            ratio = cur / prev if prev > 0 else 0.0
+            if cur <= tol / 4.0 and ratio <= ratio_cap:
+                return total + seg_values[-1] * ratio / (1.0 - ratio)
+            if len(seg_values) >= 5:
+                recent = [abs(v) for v in seg_values[-4:]]
+                ratios = [
+                    recent[i + 1] / recent[i] if recent[i] > 0 else 0.0
+                    for i in range(3)
+                ]
+                if min(ratios) > ratio_cap:
+                    raise IntegrabilityError(
+                        "tail segments of the improper integral do not decay "
+                        f"(recent ratios {ratios}); integral treated as divergent"
+                    )
+        lo = hi
+        seg_len *= 2.0
+    raise IntegrabilityError(
+        "improper integral did not converge within the segment budget"
+    )

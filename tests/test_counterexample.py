@@ -13,6 +13,8 @@ from strainflow.counterexample import (
 )
 from strainflow.numerics import rk45
 
+from reference_rk45 import reference_rk45
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("z0", [0.5, -0.5, 0.01, -0.01])
@@ -212,3 +214,24 @@ class TestOrderOracle:
             return np.array([t_err, _closed_form_error(0.0, traj)])
 
         assert np.all(errors(rtol / 100.0) * 10.0 <= errors(rtol))
+
+
+def _reference_field(y):
+    """The spiral velocity as it was before it wrote into one buffer."""
+    r, _, z = y.T
+    az = np.abs(z)
+    return np.array([-r * ((1.0 - r) ** 2 + az), r * (r - 1.0), -z * az]).T
+
+
+def test_ensemble_matches_reference_stepper():
+    # the demo ensemble to t = 1e3: same steps, rejections and records, bit
+    # for bit, as the reference stepper on the reference field
+    y0 = np.column_stack(np.broadcast_arrays(2.0, 0.0, np.array(DEMO_Z0)))
+    y0 = np.vstack([y0, [[0.5, 1.0, 0.3]]])
+    t_rec = np.linspace(0.0, 1e3, 401)
+    guard = lambda y_old, y_new: bool((y_new[:, 0] >= 0.0).all())
+    new = rk45(_field, y0, t_rec, rtol=1e-10, atol=1e-12, accept_state=guard)
+    ref = reference_rk45(_reference_field, y0, t_rec, rtol=1e-10, atol=1e-12, accept_state=guard)
+    assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+    assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
+    assert np.array_equal(_field(y0[0]), _reference_field(y0[0]))

@@ -25,6 +25,8 @@ from strainflow.errors import (
 from strainflow.state import SimpleState, state_distance
 from strainflow.stress_models import POSITIVE, eval_W, make_model
 
+from reference_rk45 import reference_rk45
+
 
 @pytest.fixture(scope="module")
 def cubic():
@@ -216,6 +218,109 @@ class TestIntegrate:
         traj = integrate(singular, state, 0.5, stepper="prox", tau=5e-3, n_records=6)
         assert "error" not in traj.metadata
         assert np.max(np.abs(traj.mass() - 1.0)) <= 1e-12
+
+
+# -- the explicit stepper and its callbacks against their references --
+
+
+def _reference_ordering_ok(perm, values):
+    """The ordering guard as it was before it was cut to a few numpy calls."""
+    v = values[perm]
+    scale = max(1.0, float(np.max(np.abs(v))))
+    return bool(np.all(np.diff(v) >= -displacement.ORDER_SLACK * scale))
+
+
+def _reference_held_run(model, state, grid, rtol, atol):
+    """The held rk45 run with the reference stepper and the callbacks it had:
+    velocity -sigma + c, a renormalisation that always shifts, and one
+    scalar stage rate per stage."""
+    w, mu = state.weights, state.mu
+    perm = np.argsort(state.values, kind="stable")
+
+    def velocity(v):
+        sig = np.asarray(model.sigma(v), dtype=float)
+        return -sig + float(np.dot(w, sig))
+
+    def accept(y_old, y_new):
+        if model.domain == POSITIVE and not np.all(y_new > 0.0):
+            return False
+        return _reference_ordering_ok(perm, y_new)
+
+    return reference_rk45(
+        velocity, state.values, grid, rtol=rtol, atol=atol, accept_state=accept,
+        postprocess=lambda y: y + (mu - float(np.dot(w, y))),
+        stage_rate=lambda k: float(np.dot(w, k * k)),
+    )
+
+
+class TestStepperReference:
+    """The held flow takes the reference stepper's steps and records, bit for
+    bit; only the dissipation, now one matrix product over the 7 stages,
+    may move in the last bits."""
+
+    @pytest.mark.parametrize("name, values, grid, rtol, rejected", [
+        ("cubic", (64, 0.5, 31), {"record_every": 0.25}, 1e-9, False),
+        ("cubic", (64, 0.5, 2), {"n_records": 3}, 1e-9, True),
+        ("cubic", (8, 0.5, 4242), {"n_records": 11}, 1e-6, False),
+        ("singular-cubic", (16, 1.0, 7), {"record_every": 0.25}, 1e-9, False),
+        ("singular-cubic", [1e-3, 0.02, 0.02 + 1e-9, 1.5, 2.4], {"n_records": 5}, 1e-6, True),
+        ("hyperbolic", (12, 1.5, 3), {"n_records": 11}, 1e-6, False),
+    ])
+    def test_held_flow_matches_reference(self, name, values, grid, rtol, rejected, monkeypatch):
+        model = make_model(name)
+        if isinstance(values, tuple):
+            state = seeded_state(model, *values)
+        else:
+            state = SimpleState.uniform(values)
+        results = []
+        stepper = displacement.rk45
+
+        def spy(*args, **kwargs):
+            results.append(stepper(*args, **kwargs))
+            return results[-1]
+
+        calls = [0, 0]
+
+        def counting(i):
+            def sigma(p):
+                calls[i] += 1
+                return model.sigma(p)
+            return dataclasses.replace(model, sigma=sigma)
+
+        monkeypatch.setattr(displacement, "rk45", spy)
+        traj = integrate(counting(0), state, 50.0, rtol=rtol, **grid)
+        res = results[0]
+        ref = _reference_held_run(counting(1), state, traj.times, rtol, 1e-12)
+        # equal stress calls: the first stage is reused (FSAL) exactly when
+        # the reference reused it
+        assert calls[0] == calls[1] + 1  # integrate's diagnostics evaluate sigma once more
+        assert (res.n_steps, res.n_rejected) == (ref.n_steps, ref.n_rejected)
+        assert (res.n_rejected > 0) == rejected
+        assert np.array_equal(res.times, ref.times)
+        assert np.array_equal(res.states.view(np.int64), ref.states.view(np.int64))
+        rel = np.abs(res.aux_integral - ref.aux_integral) / np.maximum(ref.aux_integral, 1e-300)
+        assert np.max(rel) <= 1e-14
+
+
+class TestOrderingGuard:
+    def test_matches_reference_on_random_and_tied_values(self):
+        rng = np.random.default_rng(5)
+        slack = displacement.ORDER_SLACK
+        cases = [np.array([1.0]), np.array([0.0, 0.0]), np.array([2.0, 2.0 - 2e-12]),
+                 np.array([2.0, 2.0 - 2.1e-12]), np.array([0.5, 0.5 - slack]),
+                 np.array([0.5, 0.5 - 1.01 * slack]), np.array([-3.0, -3.0 - 3e-12]),
+                 np.array([-3.0, -3.0 - 3.1e-12]), np.array([1.0, np.nan, 2.0])]
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            base = np.sort(rng.choice([rng.uniform(-5, 5, n), rng.integers(-2, 3, n) * 1.0]))
+            scale = max(1.0, np.max(np.abs(base)))
+            jitter = rng.choice([0.0, 0.5, 0.99, 1.0, 1.01, 2.0], n) * slack * scale
+            cases.append(base - rng.permutation(jitter))
+            cases.append(rng.permutation(base))
+        for values in cases:
+            for perm in (np.arange(len(values)), np.argsort(values, kind="stable"),
+                         rng.permutation(len(values))):
+                assert displacement._ordering_ok(perm, values) is _reference_ordering_ok(perm, values)
 
 
 # -- the bisection proximal step, kept as the reference for the Newton solve --

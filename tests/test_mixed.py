@@ -7,7 +7,10 @@ from scipy.integrate import quad, solve_ivp
 from strainflow.bounds import mixed_lower, mixed_upper, time_from_zero_curve
 from strainflow.errors import DomainError
 from strainflow.mixed import reconstruct_y, solve_field, solve_pointwise
+from strainflow.numerics import rk45
 from strainflow.stress_models import eval_W, make_model
+
+from reference_rk45 import reference_rk45
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +204,18 @@ class TestVectorFieldSolve:
         rel = lambda v, r: np.max(np.abs(v - r) / np.maximum(1.0, np.abs(r)))
         assert rel(traj.values[:, pick], ref) <= 1e-8
         assert rel(traj.values[:, pick], tight) <= rel(ref, tight)
+
+    @pytest.mark.parametrize("seed", [3, 2024])
+    def test_ensemble_matches_reference_stepper(self, model, seed):
+        # the free-field ensemble call: same steps and records, bit for bit
+        samples = _free_field_samples(seed)
+        y0 = samples[samples > 0.0, None]
+        f = lambda y: -np.asarray(model.sigma(y), dtype=float)
+        guard = lambda y_old, y_new: bool(np.all(y_new > 0.0))
+        new = rk45(f, y0, self.T, rtol=1e-9, atol=1e-12, accept_state=guard)
+        ref = reference_rk45(f, y0, self.T, rtol=1e-9, atol=1e-12, accept_state=guard)
+        assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+        assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
 
     def test_zero_columns_equal_pointwise_bits(self, model):
         samples = _free_field_samples(5)

@@ -1,8 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from strainflow.errors import BracketError, IntegrabilityError, IterationBudgetError
+from strainflow.bounds import certify_upper_threshold
+from strainflow.errors import (
+    BracketError,
+    IntegrabilityError,
+    IterationBudgetError,
+    StiffnessError,
+    StrainflowError,
+)
 from strainflow.numerics import (
     CumulativeCurve,
     bisect_root,
@@ -11,8 +20,10 @@ from strainflow.numerics import (
     rk45,
     trailing_stats,
 )
+from strainflow.stress_models import make_model
 
-from reference_quadrature import heap_quad_adaptive
+from reference_quadrature import heap_quad_adaptive, sequential_quad_to_infinity
+from reference_rk45 import reference_rk45
 
 
 def test_quad_polynomial_exact():
@@ -90,6 +101,39 @@ def test_tail_integral_divergence_detected():
         quad_to_infinity(lambda z: 1.0 / np.log(z), 2.0)
 
 
+def _tail_cases():
+    """The tail integrals the program takes: 1/sigma beyond p+ + 1 for each
+    registered law, and the escape-time integrand above the certified
+    threshold M for a range of masses (t0_upper), plus two closed forms."""
+    cases = [(lambda z: z ** -3.0, 2.0), (lambda z: np.exp(-z), 0.5), (lambda z: 1.0 / z, 1.0)]
+    for name in ("cubic", "shifted-cubic", "singular-cubic", "hyperbolic", "linear", "log"):
+        model = make_model(name)
+        roots = model.roots_of_sigma
+        cases.append((lambda z, m=model: 1.0 / m.sigma(z), float(roots[-1]) + 1.0))
+        for mu in np.linspace(0.1, 3.0, 12):
+            try:
+                M = certify_upper_threshold(model, mu)
+            except StrainflowError:
+                continue
+            cases.append((lambda z, m=model, mu=mu: 2.0 * z / (m.sigma(z) * (z - 2.0 * mu)), M))
+    return cases
+
+
+def test_tail_batches_keep_the_sequential_bits():
+    # segments integrated several to a kernel call but summed and tested one
+    # by one give the sequential loop's value, or its divergence verdict
+    cases = _tail_cases()
+    assert len(cases) > 40
+    for f, a in cases:
+        try:
+            ref = sequential_quad_to_infinity(f, a, tol=1e-9)
+        except IntegrabilityError:
+            with pytest.raises(IntegrabilityError):
+                quad_to_infinity(f, a, tol=1e-9)
+            continue
+        assert quad_to_infinity(f, a, tol=1e-9) == ref
+
+
 def test_bisect_root_simple():
     r = bisect_root(lambda x: x ** 2 - 2.0, 0.0, 2.0, xtol=1e-14)
     assert abs(r - np.sqrt(2.0)) < 1e-13
@@ -151,6 +195,20 @@ def test_cumulative_curve_table_budget_raises():
         CumulativeCurve(rough, np.array([0.5, 1.0]), tol=1e-12)
 
 
+def test_quad_live_panel_budget_bounds_memory():
+    # a rough integrand on many components at once: the per-component split
+    # budget alone let this 129-node table reach about 170 MB before it raised
+    rough = lambda z: 1.0 + 0.5 * np.sign(np.sin(1e12 * z))
+    tracemalloc.start()
+    try:
+        with pytest.raises(IterationBudgetError, match="live panels"):
+            CumulativeCurve(rough, np.linspace(0.0, 1.0, 129), tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
+
+
 def test_cumulative_curve_invert_budget_raises(monkeypatch):
     nodes = np.geomspace(1e-6, 0.999, 200)
     curve = CumulativeCurve(lambda z: 1.0 / (1.0 - z), nodes, tol=1e-12, x0=0.0)
@@ -175,7 +233,7 @@ def test_rk45_aux_integral_is_dissipation():
         t_rec,
         rtol=1e-11,
         atol=1e-14,
-        stage_rate=lambda k: float(k[0] ** 2),
+        stage_rate=lambda k: k[:, 0] ** 2,
     )
     exact = 0.5 * (1.0 - np.exp(-2.0 * t_rec))
     assert np.max(np.abs(res.aux_integral - exact)) < 1e-9
@@ -193,6 +251,21 @@ def test_rk45_accept_hook_rejects_domain_exit():
     t_rec = np.linspace(0.0, 1.0, 5)
     res = rk45(lambda y: -0.5 * y, np.array([1.0]), t_rec, accept_state=guard)
     assert np.all(res.states > 0.0)
+
+
+def test_rk45_failure_prefix_matches_reference():
+    # dy/dt = y^2 blows up at t = 1: both steppers fail at the same step and
+    # hand back the same records
+    t_rec = np.linspace(0.0, 2.0, 41)
+    runs = []
+    for stepper in (rk45, reference_rk45):
+        with pytest.raises(StiffnessError) as info:
+            stepper(lambda y: y * y, np.array([1.0, 0.5]), t_rec, rtol=1e-9, atol=1e-12)
+        runs.append(info.value.partial)
+    new, ref = runs
+    assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+    assert len(new.times) == len(ref.times) == 20
+    assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
 
 
 def test_trailing_stats_window():

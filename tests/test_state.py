@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strainflow.displacement import integrate, seeded_state
-from strainflow.state import SimpleState, Trajectory, state_distance
+from strainflow.state import SimpleState, Trajectory, state_distance, write_csv
 from strainflow.stress_models import make_model
 
 
@@ -50,6 +50,34 @@ class TestTrajectory:
         assert np.array_equal(back.weights, traj.weights)
         assert back.converged == traj.converged
         assert back.metadata["model"]["name"] == "cubic"
+
+    SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, 1e-300,
+               -1e300, -1e-300, 1.0 / 3.0, 0.1, -2.5, 1.0, 123456789.0, 2.0 ** -1074 * 3]
+
+    def test_writer_gives_the_former_bytes(self, tmp_path):
+        # the former writer formatted each value with format(float(x), ".17g")
+        rows = np.array(self.SPECIAL * 3).reshape(-1, 3)
+        write_csv(tmp_path / "x.csv", ["a", "b", "c"], rows)
+        expected = "a,b,c\n" + "".join(
+            ",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
+        assert (tmp_path / "x.csv").read_text() == expected
+
+    @pytest.mark.parametrize("n_records", [1, 2, len(SPECIAL)])
+    def test_round_trip_is_bit_exact(self, tmp_path, n_records):
+        vals = np.array(self.SPECIAL[:n_records])
+        cols = [np.roll(vals, i) for i in range(4)]
+        traj = Trajectory(
+            times=np.arange(n_records) * 0.1, values=np.column_stack([vals, vals[::-1]]),
+            weights=np.array([0.5, 0.5]), stress_mean=cols[0], energy=cols[1],
+            dissipation=cols[2], dissipation_cum=np.abs(cols[3]),
+        )
+        paths = traj.save(tmp_path / "traj")
+        assert paths == (str(tmp_path / "traj") + ".csv", str(tmp_path / "traj") + ".json")
+        back = Trajectory.load(tmp_path / "traj")
+        bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
+        for name in ("times", "values", "stress_mean", "energy", "dissipation"):
+            assert np.array_equal(bits(getattr(back, name)), bits(getattr(traj, name))), name
+        assert back.values.shape == (n_records, 2) and back.values.flags["C_CONTIGUOUS"]
 
     def test_misaligned_diagnostics_rejected(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from strainflow.stress_models import (
     near_critical_value,
     roots_at,
 )
+from strainflow import stress_models
 
 
 @pytest.fixture(scope="module")
@@ -422,3 +423,35 @@ def test_critical_value_proximity_is_relative():
     assert near_critical_value(model, cs[0] + 5e-9)
     assert not near_critical_value(model, cs[0] + 2e-5)
     assert near_critical_value(model, np.array([cs[1] - 5e-9, 0.0])).tolist() == [True, False]
+
+
+def _poly_laws():
+    """(name, coefficients, kappa) of every registered polynomial law, plus
+    random polynomials of degree 0 to 6."""
+    laws = []
+    for name, preset in stress_models._POLY_PRESETS.items():
+        coeffs = [preset[k] for k in "abcd"] if "a" in preset else preset["coeffs"]
+        laws.append((name, coeffs, preset.get("kappa", 0.0)))
+    rng = np.random.default_rng(17)
+    for degree in range(7):
+        laws.append(("poly", list(rng.standard_normal(degree + 1)), float(rng.choice([0.0, 0.7]))))
+    return laws
+
+
+@pytest.mark.parametrize("name, coeffs, kappa", _poly_laws())
+def test_horner_matches_polyval_bit_for_bit(name, coeffs, kappa):
+    model = make_model(name, **({} if name != "poly" else {"coeffs": coeffs, "kappa": kappa}))
+    rng = np.random.default_rng(3)
+    grid = np.concatenate([rng.uniform(-4.0, 4.0, 2000), np.geomspace(1e-300, 1e100, 400),
+                           -np.geomspace(1e-300, 1e100, 400), [0.0, -0.0, 1.0, -1.0]])
+    if kappa:
+        grid = np.abs(grid[grid != 0.0])
+    d_coeffs = np.polyder(np.asarray(coeffs, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sig = np.polyval(coeffs, grid) - (kappa / grid if kappa else 0.0)
+        sig_p = np.polyval(d_coeffs, grid) + (kappa / grid ** 2 if kappa else 0.0)
+        got, got_p = model.sigma(grid), model.sigma_prime(grid)
+        scalar = model.sigma(grid[7])
+    assert np.array_equal(got.view(np.int64), np.asarray(sig).view(np.int64))
+    assert np.array_equal(got_p.view(np.int64), np.asarray(sig_p).view(np.int64))
+    assert scalar == sig[7]
