@@ -32,21 +32,20 @@ from .bounds import bounds_profile
 from .counterexample import (DEMO_Z0, ensemble_checks, member_summary, simulate_cyl,
                              simulate_ensemble)
 from .displacement import _record_grid, approximate_initial_data, integrate, seeded_state
-from .errors import ConfigError, HypothesisError, StrainflowError
+from .errors import ConfigError, DegenerateDataError, HypothesisError, StrainflowError
 from .mixed import solve_field
-from .state import SimpleState, Trajectory, write_csv
+from .state import SimpleState, Trajectory, write_csv, write_json
 from .stress_models import POSITIVE, StressModel, make_model
 
-
-def _write_json_atomic(path, payload: dict) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+_SVG_WIDTH, _SVG_HEIGHT = 640, 400
 
 
-def _output_root() -> str:
-    return os.environ.get("STRAINFLOW_OUT", ".")
+def _out_dir(name: str) -> str:
+    """The output directory ``name`` under ``$STRAINFLOW_OUT`` (default the
+    working directory), created if missing."""
+    path = os.path.join(os.environ.get("STRAINFLOW_OUT", "."), name)
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 # -- configuration ---------------------------------------------------------------
@@ -107,21 +106,20 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         numbers = {"mu": self.mu, "t_final": self.t_final, "record_every": self.record_every}
-        numbers.update({f"stepper.{k}": self.stepper[k]
-                        for k in ("rtol", "atol", "tau") if k in self.stepper})
+        numbers.update({f"stepper.{k}": self.stepper[k] for k in ("rtol", "atol", "tau")})
         numbers.update({f"initial.{k}": self.initial[k]
-                        for k in ("lo", "hi") if self.initial.get(k) is not None})
+                        for k in ("lo", "hi") if self.initial[k] is not None})
         for name, value in numbers.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name, value in {"n": self.n, "initial.seed": self.initial.get("seed", 0)}.items():
+        for name, value in {"n": self.n, "initial.seed": self.initial["seed"]}.items():
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.bc not in ("displacement", "mixed"):
             raise ConfigError(f"unknown boundary condition kind {self.bc!r}")
-        if not isinstance(self.model.get("name"), str):
+        if not isinstance(self.model["name"], str):
             raise ConfigError("model.name must be a string")
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
@@ -129,13 +127,13 @@ class ExperimentConfig:
             raise ConfigError("record_every must be positive")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
-        kind = self.initial.get("kind")
+        kind = self.initial["kind"]
         if kind not in ("seeded", "explicit", "ramp", "file"):
             raise ConfigError(f"unknown initial data kind {kind!r}")
         if kind == "explicit" and not self.initial.get("values"):
             raise ConfigError("explicit initial data needs a non-empty values list")
-        if self.stepper.get("kind") not in ("rk45", "prox"):
-            raise ConfigError(f"unknown stepper {self.stepper.get('kind')!r}")
+        if self.stepper["kind"] not in ("rk45", "prox"):
+            raise ConfigError(f"unknown stepper {self.stepper['kind']!r}")
 
     def to_dict(self) -> dict:
         return copy.deepcopy(asdict(self))
@@ -172,9 +170,11 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
     return ExperimentConfig.from_dict(data)
 
 
-def _build_model(cfg: ExperimentConfig) -> StressModel:
+def _build_model(name, params) -> StressModel:
+    """``make_model(name, **params)``, with a bad name or parameter set
+    reported as a ConfigError."""
     try:
-        return make_model(cfg.model["name"], **cfg.model.get("params", {}))
+        return make_model(name, **params)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot build model: {exc}") from exc
 
@@ -182,10 +182,8 @@ def _build_model(cfg: ExperimentConfig) -> StressModel:
 def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
     spec = cfg.initial
     kind = spec["kind"]
-    n = int(cfg.n)
     if kind == "seeded":
-        return seeded_state(model, n, cfg.mu, int(spec.get("seed", 0)),
-                            lo=spec.get("lo"), hi=spec.get("hi"))
+        return seeded_state(model, cfg.n, cfg.mu, spec["seed"], lo=spec["lo"], hi=spec["hi"])
     if kind == "explicit":
         values = np.asarray(spec["values"], dtype=float)
         weights = spec.get("weights")
@@ -196,21 +194,18 @@ def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
         m = int(spec.get("samples", 512))
         x = (np.arange(m) + 0.5) / m
         samples = 2.0 * cfg.mu * x
-        state, _ = approximate_initial_data(samples, n)
+        state, _ = approximate_initial_data(samples, cfg.n)
         return state
-    if kind == "file":
-        from .errors import DegenerateDataError
-
-        samples = np.loadtxt(spec["path"], dtype=float).ravel()
-        mean = samples.mean() if len(samples) else 0.0
-        if mean <= 0:
-            raise ConfigError("file data carries no positive mass")
-        try:
-            state, _ = approximate_initial_data(samples * (cfg.mu / mean), n)
-        except DegenerateDataError as exc:
-            raise ConfigError(str(exc)) from exc
-        return state
-    raise ConfigError(f"unknown initial data kind {kind!r}")
+    # kind == "file", the last one validate() admits
+    samples = np.loadtxt(spec["path"], dtype=float).ravel()
+    mean = samples.mean() if len(samples) else 0.0
+    if mean <= 0:
+        raise ConfigError("file data carries no positive mass")
+    try:
+        state, _ = approximate_initial_data(samples * (cfg.mu / mean), cfg.n)
+    except DegenerateDataError as exc:
+        raise ConfigError(str(exc)) from exc
+    return state
 
 
 # -- invariant checks -------------------------------------------------------------
@@ -269,8 +264,7 @@ def _run_checks(cfg, model, traj: Trajectory, profile) -> dict[str, bool]:
 
 def command_run(cfg: ExperimentConfig) -> int:
     t_start = time.perf_counter()
-    out_dir = os.path.join(_output_root(), cfg.output_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(cfg.output_dir)
     manifest_path = os.path.join(out_dir, "manifest.json")
     files: list[str] = []
     checks: dict[str, bool] = {}
@@ -288,16 +282,16 @@ def command_run(cfg: ExperimentConfig) -> int:
         }
         if error:
             manifest["error"] = error
-        _write_json_atomic(manifest_path, manifest)
+        write_json(manifest_path, manifest)
         return exit_code
 
-    model = _build_model(cfg)
+    model = _build_model(cfg.model["name"], cfg.model["params"])
     state = _initial_state(cfg, model)
 
     # universal bound curves (hypothesis failures end the run with code 3)
     profile = None
-    want_lower = cfg.analyses.get("bounds_lower", "auto")
-    want_upper = cfg.analyses.get("bounds_upper", "auto")
+    want_lower = cfg.analyses["bounds_lower"]
+    want_upper = cfg.analyses["bounds_upper"]
     if want_lower == "auto":
         want_lower = model.domain == POSITIVE
     if want_upper == "auto":
@@ -323,21 +317,21 @@ def command_run(cfg: ExperimentConfig) -> int:
             model, state, cfg.t_final,
             stepper=cfg.stepper["kind"],
             record_every=cfg.record_every,
-            rtol=cfg.stepper.get("rtol", 1e-9),
-            atol=cfg.stepper.get("atol", 1e-12),
-            tau=cfg.stepper.get("tau", 1e-2),
+            rtol=cfg.stepper["rtol"],
+            atol=cfg.stepper["atol"],
+            tau=cfg.stepper["tau"],
         )
     else:
         try:
             traj, _limit = solve_field(
                 model, state.values, grid,
-                rtol=cfg.stepper.get("rtol", 1e-9),
-                atol=cfg.stepper.get("atol", 1e-12),
+                rtol=cfg.stepper["rtol"],
+                atol=cfg.stepper["atol"],
             )
         except StrainflowError as exc:
             print(f"integration failure: {exc}", file=sys.stderr)
             return finish(4, str(exc))
-    traj.metadata["seed"] = cfg.initial.get("seed")
+    traj.metadata["seed"] = cfg.initial["seed"]
     prefix = os.path.join(out_dir, "trajectory")
     csv_path, json_path = traj.save(prefix)
     files.extend([os.path.basename(csv_path), os.path.basename(json_path)])
@@ -345,50 +339,78 @@ def command_run(cfg: ExperimentConfig) -> int:
     if "error" in traj.metadata:
         print(f"integration failure: {traj.metadata['error']}", file=sys.stderr)
         report["error"] = traj.metadata["error"]
-        _write_json_atomic(os.path.join(out_dir, "report.json"), report)
+        write_json(os.path.join(out_dir, "report.json"), report)
         files.append("report.json")
         return finish(4, traj.metadata["error"])
 
     # analyses
-    if cfg.analyses.get("asympt", True) and cfg.bc == "displacement":
+    if cfg.analyses["asympt"] and cfg.bc == "displacement":
         report["asymptotics"] = asymptotics_report(model, traj).to_dict()
     report["converged"] = bool(traj.converged)
     report["final_stress_mean"] = float(traj.stress_mean[-1])
-    if cfg.analyses.get("invariants", True):
+    if cfg.analyses["invariants"]:
         checks.update(_run_checks(cfg, model, traj, profile))
     report["checks"] = checks
     report["checked"] = bool(checks)  # false: the run exits 0 with nothing checked
     report["wall_time_s"] = time.perf_counter() - t_start
-    _write_json_atomic(os.path.join(out_dir, "report.json"), report)
+    write_json(os.path.join(out_dir, "report.json"), report)
     files.append("report.json")
     all_pass = all(checks.values()) if checks else True
     return finish(0 if all_pass else 1)
 
 
+def _command_run_args(args) -> int:
+    """``run``: the config file with the --set overrides, then each given
+    shorthand flag, applied as overrides."""
+    flags = {
+        "model.name": args.model,
+        "mu": args.mu,
+        "n": args.n,
+        "initial.seed": args.seed,
+        "t_final": args.t_final,
+        "stepper.kind": args.stepper,
+        "stepper.tau": args.tau,
+        "record_every": args.record_every,
+        "output_dir": args.output_dir,
+    }
+    overrides = args.overrides + [f"{key}={json.dumps(val)}"
+                                  for key, val in flags.items() if val is not None]
+    return command_run(load_config(args.config, overrides))
+
+
 # -- smaller subcommands -------------------------------------------------------------
 
 
+def _load_trajectory(prefix) -> tuple[Trajectory, StressModel]:
+    """A saved trajectory and the model named in its metadata."""
+    try:
+        traj = Trajectory.load(prefix)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read trajectory {prefix!r}: {exc}") from exc
+    spec = traj.metadata.get("model", {})
+    return traj, _build_model(spec.get("name"), spec.get("params", {}))
+
+
 def command_mixed(args) -> int:
-    model = make_model(args.model, **_parse_params(args.param))
-    out_dir = os.path.join(_output_root(), args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    if args.p0.startswith("file:"):
-        samples = np.loadtxt(args.p0[5:], dtype=float).ravel()
-    elif ":" in args.p0:  # step:a,b
-        kind, payload = args.p0.split(":", 1)
-        if kind != "step":
-            raise ConfigError(f"unknown p0 spec {args.p0!r}")
-        a, b = (float(x) for x in payload.split(","))
-        samples = np.where(np.linspace(0, 1, args.n) < 0.5, a, b)
-    else:
-        samples = np.full(args.n, float(args.p0))
+    model = _build_model(args.model, _parse_params(args.param))
+    out_dir = _out_dir(args.out)
+    try:
+        if args.p0.startswith("file:"):
+            samples = np.loadtxt(args.p0[5:], dtype=float).ravel()
+        elif args.p0.startswith("step:"):
+            a, b = (float(x) for x in args.p0[5:].split(","))
+            samples = np.where(np.linspace(0, 1, args.n) < 0.5, a, b)
+        else:
+            samples = np.full(args.n, float(args.p0))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read --p0 {args.p0!r}: {exc}") from exc
     grid = np.linspace(0.0, args.t_final, args.records)
     traj, limit = solve_field(model, samples, grid)
     rows = np.column_stack([traj.times, traj.values, traj.energy])
     header = ["t"] + [f"p_{i + 1}" for i in range(traj.values.shape[1])] + ["energy"]
     path = os.path.join(out_dir, "mixed.csv")
     write_csv(path, header, rows)
-    _write_json_atomic(
+    write_json(
         os.path.join(out_dir, "mixed.json"),
         {
             "model": model.spec,
@@ -401,16 +423,15 @@ def command_mixed(args) -> int:
 
 
 def command_bounds(args) -> int:
-    model = make_model(args.model, **_parse_params(args.param))
-    out_dir = os.path.join(_output_root(), args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    model = _build_model(args.model, _parse_params(args.param))
+    out_dir = _out_dir(args.out)
     profile = bounds_profile(model, args.kind, mu=args.mu)
     nan = np.full_like(profile.t_grid, np.nan)
     lower = profile.lower if profile.lower is not None else nan
     upper = profile.upper if profile.upper is not None else nan
     path = os.path.join(out_dir, "bounds.csv")
     write_csv(path, ["t", "lower", "upper"], np.column_stack([profile.t_grid, lower, upper]))
-    _write_json_atomic(
+    write_json(
         os.path.join(out_dir, "bounds.json"),
         {"kind": profile.kind, "mu": profile.mu, "constants": profile.constants},
     )
@@ -419,7 +440,7 @@ def command_bounds(args) -> int:
 
 
 def command_equilibria(args) -> int:
-    model = make_model(args.model, **_parse_params(args.param))
+    model = _build_model(args.model, _parse_params(args.param))
     verdict, found = equilibria_enumerate(model, args.mu)
     payload = {
         "verdict": verdict,
@@ -434,21 +455,16 @@ def command_equilibria(args) -> int:
         ],
     }
     if args.out:
-        out_dir = os.path.join(_output_root(), args.out)
-        os.makedirs(out_dir, exist_ok=True)
-        _write_json_atomic(os.path.join(out_dir, "equilibria.json"), payload)
+        write_json(os.path.join(_out_dir(args.out), "equilibria.json"), payload)
     print(json.dumps(payload, indent=1, sort_keys=True))
     return 0
 
 
 def command_asympt(args) -> int:
-    traj = Trajectory.load(args.trajectory)
-    spec = traj.metadata.get("model", {})
-    model = make_model(spec["name"], **spec.get("params", {}))
-    out_dir = os.path.join(_output_root(), args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    traj, model = _load_trajectory(args.trajectory)
+    out_dir = _out_dir(args.out)
     report = asymptotics_report(model, traj)
-    _write_json_atomic(os.path.join(out_dir, "asympt.json"), report.to_dict())
+    write_json(os.path.join(out_dir, "asympt.json"), report.to_dict())
     series = np.sqrt(traj.dissipation)
     header = ["t", "rhs_norm", "c"]
     cols = [traj.times, series, traj.stress_mean]
@@ -465,43 +481,36 @@ def command_asympt(args) -> int:
 
 
 def command_counterexample(args) -> int:
-    out_dir = os.path.join(_output_root(), args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
     if args.demo:
+        z0s = DEMO_Z0
         trajs = simulate_ensemble(2.0, 0.0, np.array(DEMO_Z0), args.t_final, args.records)
-        for i, traj in enumerate(trajs):
-            write_csv(
-                os.path.join(out_dir, f"member_{i:02d}.csv"),
-                ["t", "r", "theta", "z", "lyapunov"],
-                np.column_stack([traj.times, traj.r, traj.theta, traj.z, traj.lyapunov]),
-            )
-        checks = ensemble_checks(DEMO_Z0, trajs)
-        _write_json_atomic(os.path.join(out_dir, "counterexample.json"), {
-            "members": [member_summary(z0, traj) for z0, traj in zip(DEMO_Z0, trajs)],
-            "checks": checks,
-        })
-        print(os.path.join(out_dir, "counterexample.json"))
-        return 0 if all(c["pass"] for c in checks.values()) else 1
-    traj = simulate_cyl(args.r0, args.theta0, args.z0, args.t_final, n_records=args.records)
-    path = os.path.join(out_dir, "counterexample.csv")
-    write_csv(
-        path,
-        ["t", "r", "theta", "z", "lyapunov"],
-        np.column_stack([traj.times, traj.r, traj.theta, traj.z, traj.lyapunov]),
-    )
-    checks = ensemble_checks([args.z0], [traj])
-    _write_json_atomic(os.path.join(out_dir, "counterexample.json"), {
-        "members": [member_summary(args.z0, traj)],
+        names = [f"member_{i:02d}.csv" for i in range(len(trajs))]
+        shown = "counterexample.json"
+    else:
+        z0s = [args.z0]
+        trajs = [simulate_cyl(args.r0, args.theta0, args.z0, args.t_final, n_records=args.records)]
+        names = ["counterexample.csv"]
+        shown = names[0]
+    for name, traj in zip(names, trajs):
+        write_csv(
+            os.path.join(out_dir, name),
+            ["t", "r", "theta", "z", "lyapunov"],
+            np.column_stack([traj.times, traj.r, traj.theta, traj.z, traj.lyapunov]),
+        )
+    checks = ensemble_checks(z0s, trajs)
+    write_json(os.path.join(out_dir, "counterexample.json"), {
+        "members": [member_summary(z0, traj) for z0, traj in zip(z0s, trajs)],
         "checks": checks,
     })
-    print(path)
+    print(os.path.join(out_dir, shown))
     return 0 if all(c["pass"] for c in checks.values()) else 1
 
 
 # -- plot data --------------------------------------------------------------------
 
 
-def _svg_polyline(path, xs, series: dict[str, np.ndarray], width=640, height=400) -> None:
+def _svg_polyline(path, xs, series: dict[str, np.ndarray]) -> None:
     """Bare-bones SVG line chart; one polyline per named series."""
     xs = np.asarray(xs, dtype=float)
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
@@ -514,14 +523,14 @@ def _svg_polyline(path, xs, series: dict[str, np.ndarray], width=640, height=400
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 
     def sx(x):
-        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+        return pad + (x - x_lo) / (x_hi - x_lo) * (_SVG_WIDTH - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+        return _SVG_HEIGHT - pad - (y - y_lo) / (y_hi - y_lo) * (_SVG_HEIGHT - 2 * pad)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}">',
+        f'<rect x="{pad}" y="{pad}" width="{_SVG_WIDTH - 2 * pad}" height="{_SVG_HEIGHT - 2 * pad}" '
         'fill="none" stroke="#999"/>',
     ]
     for i, (name, ys) in enumerate(series.items()):
@@ -540,16 +549,11 @@ def _svg_polyline(path, xs, series: dict[str, np.ndarray], width=640, height=400
 
 
 def command_plotdata(args) -> int:
-    traj = Trajectory.load(args.trajectory)
-    spec = traj.metadata.get("model", {})
-    model = make_model(spec["name"], **spec.get("params", {}))
-    out_dir = os.path.join(_output_root(), args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, f"plot_{args.kind}")
-    n = traj.values.shape[1]
+    traj, model = _load_trajectory(args.trajectory)
+    base = os.path.join(_out_dir(args.out), f"plot_{args.kind}")
+    # columns: every CSV column after t; series: the columns drawn in the SVG
     if args.kind == "fan":
-        nan = np.full(traj.n_records, np.nan)
-        lower, upper = nan.copy(), nan.copy()
+        lower, upper = np.full(traj.n_records, np.nan), np.full(traj.n_records, np.nan)
         mu = traj.metadata.get("mu")
         if traj.metadata.get("kind") == "displacement" and mu is not None:
             sel = traj.times > 0
@@ -564,34 +568,20 @@ def command_plotdata(args) -> int:
                     upper[sel] = prof.upper
             except HypothesisError:
                 pass
-        header = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["lower", "upper"]
-        rows = np.column_stack([traj.times, traj.values, lower, upper])
-        write_csv(base + ".csv", header, rows)
-        series = {f"p_{i + 1}": traj.values[:, i] for i in range(min(n, 6))}
-        series["lower"] = lower
-        series["upper"] = upper
-        _svg_polyline(base + ".svg", traj.times, series)
+        columns = {f"p_{i + 1}": traj.values[:, i] for i in range(traj.values.shape[1])}
+        series = dict(list(columns.items())[:6])
+        columns.update(lower=lower, upper=upper)
+        series.update(lower=lower, upper=upper)
     elif args.kind == "c":
-        write_csv(base + ".csv", ["t", "c"], np.column_stack([traj.times, traj.stress_mean]))
-        _svg_polyline(base + ".svg", traj.times, {"c": traj.stress_mean})
+        columns = series = {"c": traj.stress_mean}
     elif args.kind == "energy":
-        write_csv(
-            base + ".csv",
-            ["t", "energy", "dissipation"],
-            np.column_stack([traj.times, traj.energy, traj.dissipation]),
-        )
-        _svg_polyline(base + ".svg", traj.times,
-                      {"energy": traj.energy, "dissipation": traj.dissipation})
-    elif args.kind == "fractions":
+        columns = series = {"energy": traj.energy, "dissipation": traj.dissipation}
+    else:  # fractions
         fr = volume_fractions(model, traj)
-        header = ["t"] + [f"fraction_{j + 1}" for j in range(fr.n_slots)] + ["residual"]
-        rows = np.column_stack([traj.times, fr.fractions, fr.residual])
-        write_csv(base + ".csv", header, rows)
-        _svg_polyline(base + ".svg", traj.times,
-                      {f"fraction_{j + 1}": fr.fractions[:, j] for j in range(fr.n_slots)})
-    else:
-        print(f"unknown plot kind {args.kind!r}", file=sys.stderr)
-        return 2
+        series = {f"fraction_{j + 1}": fr.fractions[:, j] for j in range(fr.n_slots)}
+        columns = {**series, "residual": fr.residual}
+    write_csv(base + ".csv", ["t", *columns], np.column_stack([traj.times, *columns.values()]))
+    _svg_polyline(base + ".svg", traj.times, series)
     print(base + ".csv")
     return 0
 
@@ -610,8 +600,7 @@ def _sweep_member(payload) -> dict:
         cfg = ExperimentConfig.from_dict(data)
         code = command_run(cfg)
         row["exit_code"] = code
-        report_path = os.path.join(_output_root(), data["output_dir"], "report.json")
-        with open(report_path) as fh:
+        with open(os.path.join(_out_dir(cfg.output_dir), "report.json")) as fh:
             report = json.load(fh)
         row["checks"] = report.get("checks", {})
         asym = report.get("asymptotics") or {}
@@ -626,12 +615,16 @@ def command_sweep(args) -> int:
     try:
         with open(args.config) as fh:
             base_config = json.load(fh)
-        grid: dict = json.loads(args.grid) if not os.path.exists(args.grid) else json.load(open(args.grid))
+        if os.path.exists(args.grid):
+            with open(args.grid) as fh:
+                grid = json.load(fh)
+        else:
+            grid = json.loads(args.grid)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = os.path.join(_output_root(), args.out)
-    os.makedirs(out_dir, exist_ok=True)
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise ConfigError("--grid must be a JSON object mapping config keys to value lists")
+    out_dir = _out_dir(args.out)
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys))) if keys else []
     members = [
@@ -650,7 +643,7 @@ def command_sweep(args) -> int:
         "n_pass": n_pass,
         "pass_rate": (n_pass / len(rows)) if rows else None,
     }
-    _write_json_atomic(os.path.join(out_dir, "sweep.json"), aggregate)
+    write_json(os.path.join(out_dir, "sweep.json"), aggregate)
     print(os.path.join(out_dir, "sweep.json"))
     return 0
 
@@ -695,6 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tau", type=float, default=None)
     p_run.add_argument("--record-every", type=float, default=None)
     p_run.add_argument("--out", dest="output_dir", default=None)
+    p_run.set_defaults(func=_command_run_args)
 
     p_mixed = sub.add_parser("mixed", help="decoupled traction-free flow")
     p_mixed.add_argument("--model", default="singular-cubic")
@@ -704,6 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mixed.add_argument("--t-final", type=float, default=20.0)
     p_mixed.add_argument("--records", type=int, default=201)
     p_mixed.add_argument("--out", default="out_mixed")
+    p_mixed.set_defaults(func=command_mixed)
 
     p_bounds = sub.add_parser("bounds", help="universal bound curves")
     p_bounds.add_argument("--model", default="singular-cubic")
@@ -711,16 +706,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--kind", choices=["mixed", "displacement"], default="displacement")
     p_bounds.add_argument("--mu", type=float, default=1.0)
     p_bounds.add_argument("--out", default="out_bounds")
+    p_bounds.set_defaults(func=command_bounds)
 
     p_eq = sub.add_parser("equilibria", help="uniqueness of the equilibrium state")
     p_eq.add_argument("--model", default="cubic")
     p_eq.add_argument("--param", action="append", default=[])
     p_eq.add_argument("--mu", type=float, required=True)
     p_eq.add_argument("--out", default="")
+    p_eq.set_defaults(func=command_equilibria)
 
     p_as = sub.add_parser("asympt", help="long-time diagnostics of a saved trajectory")
     p_as.add_argument("--trajectory", required=True, help="path prefix of trajectory.{csv,json}")
     p_as.add_argument("--out", default="out_asympt")
+    p_as.set_defaults(func=command_asympt)
 
     p_cx = sub.add_parser("counterexample", help="spiral ODE ensemble")
     p_cx.add_argument("--demo", action="store_true")
@@ -730,11 +728,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("--t-final", type=float, default=1e3)
     p_cx.add_argument("--records", type=int, default=401)
     p_cx.add_argument("--out", default="out_counterexample")
+    p_cx.set_defaults(func=command_counterexample)
 
     p_plot = sub.add_parser("plotdata", help="plot-ready CSV/SVG from a trajectory")
     p_plot.add_argument("--trajectory", required=True)
     p_plot.add_argument("--kind", required=True, choices=["fan", "c", "energy", "fractions"])
     p_plot.add_argument("--out", default="out_plots")
+    p_plot.set_defaults(func=command_plotdata)
 
     p_sweep = sub.add_parser("sweep", help="concurrent grid of runs")
     p_sweep.add_argument("--config", required=True)
@@ -742,47 +742,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON object mapping dotted config keys to value lists")
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--out", default="out_sweep")
+    p_sweep.set_defaults(func=command_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            overrides = list(args.overrides)
-            flag_map = {
-                "model.name": args.model,
-                "mu": args.mu,
-                "n": args.n,
-                "initial.seed": args.seed,
-                "t_final": args.t_final,
-                "stepper.kind": args.stepper,
-                "stepper.tau": args.tau,
-                "record_every": args.record_every,
-                "output_dir": args.output_dir,
-            }
-            overrides += [
-                f"{key}={json.dumps(val)}"
-                for key, val in flag_map.items()
-                if val is not None
-            ]
-            return command_run(load_config(args.config, overrides))
-        if args.command == "mixed":
-            return command_mixed(args)
-        if args.command == "bounds":
-            return command_bounds(args)
-        if args.command == "equilibria":
-            return command_equilibria(args)
-        if args.command == "asympt":
-            return command_asympt(args)
-        if args.command == "counterexample":
-            return command_counterexample(args)
-        if args.command == "plotdata":
-            return command_plotdata(args)
-        if args.command == "sweep":
-            return command_sweep(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -792,7 +760,6 @@ def main(argv=None) -> int:
     except StrainflowError as exc:
         print(f"run failure: {exc}", file=sys.stderr)
         return 4
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

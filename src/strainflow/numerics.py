@@ -55,6 +55,8 @@ _GL_WEIGHTS = np.array(
 # call's memory (the largest level seen: 4,096 in the tests, 110 in runs).
 _QUAD_MAX_PANELS = 2 ** 17
 _TAIL_BATCH = 8  # doubling segments per quad_adaptive call in quad_to_infinity
+_TAIL_MAX_SEGMENTS = 64  # doubling segments before a tail counts as not converging
+_TAIL_RATIO_CAP = 0.8  # segment-sum decay ratio above which a tail counts as divergent
 
 
 def quad_adaptive(f, a, b, tol: float = 1e-10):
@@ -114,28 +116,22 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
     return float(total[0]) if shape == () else total.reshape(shape)
 
 
-def quad_to_infinity(
-    f,
-    a: float,
-    tol: float = 1e-9,
-    max_segments: int = 64,
-    ratio_cap: float = 0.8,
-) -> float:
+def quad_to_infinity(f, a: float, tol: float = 1e-9) -> float:
     """Integrate ``f`` over (a, infinity).
 
     Sums ``quad_adaptive`` integrals over geometrically doubling segments,
     each to ``tol``/16 per kept panel, and closes the remainder with a
     geometric-series extrapolation of the last segment. The Cauchy test for
     convergence is that segment sums decay with a stable ratio below
-    ``ratio_cap``; when they refuse to decay the integral is declared
+    ``_TAIL_RATIO_CAP``; when they refuse to decay the integral is declared
     divergent. Segments are summed and tested one by one but integrated
     ``_TAIL_BATCH`` to a kernel call, a few past the one that ends the sum.
     """
     # segment ends added one by one, as a loop over doubling lengths would
-    ends = np.add.accumulate(np.append(float(a), np.ldexp(max(1.0, abs(a)), np.arange(max_segments))))
+    ends = np.add.accumulate(np.append(float(a), np.ldexp(max(1.0, abs(a)), np.arange(_TAIL_MAX_SEGMENTS))))
     total = 0.0
     seg_values: list[float] = []
-    for start in range(0, max_segments, _TAIL_BATCH):
+    for start in range(0, _TAIL_MAX_SEGMENTS, _TAIL_BATCH):
         batch = slice(start, start + _TAIL_BATCH)
         for part in quad_adaptive(f, ends[:-1][batch], ends[1:][batch], tol / 16.0).tolist():
             seg_values.append(part)
@@ -143,7 +139,7 @@ def quad_to_infinity(
             if len(seg_values) >= 2:
                 prev, cur = abs(seg_values[-2]), abs(seg_values[-1])
                 ratio = cur / prev if prev > 0 else 0.0
-                if cur <= tol / 4.0 and ratio <= ratio_cap:
+                if cur <= tol / 4.0 and ratio <= _TAIL_RATIO_CAP:
                     return total + seg_values[-1] * ratio / (1.0 - ratio)
                 if len(seg_values) >= 5:
                     recent = [abs(v) for v in seg_values[-4:]]
@@ -151,7 +147,7 @@ def quad_to_infinity(
                         recent[i + 1] / recent[i] if recent[i] > 0 else 0.0
                         for i in range(3)
                     ]
-                    if min(ratios) > ratio_cap:
+                    if min(ratios) > _TAIL_RATIO_CAP:
                         raise IntegrabilityError(
                             "tail segments of the improper integral do not decay "
                             f"(recent ratios {ratios}); integral treated as divergent"
@@ -161,7 +157,10 @@ def quad_to_infinity(
     )
 
 
-def bisect_root(f, lo, hi, xtol: float = 1e-12, max_iter: int = 200):
+_BISECT_MAX_ITER = 200  # halvings per bisect_root call
+
+
+def bisect_root(f, lo, hi, xtol: float = 1e-12):
     """Roots of ``f`` on sign-changing brackets [lo, hi].
 
     ``lo`` and ``hi`` may be arrays (broadcast together), and ``f`` then acts
@@ -173,8 +172,8 @@ def bisect_root(f, lo, hi, xtol: float = 1e-12, max_iter: int = 200):
     Signs are compared directly, never through products, which would
     underflow to zero for subnormal function values and corrupt the bracket.
     Raises BracketError on a bracket without a sign change and
-    IterationBudgetError when a bracket is still open after ``max_iter``
-    halvings.
+    IterationBudgetError when a bracket is still open after
+    _BISECT_MAX_ITER halvings.
     """
     lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
     flo = np.asarray(f(lo), dtype=float)
@@ -188,7 +187,7 @@ def bisect_root(f, lo, hi, xtol: float = 1e-12, max_iter: int = 200):
     # an exact zero closes its bracket onto that point; the midpoint is then exact
     hi = np.where(flo == 0.0, lo, hi)
     lo = np.where((flo != 0.0) & (fhi == 0.0), hi, lo)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         if not np.any(live):
             break
         mid = 0.5 * (lo + hi)
@@ -200,17 +199,19 @@ def bisect_root(f, lo, hi, xtol: float = 1e-12, max_iter: int = 200):
     if np.any(live):
         raise IterationBudgetError(
             f"bisection left {int(np.count_nonzero(live))} bracket(s) open "
-            f"after {max_iter} halvings"
+            f"after {_BISECT_MAX_ITER} halvings"
         )
     out = 0.5 * (lo + hi)
     return float(out) if out.ndim == 0 else out
 
 
 _INVERT_MAX_ITER = 120  # Newton iterations per CumulativeCurve.invert call
+_INVERT_XTOL = 1e-12  # relative step and bracket width that end an inversion
+_CURVE_BASE = 0.0  # value of a CumulativeCurve at its start x0
 
 
 class CumulativeCurve:
-    """Cumulative integral x -> ``base`` + int_{x0}^{x} f(z) dz.
+    """Cumulative integral x -> int_{x0}^{x} f(z) dz.
 
     Panel sums are precomputed on a fixed node grid so that point values cost
     one short local quadrature, and inversion costs a table lookup plus a few
@@ -219,7 +220,7 @@ class CumulativeCurve:
     needs the curve monotone, that is f > 0 between the nodes.
     """
 
-    def __init__(self, f, nodes: np.ndarray, tol: float = 1e-10, base: float = 0.0, x0: float | None = None):
+    def __init__(self, f, nodes: np.ndarray, tol: float = 1e-10, x0: float | None = None):
         self.f = f
         self.nodes = np.asarray(nodes, dtype=float)
         if np.any(np.diff(self.nodes) <= 0):
@@ -227,7 +228,7 @@ class CumulativeCurve:
         self.tol = tol
         start = self.nodes[0] if x0 is None else x0
         lefts = np.concatenate([[start], self.nodes[:-1]])
-        self.cum = base + np.cumsum(quad_adaptive(f, lefts, self.nodes, tol))
+        self.cum = _CURVE_BASE + np.cumsum(quad_adaptive(f, lefts, self.nodes, tol))
 
     def value(self, x):
         """The curve at ``x``, componentwise for an array (a scalar gives a
@@ -242,7 +243,7 @@ class CumulativeCurve:
     def max_value(self) -> float:
         return float(self.cum[-1])
 
-    def invert(self, target, xtol: float = 1e-12):
+    def invert(self, target):
         """Solve value(x) = target; clips to the tabulated range.
 
         ``target`` may be an array, solved componentwise by one vectorised
@@ -252,8 +253,8 @@ class CumulativeCurve:
         Newton steps that leave the bracket maintained from the signs of
         value(x) - target are replaced by bisection. A target converges when
         its residual is within 1e-14 * max(1, |target|), its Newton
-        correction within ``xtol`` * max(1, |x|) or its bracket within
-        ``xtol``; IterationBudgetError is raised when any target is still
+        correction within _INVERT_XTOL * max(1, |x|) or its bracket within
+        _INVERT_XTOL; IterationBudgetError is raised when any target is still
         open after _INVERT_MAX_ITER iterations.
         """
         t = np.asarray(target, dtype=float)
@@ -275,12 +276,12 @@ class CumulativeCurve:
             deriv = np.asarray(self.f(x), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(np.isfinite(deriv) & (deriv > 0), (gx - goal) / deriv, np.nan)
-            # a Newton correction below xtol ends the target even where
+            # a Newton correction below _INVERT_XTOL ends the target even where
             # roundoff in f keeps the residual above the hit threshold
-            tiny = np.abs(step) <= xtol * np.maximum(1.0, np.abs(x))
+            tiny = np.abs(step) <= _INVERT_XTOL * np.maximum(1.0, np.abs(x))
             inside = (lo < x - step) & (x - step < hi)
             x_new = np.where(inside | tiny, x - step, 0.5 * (lo + hi))
-            narrow = hi - lo <= xtol * np.maximum(1.0, np.abs(hi))
+            narrow = hi - lo <= _INVERT_XTOL * np.maximum(1.0, np.abs(hi))
             out[idx] = np.where(hit, x, x_new)
             keep = ~(hit | narrow | tiny)
             idx, goal, anchor, g_anchor, lo, hi, x = (
@@ -354,8 +355,6 @@ def rk45(
     accept_state=None,
     postprocess=None,
     stage_rate=None,
-    dt_min: float = 1e-14,
-    dt_max: float = float("inf"),
 ) -> RKResult:
     """Adaptive Dormand-Prince 5(4) integration recording at ``t_record``.
 
@@ -374,9 +373,9 @@ def rk45(
     integral is accumulated with the fifth-order weights (dissipation).
 
     Raises StiffnessError when a rejection, or an accepted step that was not
-    clamped to a record time, leaves a proposed step below ``dt_min``. A
-    StrainflowError raised while stepping carries the records reached so far
-    as ``exc.partial``, an RKResult.
+    clamped to a record time, leaves a proposed step below the controller's
+    ``dt_min``. A StrainflowError raised while stepping carries the records
+    reached so far as ``exc.partial``, an RKResult.
     """
     t_record = np.asarray(t_record, dtype=float)
     if t_record.ndim != 1 or len(t_record) == 0:
@@ -391,7 +390,7 @@ def rk45(
     records[0] = y
     aux_total = 0.0
 
-    ctrl = StepController(rtol=rtol, atol=atol, dt_min=dt_min, dt_max=dt_max)
+    ctrl = StepController(rtol=rtol, atol=atol)
     span = t_record[-1] - t_record[0]
     ctrl.dt = min(1e-4, span)
 
@@ -434,7 +433,7 @@ def rk45(
                 n_rejected += 1
                 ctrl.after_reject(err)
                 # k[0] still holds f at the unchanged y, so FSAL stays valid
-                if ctrl.dt < dt_min:
+                if ctrl.dt < ctrl.dt_min:
                     raise StiffnessError(
                         f"step size underflow at t={t!r} (dt={ctrl.dt!r})"
                     )
@@ -458,7 +457,7 @@ def rk45(
                 aux[idx] = aux_total
                 idx += 1
             # a step clamped to a record time leaves ctrl.dt as it was
-            if not clamped and ctrl.dt < dt_min and idx < len(t_rec):
+            if not clamped and ctrl.dt < ctrl.dt_min and idx < len(t_rec):
                 raise StiffnessError(f"step size underflow at t={t!r} (dt={ctrl.dt!r})")
     except StrainflowError as exc:
         exc.partial = RKResult(times=t_record[:idx], states=records[:idx],

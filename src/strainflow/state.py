@@ -9,6 +9,7 @@ data (cells become abstract mass fractions with equal weight).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,8 +129,7 @@ class Trajectory:
             "converged": bool(self.converged),
             "metadata": self.metadata,
         }
-        with open(json_path, "w") as fh:
-            json.dump(sidecar, fh, indent=1, sort_keys=True)
+        write_json(json_path, sidecar)
         return csv_path, json_path
 
     @classmethod
@@ -162,3 +162,12 @@ def write_csv(path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(line % tuple(row) for row in rows.tolist())
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys to a temporary
+    file renamed over ``path``, so no reader sees a partly written file."""
+    tmp = str(path) + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+    os.replace(tmp, path)

@@ -30,6 +30,9 @@ LAMBDA_SAFETY = 1.05  # the contraction tests need a valid constant, not a tight
 FD_STEP = 1e-6  # relative central-difference step for the derivative fallback
 MAX_BRANCHES = 99
 CRITICAL_RTOL = 1e-9  # relative distance at which a stress level counts as critical
+LAMBDA_GRID = 1025  # points of the coarsest grid estimate_lambda samples sigma' on
+LAMBDA_REFINEMENTS = 3  # nested grid doublings after the coarsest
+CRITICAL_GRID = 8193  # window points scanned for sign changes of sigma'
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,6 @@ class StressModel:
     sigma_prime: Callable[[np.ndarray], np.ndarray] | None = None
     domain: str = POSITIVE
     theta: float | None = None
-    alpha: float | None = None
-    c_growth: float | None = None
     lambda_: float | None = None
     eval_window: tuple[float, float] = (1e-8, 10.0)
     closed_form_energy: Callable[[np.ndarray], np.ndarray] | None = None
@@ -124,7 +125,7 @@ def eval_W(model: StressModel, p, force_quadrature: bool = False, tol: float = 1
 # -- lambda-convexity constant ----------------------------------------------
 
 
-def estimate_lambda(model: StressModel, n0: int = 1025, refinements: int = 3) -> float:
+def estimate_lambda(model: StressModel) -> float:
     """Convexity defect lambda = max(0, -inf sigma') over the window.
 
     The infimum is taken on nested sample grids; if refining the grid keeps
@@ -133,9 +134,9 @@ def estimate_lambda(model: StressModel, n0: int = 1025, refinements: int = 3) ->
     safety inflation.
     """
     mins = []
-    n = n0
+    n = LAMBDA_GRID
     lo, hi = model.eval_window
-    for k in range(refinements + 1):
+    for k in range(LAMBDA_REFINEMENTS + 1):
         if model.domain == POSITIVE:
             # successive grids also reach closer to the singular end
             reach = max(lo, abs(hi) * 10.0 ** (-3.0 * (k + 1)))
@@ -165,8 +166,8 @@ def estimate_lambda(model: StressModel, n0: int = 1025, refinements: int = 3) ->
 # -- critical points and branches --------------------------------------------
 
 
-def _critical_points_impl(model: StressModel, n: int = 8193) -> tuple[np.ndarray, np.ndarray]:
-    grid = model.grid(n)
+def _critical_points_impl(model: StressModel) -> tuple[np.ndarray, np.ndarray]:
+    grid = model.grid(CRITICAL_GRID)
     dvals = np.asarray(model.sigma_prime(grid), dtype=float)
     a, b = dvals[:-1], dvals[1:]
     finite = np.isfinite(a) & np.isfinite(b)

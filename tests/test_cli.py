@@ -1,5 +1,8 @@
+import argparse
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,9 @@ import pytest
 from strainflow import cli, displacement
 from strainflow.cli import ExperimentConfig, load_config, main
 from strainflow.errors import ConfigError
+from strainflow.state import Trajectory
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def write_config(path, **overrides):
@@ -399,3 +405,66 @@ class TestOtherCommands:
         agg = json.loads((out_env / "sw2" / "sweep.json").read_text())
         assert agg["n_members"] == 2
         assert agg["pass_rate"] == 1.0
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["mixed", "--model", "nope"],
+        ["mixed", "--model", "singular-cubic", "--param", "kappa=x"],
+        ["bounds", "--model", "nope"],
+        ["bounds", "--model", "singular-cubic", "--param", "kappa=x"],
+        ["equilibria", "--model", "nope", "--mu", "0.5"],
+        ["equilibria", "--model", "poly", "--mu", "0.5"],  # no coeffs
+        ["mixed", "--p0", "abc"],
+        ["mixed", "--p0", "step:1"],
+        ["mixed", "--p0", "file:{root}/missing.txt"],
+    ])
+    def test_bad_model_or_p0_exits_2(self, out_env, capsys, argv):
+        argv = [a.format(root=out_env) for a in argv]
+        assert main(argv + ["--out", "bad"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ['{"mu": 0.5}', "[1]"])
+    def test_malformed_sweep_grid_exits_2(self, out_env, tmp_path, capsys, grid):
+        cfg_path = write_config(tmp_path / "c.json")
+        assert main(["sweep", "--config", str(cfg_path), "--grid", grid, "--out", "sw"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["asympt"], ["plotdata", "--kind", "c"]])
+    @pytest.mark.parametrize("damage", ["missing", "garbled", "unknown_model"])
+    def test_unusable_trajectory_exits_2(self, out_env, capsys, command, damage):
+        prefix = out_env / "traj"
+        if damage != "missing":
+            Trajectory(
+                times=np.array([0.0, 1.0]), values=np.ones((2, 2)), weights=np.full(2, 0.5),
+                stress_mean=np.zeros(2), energy=np.zeros(2), dissipation=np.zeros(2),
+                dissipation_cum=np.zeros(2), metadata={"model": {"name": "nope", "params": {}}},
+            ).save(prefix)
+        if damage == "garbled":
+            (out_env / "traj.json").write_text("{")
+        assert main(command + ["--trajectory", str(prefix), "--out", "bad"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+class TestOutsideContracts:
+    def test_every_subcommand_has_a_handler(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert len(sub.choices) == 8
+        for name, subparser in sub.choices.items():
+            assert callable(subparser.get_default("func")), name
+
+    def test_benchmark_tracer_installs_and_uninstalls(self):
+        # the benchmark's tracer replaces named functions in strainflow's
+        # modules; a renamed one must fail here, not only in the benchmark
+        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        before = {name: getattr(cli, name) for name in ("make_model", "integrate", "solve_field")}
+        tracer = spans.Tracer(spans.Recorder())
+        try:
+            tracer.install()
+            assert all(getattr(cli, name) is not fn for name, fn in before.items())
+        finally:
+            tracer.uninstall()
+        assert all(getattr(cli, name) is fn for name, fn in before.items())

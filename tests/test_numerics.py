@@ -154,13 +154,15 @@ def test_bisect_root_batched_matches_scalar_brackets():
     assert batched.tobytes() == np.array(scalar).tobytes()
 
 
-def test_bisect_root_budget_exhaustion_raises():
+def test_bisect_root_budget_exhaustion_raises(monkeypatch):
     # three halvings cannot shrink [0, 1] to 1e-12: the midpoint is unconverged
+    monkeypatch.setattr("strainflow.numerics._BISECT_MAX_ITER", 3)
     with pytest.raises(IterationBudgetError):
-        bisect_root(lambda x: x - 0.3, 0.0, 1.0, max_iter=3)
+        bisect_root(lambda x: x - 0.3, 0.0, 1.0)
     with pytest.raises(IterationBudgetError):
-        bisect_root(lambda x: x - 0.3, np.zeros(2), np.array([1.0, 0.5]), max_iter=3)
-    assert bisect_root(lambda x: x - 0.5, 0.0, 1.0, max_iter=1) == 0.5  # exact hit
+        bisect_root(lambda x: x - 0.3, np.zeros(2), np.array([1.0, 0.5]))
+    monkeypatch.setattr("strainflow.numerics._BISECT_MAX_ITER", 1)
+    assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == 0.5  # exact hit
 
 
 def test_cumulative_curve_value_and_inverse():

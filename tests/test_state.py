@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,11 +75,26 @@ class TestTrajectory:
         )
         paths = traj.save(tmp_path / "traj")
         assert paths == (str(tmp_path / "traj") + ".csv", str(tmp_path / "traj") + ".json")
+        assert sorted(os.listdir(tmp_path)) == ["traj.csv", "traj.json"]  # no .tmp left
         back = Trajectory.load(tmp_path / "traj")
         bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
-        for name in ("times", "values", "stress_mean", "energy", "dissipation"):
+        for name in ("times", "values", "weights", "stress_mean", "energy", "dissipation",
+                     "dissipation_cum"):
             assert np.array_equal(bits(getattr(back, name)), bits(getattr(traj, name))), name
         assert back.values.shape == (n_records, 2) and back.values.flags["C_CONTIGUOUS"]
+
+    def test_failed_save_keeps_the_previous_sidecar(self, tmp_path):
+        traj = Trajectory(
+            times=np.array([0.0, 1.0]), values=np.ones((2, 1)), weights=np.ones(1),
+            stress_mean=np.zeros(2), energy=np.zeros(2), dissipation=np.zeros(2),
+            dissipation_cum=np.zeros(2), metadata={"note": "first"},
+        )
+        traj.save(tmp_path / "traj")
+        before = (tmp_path / "traj.json").read_bytes()
+        traj.metadata["note"] = object()  # not JSON-serialisable
+        with pytest.raises(TypeError):
+            traj.save(tmp_path / "traj")
+        assert (tmp_path / "traj.json").read_bytes() == before
 
     def test_misaligned_diagnostics_rejected(self):
         with pytest.raises(ValueError):
