@@ -18,6 +18,7 @@ from .errors import (
     DegenerateDataError,
     HypothesisError,
     NotConvergedError,
+    StrainflowError,
 )
 from .numerics import CumulativeCurve, trailing_stats
 from .state import Trajectory
@@ -150,37 +151,18 @@ def chi_functional(model: StressModel, traj: Trajectory, a: float, b: float):
         )
     z_floor = 0.0 if model.domain == POSITIVE else 1.0
     lo, hi = model.eval_window
-    ends = roots_at(model, np.array([a, b], dtype=float))
+    edges = roots_at(model, np.array([a, b], dtype=float))
     points = np.unique(np.concatenate([
-        ends[~np.isnan(ends)], zs, [max(lo, 1e-12) if model.domain == POSITIVE else lo, hi],
+        edges[~np.isnan(edges)], zs, [max(lo, 1e-12) if model.domain == POSITIVE else lo, hi],
     ]))
-    # classify the gaps between consecutive breakpoints
-    vals = np.asarray(model.sigma(0.5 * (points[:-1] + points[1:])), dtype=float)
-    inside = (a <= vals) & (vals <= b)
-    in_band: list[tuple[float, float]] = []
-    for s, e in zip(points[:-1][inside].tolist(), points[1:][inside].tolist()):
-        if in_band and abs(in_band[-1][1] - s) < 1e-12 * max(1.0, abs(s)):
-            in_band[-1] = (in_band[-1][0], e)
-        else:
-            in_band.append((s, e))
-    if not in_band:
-        series = np.zeros_like(traj.times)
-        return series, 0.0, 0.0
-    starts = np.array([max(s, z_floor) for s, _ in in_band])
-    ends = np.array([max(e, z_floor) for _, e in in_band])
-    lens = np.maximum(ends - starts, 0.0)
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-
-    def measure(p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        j = np.searchsorted(ends, p, side="left")
-        j = np.clip(j, 0, len(lens) - 1)
-        partial = np.clip(p - starts[j], 0.0, lens[j])
-        full = cum[j]
-        out = np.where(p <= starts[0], 0.0, full + partial)
-        return np.where(p >= ends[-1], cum[-1], out)
-
-    series = measure(traj.values) @ traj.weights
+    # the gaps between consecutive breakpoints whose midpoint stress is in
+    # the band, each floored at z_floor; a record's measure is its overlap
+    mids = np.asarray(model.sigma(0.5 * (points[:-1] + points[1:])), dtype=float)
+    inside = (a <= mids) & (mids <= b)
+    starts = np.maximum(points[:-1][inside], z_floor)
+    ends = np.maximum(points[1:][inside], z_floor)
+    measure = (np.clip(traj.values[..., None], starts, ends) - starts).sum(axis=-1)
+    series = measure @ traj.weights
     limit, spread = trailing_stats(traj.times, series, TRAILING_FRAC)
     return series, limit, spread
 
@@ -431,33 +413,24 @@ def asymptotics_report(model: StressModel, traj: Trajectory) -> AsymptoticsRepor
         if np.all(np.isfinite(last)):
             report.fractions_final = [float(x) for x in last]
             report.fractions_residual_final = float(fr.residual[-1])
+    band = None
     if len(zs) == 2:
         try:
             report.nc3_nondegenerate = nc3_check(model, mu).nondegenerate
         except HypothesisError:
             pass
         span = crit_vals[0] - crit_vals[1]
-        try:
-            gram = nc_linear_independence(
-                model,
-                (crit_vals[1] + 0.25 * span, crit_vals[0] - 0.25 * span),
-                n_grid=17,
-            )
-            report.nc_gram_condition = gram.condition
-            report.nc_gram_min_eigenvalue = gram.min_eigenvalue
-        except Exception:
-            pass
+        band, n_grid = (crit_vals[1] + 0.25 * span, crit_vals[0] - 0.25 * span), 17
     elif len(zs) == 0:
         # monotone stress: one branch over any level interval inside the range
-        grid = model.grid(257)
-        sig = np.asarray(model.sigma(grid), dtype=float)
+        sig = np.asarray(model.sigma(model.grid(257)), dtype=float)
         lo, hi = float(np.min(sig)), float(np.max(sig))
+        band, n_grid = (lo + 0.4 * (hi - lo), lo + 0.6 * (hi - lo)), 9
+    if band is not None:
         try:
-            gram = nc_linear_independence(
-                model, (lo + 0.4 * (hi - lo), lo + 0.6 * (hi - lo)), n_grid=9
-            )
+            gram = nc_linear_independence(model, band, n_grid=n_grid)
             report.nc_gram_condition = gram.condition
             report.nc_gram_min_eigenvalue = gram.min_eigenvalue
-        except Exception:
+        except StrainflowError:
             pass
     return report

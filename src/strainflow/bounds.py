@@ -8,7 +8,8 @@ Two constructions per boundary-condition kind:
   constant, and an upper curve from a certified comparison threshold and an
   escape-time integral.
 
-All four take only the model (and the imposed mean strain), never the data.
+Both upper curves invert an escape-time integral through one builder. All
+four take only the model (and the imposed mean strain), never the data.
 The certified constants carry 5-10% safety factors: the theory only needs
 *some* valid constant, and a looser constant gives a looser but still valid
 curve.
@@ -89,49 +90,48 @@ def time_from_zero_curve(model: StressModel) -> tuple[CumulativeCurve, float]:
     return curve, p_minus
 
 
-def _tail_time_curve(model: StressModel) -> tuple[CumulativeCurve, float, float]:
-    """Escape-time data h(p) = int_p^inf dz/sigma(z) above the largest root."""
-    roots = model.roots_of_sigma
-    if len(roots) == 0:
-        raise HypothesisError("no root of sigma inside the window")
-    p_plus = float(roots[-1])
-    start = p_plus + 1.0
-    integrand = lambda z: 1.0 / model.sigma(z)
+def _escape_envelope(integrand, start: float, t_grid, what: str) -> tuple[np.ndarray, float]:
+    """Inverse escape time above ``start``: the p with int_p^inf integrand = t,
+    inflated by the margin and clamped at ``start`` once t reaches the total
+    escape time, which is returned with the curve. ``what`` names the
+    improper integral in the error raised when it diverges."""
+    t_grid = np.asarray(t_grid, dtype=float)
     try:
         total = quad_to_infinity(integrand, start, tol=1e-9)
     except IntegrabilityError as exc:
         raise IntegrabilityError(
-            "the improper integral of 1/sigma beyond the largest root diverges "
-            "(integrable-tail hypothesis fails); no finite upper curve exists"
+            f"{what} diverges (integrable-tail hypothesis fails); no finite "
+            "upper curve exists"
         ) from exc
-    nodes = np.geomspace(start, start * 1e8, 600)
-    curve = CumulativeCurve(integrand, nodes, tol=1e-9)
-    return curve, p_plus, total
+    nodes = np.geomspace(start * (1.0 + 1e-12), start * 1e8, 600)
+    curve = CumulativeCurve(integrand, nodes, tol=1e-9, x0=start)
+    inv = curve.invert(total - t_grid)
+    return np.where(t_grid >= total, start, np.maximum(start, inv * (1.0 + _MARGIN))), total
 
 
 # -- traction-free (pointwise decoupled) bounds -------------------------------
 
 
-def mixed_lower(model: StressModel, t_grid=None) -> tuple[np.ndarray, dict]:
+def mixed_lower(model: StressModel, t_grid) -> tuple[np.ndarray, dict]:
     """Lower envelope for the decoupled flow: min of the smallest root and the
     inverse travel time from zero strain."""
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     curve, p_minus = time_from_zero_curve(model)
     out = np.minimum(p_minus, curve.invert(t_grid) * (1.0 - _MARGIN))
-    constants = {"p_minus": p_minus, "t_saturate_lower": curve.max_value}
-    return out, constants
+    return out, {"p_minus": p_minus, "t_saturate_lower": curve.max_value}
 
 
-def mixed_upper(model: StressModel, t_grid=None) -> tuple[np.ndarray, dict]:
+def mixed_upper(model: StressModel, t_grid) -> tuple[np.ndarray, dict]:
     """Upper envelope for the decoupled flow: max of (largest root + 1) and the
     inverse escape time, defined when the stress tail is integrable."""
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
-    curve, p_plus, total = _tail_time_curve(model)
-    start = p_plus + 1.0
-    inv = curve.invert(total - t_grid)
-    out = np.where(t_grid >= total, start, np.maximum(start, inv * (1.0 + _MARGIN)))
-    constants = {"p_plus": p_plus, "t_saturate_upper": total}
-    return out, constants
+    roots = model.roots_of_sigma
+    if len(roots) == 0:
+        raise HypothesisError("no root of sigma inside the window")
+    p_plus = float(roots[-1])
+    out, total = _escape_envelope(
+        lambda z: 1.0 / model.sigma(z), p_plus + 1.0, t_grid,
+        "the improper integral of 1/sigma beyond the largest root",
+    )
+    return out, {"p_plus": p_plus, "t_saturate_upper": total}
 
 
 # -- displacement (mean-constrained) bounds -----------------------------------
@@ -172,13 +172,12 @@ def certify_lower_constants(model: StressModel, mu: float) -> tuple[float, float
     )
 
 
-def displacement_lower(model: StressModel, mu: float, t_grid=None) -> tuple[np.ndarray, dict]:
+def displacement_lower(model: StressModel, mu: float, t_grid) -> tuple[np.ndarray, dict]:
     """Lower envelope mu(1 - exp(-C t)) spliced to its plateau at t0."""
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
     C, eps0, t0 = certify_lower_constants(model, mu)
     curve = np.where(t_grid <= t0, mu * (1.0 - np.exp(-C * t_grid)), eps0)
-    constants = {"C": C, "eps0": eps0, "t0_lower": t0}
-    return curve, constants
+    return curve, {"C": C, "eps0": eps0, "t0_lower": t0}
 
 
 def certify_upper_threshold(model: StressModel, mu: float) -> float:
@@ -220,24 +219,14 @@ def certify_upper_threshold(model: StressModel, mu: float) -> float:
     return 1.1 * float(p_grid[idx[0]])
 
 
-def displacement_upper(model: StressModel, mu: float, t_grid=None) -> tuple[np.ndarray, dict]:
+def displacement_upper(model: StressModel, mu: float, t_grid) -> tuple[np.ndarray, dict]:
     """Upper envelope from the escape-time integral above the threshold M."""
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     M = certify_upper_threshold(model, mu)
-    integrand = lambda z: 2.0 * z / (model.sigma(z) * (z - 2.0 * mu))
-    try:
-        t0 = quad_to_infinity(integrand, M, tol=1e-9)
-    except IntegrabilityError as exc:
-        raise HypothesisError(
-            "the escape-time integral above the threshold diverges; the stress "
-            "grows too slowly for a finite entry time"
-        ) from exc
-    nodes = np.geomspace(M * (1.0 + 1e-12), M * 1e8, 600)
-    curve = CumulativeCurve(integrand, nodes, tol=1e-9, x0=M)
-    inv = curve.invert(t0 - t_grid)
-    out = np.where(t_grid >= t0, M, np.maximum(M, inv * (1.0 + _MARGIN)))
-    constants = {"M": M, "t0_upper": t0}
-    return out, constants
+    out, t0 = _escape_envelope(
+        lambda z: 2.0 * z / (model.sigma(z) * (z - 2.0 * mu)), M, t_grid,
+        "the escape-time integral above the threshold",
+    )
+    return out, {"M": M, "t0_upper": t0}
 
 
 # -- assembled profiles -------------------------------------------------------
@@ -253,28 +242,24 @@ def bounds_profile(
 ) -> BoundsProfile:
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     constants: dict = {}
-    lower = upper = None
+    # builders looked up at call time, so a wrapped module attribute is seen
     if kind == "mixed":
-        if want_lower:
-            lower, c1 = mixed_lower(model, t_grid)
-            constants.update(c1)
-        if want_upper:
-            upper, c2 = mixed_upper(model, t_grid)
-            constants.update(c2)
+        args, build_lower, build_upper = (model,), mixed_lower, mixed_upper
     elif kind == "displacement":
         if mu is None:
             raise ValueError("displacement bounds need the mean strain mu")
         roots = model.roots_of_sigma
         if len(roots):
-            constants["p_minus"] = float(roots[0])
-            constants["p_plus"] = float(roots[-1])
-        if want_lower:
-            lower, c1 = displacement_lower(model, mu, t_grid)
-            constants.update(c1)
-        if want_upper:
-            upper, c2 = displacement_upper(model, mu, t_grid)
-            constants.update(c2)
+            constants.update(p_minus=float(roots[0]), p_plus=float(roots[-1]))
+        args, build_lower, build_upper = (model, mu), displacement_lower, displacement_upper
     else:
         raise ValueError(f"unknown bounds kind {kind!r}")
+    lower = upper = None
+    if want_lower:
+        lower, c = build_lower(*args, t_grid)
+        constants.update(c)
+    if want_upper:
+        upper, c = build_upper(*args, t_grid)
+        constants.update(c)
     return BoundsProfile(kind=kind, t_grid=t_grid, lower=lower, upper=upper,
                          constants=constants, mu=mu)

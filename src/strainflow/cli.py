@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown initial data kind {kind!r}")
         if kind == "explicit" and not self.initial.get("values"):
             raise ConfigError("explicit initial data needs a non-empty values list")
+        if kind == "file" and not isinstance(self.initial.get("path"), str):
+            raise ConfigError("file initial data needs a path string")
         if self.stepper["kind"] not in ("rk45", "prox"):
             raise ConfigError(f"unknown stepper {self.stepper['kind']!r}")
 
@@ -197,7 +199,10 @@ def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
         state, _ = approximate_initial_data(samples, cfg.n)
         return state
     # kind == "file", the last one validate() admits
-    samples = np.loadtxt(spec["path"], dtype=float).ravel()
+    try:
+        samples = np.loadtxt(spec["path"], dtype=float).ravel()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read initial data: {exc}") from exc
     mean = samples.mean() if len(samples) else 0.0
     if mean <= 0:
         raise ConfigError("file data carries no positive mass")
@@ -645,7 +650,7 @@ def command_sweep(args) -> int:
     }
     write_json(os.path.join(out_dir, "sweep.json"), aggregate)
     print(os.path.join(out_dir, "sweep.json"))
-    return 0
+    return 0 if n_pass == len(rows) else 1
 
 
 # -- argument parsing ---------------------------------------------------------------

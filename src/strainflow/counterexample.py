@@ -39,10 +39,6 @@ class CylState:
         if self.r < 0:
             raise ValueError("radius must be nonnegative")
 
-    @property
-    def lyapunov(self) -> float:
-        return self.r ** 2 + self.z ** 2
-
 
 @dataclass
 class CylTrajectory:
@@ -58,9 +54,6 @@ class CylTrajectory:
     @property
     def abs_u(self) -> np.ndarray:
         return np.sqrt(self.lyapunov)
-
-    def final(self) -> CylState:
-        return CylState(r=float(self.r[-1]), theta=float(self.theta[-1]), z=float(self.z[-1]))
 
 
 def _field(y: np.ndarray) -> np.ndarray:

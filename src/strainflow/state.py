@@ -56,9 +56,6 @@ class SimpleState:
     def with_values(self, values) -> "SimpleState":
         return SimpleState(values=np.asarray(values, dtype=float), weights=self.weights)
 
-    def norm2(self) -> float:
-        return float(np.sqrt(np.dot(self.weights, self.values ** 2)))
-
 
 def state_distance(a: SimpleState, b: SimpleState) -> float:
     """Weighted L2 distance between two states sharing the same weights."""
@@ -100,14 +97,6 @@ class Trajectory:
     @property
     def final_state(self) -> SimpleState:
         return self.state_at(self.n_records - 1)
-
-    @property
-    def min_value(self) -> np.ndarray:
-        return self.values.min(axis=1)
-
-    @property
-    def max_value(self) -> np.ndarray:
-        return self.values.max(axis=1)
 
     def mass(self) -> np.ndarray:
         return self.values @ self.weights
@@ -166,8 +155,13 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def write_json(path, payload) -> None:
     """Write ``payload`` as indented JSON with sorted keys to a temporary
-    file renamed over ``path``, so no reader sees a partly written file."""
+    file renamed over ``path``, so no reader sees a partly written file and
+    a failed write leaves no temporary file behind."""
     tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # left only by a failed write or rename
+            os.remove(tmp)

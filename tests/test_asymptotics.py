@@ -20,11 +20,12 @@ from strainflow.displacement import integrate, seeded_state
 from strainflow.errors import (
     DegenerateDataError,
     HypothesisError,
+    InvalidIntervalError,
     IterationBudgetError,
     NotConvergedError,
 )
 from strainflow.state import SimpleState
-from strainflow.stress_models import critical_points, make_model, roots_at
+from strainflow.stress_models import POSITIVE, critical_points, make_model, roots_at
 
 from reference_quadrature import CumulativeAntiderivative
 
@@ -148,7 +149,53 @@ class TestFFunctional:
             F_functional(cubic, converged_run, rough)
 
 
+def _chi_reference(model, traj, a, b):
+    """The interval-merging chi series that the broadcast measure replaced:
+    in-band gaps merged where they touch, then a cumulative-length lookup."""
+    zs, _ = critical_points(model)
+    z_floor = 0.0 if model.domain == POSITIVE else 1.0
+    lo, hi = model.eval_window
+    ends = roots_at(model, np.array([a, b], dtype=float))
+    points = np.unique(np.concatenate([
+        ends[~np.isnan(ends)], zs, [max(lo, 1e-12) if model.domain == POSITIVE else lo, hi],
+    ]))
+    vals = np.asarray(model.sigma(0.5 * (points[:-1] + points[1:])), dtype=float)
+    inside = (a <= vals) & (vals <= b)
+    in_band = []
+    for s, e in zip(points[:-1][inside].tolist(), points[1:][inside].tolist()):
+        if in_band and abs(in_band[-1][1] - s) < 1e-12 * max(1.0, abs(s)):
+            in_band[-1] = (in_band[-1][0], e)
+        else:
+            in_band.append((s, e))
+    if not in_band:
+        return np.zeros_like(traj.times)
+    starts = np.array([max(s, z_floor) for s, _ in in_band])
+    ends = np.array([max(e, z_floor) for _, e in in_band])
+    lens = np.maximum(ends - starts, 0.0)
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    p = traj.values
+    j = np.clip(np.searchsorted(ends, p, side="left"), 0, len(lens) - 1)
+    out = np.where(p <= starts[0], 0.0, cum[j] + np.clip(p - starts[j], 0.0, lens[j]))
+    return np.where(p >= ends[-1], cum[-1], out) @ traj.weights
+
+
 class TestChiFunctional:
+    @pytest.mark.parametrize("name, a, b", [
+        ("cubic", -0.1, 0.1),
+        ("cubic", -1.0, 1.0),
+        ("cubic", 50.0, 60.0),
+        ("cubic", -0.3, 5.0),
+        ("hyperbolic", -0.5, 0.5),
+        ("singular-cubic", -2.0, 3.0),
+        ("shifted-cubic", -0.1, 0.1),
+    ])
+    def test_matches_merged_interval_reference(self, converged_run, name, a, b):
+        # the broadcast sums the gap overlaps in another order than the
+        # cumulative table, so the two agree to a few ulps of the measure
+        model = make_model(name)
+        series, _, _ = chi_functional(model, converged_run, a, b)
+        assert np.max(np.abs(series - _chi_reference(model, converged_run, a, b))) <= 1e-14
+
     def test_band_outside_stress_range_is_zero(self, cubic, converged_run):
         series, limit, spread = chi_functional(cubic, converged_run, 50.0, 60.0)
         assert np.allclose(series, 0.0)
@@ -182,6 +229,15 @@ class TestChiFunctional:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chi_functional(model, converged_run, c_plus - 0.2, c_plus - 2e-5)
+
+    def test_band_across_both_critical_values_is_one_interval(self, cubic, converged_run):
+        # sigma^{-1}([-1, 1]) is one interval through both critical points,
+        # split into several gaps by the breakpoints; above the full-line
+        # floor z = 1 it is [1, root of p^3 - p - 1]
+        series, _, _ = chi_functional(cubic, converged_run, -1.0, 1.0)
+        r1 = max(np.roots([1, 0, -1, -1]).real)
+        expected = (np.clip(converged_run.values, 1.0, r1) - 1.0) @ converged_run.weights
+        assert np.max(np.abs(series - expected)) < 1e-10
 
     def test_cubic_band_is_three_intervals(self, cubic, converged_run):
         series, limit, spread = chi_functional(cubic, converged_run, -0.1, 0.1)
@@ -417,3 +473,20 @@ class TestReport:
         assert rep.settled
         assert rep.K1 is None
         assert rep.nc_gram_condition == pytest.approx(1.0, rel=1e-6)
+
+    def test_gram_check_skips_only_package_errors(self, cubic, converged_run, monkeypatch):
+        # a typed package error leaves the Gram fields empty; any other
+        # exception is a fault and must reach the caller
+        def broken(error):
+            def nc_linear_independence(*args, **kwargs):
+                raise error("broken Gram check")
+            return nc_linear_independence
+
+        monkeypatch.setattr("strainflow.asymptotics.nc_linear_independence",
+                            broken(InvalidIntervalError))
+        rep = asymptotics_report(cubic, converged_run)
+        assert rep.nc_gram_condition is None and rep.nc_gram_min_eigenvalue is None
+        monkeypatch.setattr("strainflow.asymptotics.nc_linear_independence", broken(TypeError))
+        with pytest.raises(TypeError):
+            asymptotics_report(cubic, converged_run)
+

@@ -203,6 +203,26 @@ class TestRunCommand:
         report = json.loads((out_env / "run_file" / "report.json").read_text())
         assert report["checks"]["mass_conservation"]
 
+    def test_ramp_initial_data(self, out_env, tmp_path):
+        cfg_path = write_config(tmp_path / "c.json", initial={"kind": "ramp", "samples": 256},
+                                output_dir="run_ramp", t_final=2.0)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        traj = Trajectory.load(out_env / "run_ramp" / "trajectory")
+        assert traj.values.shape[1] == 8  # n levels
+        assert abs(traj.mass()[0] - 0.5) <= 1e-12
+
+    def test_explicit_initial_data_with_weights(self, out_env, tmp_path):
+        cfg_path = write_config(
+            tmp_path / "c.json",
+            initial={"kind": "explicit", "values": [0.2, 0.6, 1.0], "weights": [0.5, 0.25, 0.25]},
+            output_dir="run_weights",
+            t_final=2.0,
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        traj = Trajectory.load(out_env / "run_weights" / "trajectory")
+        assert traj.weights.tolist() == [0.5, 0.25, 0.25]
+        assert abs(traj.mass()[0] - 0.5) <= 1e-12
+
     def test_mixed_bc_run(self, out_env, tmp_path):
         cfg_path = write_config(
             tmp_path / "c.json",
@@ -406,6 +426,18 @@ class TestOtherCommands:
         assert agg["n_members"] == 2
         assert agg["pass_rate"] == 1.0
 
+    def test_sweep_with_a_failed_member_exits_1(self, out_env, tmp_path):
+        cfg_path = write_config(tmp_path / "c.json", t_final=2.0)
+        grid = json.dumps({"mu": ["x", 0.5]})
+        code = main([
+            "sweep", "--config", str(cfg_path), "--grid", grid,
+            "--workers", "2", "--out", "sw_fail",
+        ])
+        assert code == 1
+        agg = json.loads((out_env / "sw_fail" / "sweep.json").read_text())
+        assert agg["n_members"] == 2 and agg["n_pass"] == 1
+        assert sorted(m["exit_code"] for m in agg["members"]) == [-1, 0]
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
@@ -418,8 +450,12 @@ class TestInputErrors:
         ["mixed", "--p0", "abc"],
         ["mixed", "--p0", "step:1"],
         ["mixed", "--p0", "file:{root}/missing.txt"],
+        ["run", "--set", 'initial.kind="file"', "--set", 'initial.path="{root}/missing.txt"'],
+        ["run", "--set", 'initial.kind="file"', "--set", 'initial.path="{root}/garbled.txt"'],
+        ["run", "--set", 'initial.kind="file"'],  # no path
     ])
     def test_bad_model_or_p0_exits_2(self, out_env, capsys, argv):
+        (out_env / "garbled.txt").write_text("0.5 abc\n")
         argv = [a.format(root=out_env) for a in argv]
         assert main(argv + ["--out", "bad"]) == 2
         assert "config error" in capsys.readouterr().err

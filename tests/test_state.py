@@ -95,6 +95,7 @@ class TestTrajectory:
         with pytest.raises(TypeError):
             traj.save(tmp_path / "traj")
         assert (tmp_path / "traj.json").read_bytes() == before
+        assert not (tmp_path / "traj.json.tmp").exists()
 
     def test_misaligned_diagnostics_rejected(self):
         with pytest.raises(ValueError):
