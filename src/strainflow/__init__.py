@@ -41,9 +41,7 @@ from .state import SimpleState, Trajectory, state_distance
 from .stress_models import (
     BranchSet,
     StressModel,
-    check_hypotheses,
     critical_points,
-    estimate_lambda,
     eval_W,
     find_branches,
     make_model,

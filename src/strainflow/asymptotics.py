@@ -29,10 +29,15 @@ from .stress_models import (
     find_branches,
     near_critical_value,
     roots_at,
+    stress_range,
 )
 
 TRAILING_FRAC = 0.1
 RHS_SETTLED = 1e-8
+EQUILIBRIUM_LEVELS = 201  # stress levels equilibria_enumerate scans
+F_TOL = 1e-10  # quadrature tolerance per kept panel of F_functional
+NC3_GRID = 101  # stress levels of the branch-mean table
+NC3_MARGIN = 1e-4  # share of the bistable band left out at each critical value
 
 
 # -- equilibrium enumeration ---------------------------------------------------
@@ -46,17 +51,14 @@ class EquilibriumDescription:
     mean: float
 
 
-def equilibria_enumerate(model: StressModel, mu: float, n_levels: int = 201):
+def equilibria_enumerate(model: StressModel, mu: float):
     """Decide whether the constant state is the only equilibrium with mean mu.
 
     Scans stress levels over the window's stress range; at every level whose
     root hull straddles mu there is a two-point equilibrium family, and a
     sample member (outermost roots, lever-rule fractions) is returned.
     """
-    grid = model.grid(1001)
-    sig = np.asarray(model.sigma(grid), dtype=float)
-    c_lo, c_hi = float(np.min(sig)), float(np.max(sig))
-    levels = np.linspace(c_lo, c_hi, n_levels)
+    levels = np.linspace(*stress_range(model), EQUILIBRIUM_LEVELS)
     roots = roots_at(model, levels)
     roots[near_critical_value(model, levels)] = np.nan
     first = np.fmin.reduce(roots, axis=1)  # outermost roots; NaN for none
@@ -106,17 +108,16 @@ class FunctionalSeries:
     monotone_ok: bool
 
 
-def F_functional(model: StressModel, traj: Trajectory, F, F_prime=None,
-                 tol: float = 1e-10) -> FunctionalSeries:
+def F_functional(model: StressModel, traj: Trajectory, F, F_prime=None) -> FunctionalSeries:
     """Series t -> sum_i w_i int_1^{p_i(t)} F(sigma(z)) dz and its trailing
     limit. The antiderivative is a cumulative curve from 1 tabulated over
-    [min(p, 1), max(p, 1)], ``tol`` bounding each kept quadrature panel. When
-    F is nondecreasing on the attained stress range the series is checked
-    for monotone decay (within ten times ``tol``)."""
+    [min(p, 1), max(p, 1)], ``F_TOL`` bounding each kept quadrature panel.
+    When F is nondecreasing on the attained stress range the series is
+    checked for monotone decay (within ten times ``F_TOL``)."""
     vals = traj.values
     nodes = np.unique(np.linspace(min(np.min(vals), 1.0), max(np.max(vals), 1.0), 129))
     integrand = lambda z: F(np.asarray(model.sigma(z), dtype=float))
-    phi = CumulativeCurve(integrand, nodes, tol=tol, x0=1.0)
+    phi = CumulativeCurve(integrand, nodes, tol=F_TOL, x0=1.0)
     series = phi.value(vals) @ traj.weights
     limit, spread = trailing_stats(traj.times, series, TRAILING_FRAC)
     monotone_expected = False
@@ -125,7 +126,7 @@ def F_functional(model: StressModel, traj: Trajectory, F, F_prime=None,
         s_lo, s_hi = float(np.min(sig)), float(np.max(sig))
         probe = np.linspace(s_lo, s_hi, 513)
         monotone_expected = bool(np.min(F_prime(probe)) >= -1e-12)
-    monotone_ok = bool(np.all(np.diff(series) <= 10.0 * tol)) if monotone_expected else True
+    monotone_ok = bool(np.all(np.diff(series) <= 10.0 * F_TOL)) if monotone_expected else True
     return FunctionalSeries(
         times=traj.times,
         series=series,
@@ -250,12 +251,11 @@ class FractionsHistory:
     n_slots: int
 
 
-def volume_fractions(model: StressModel, traj: Trajectory,
-                     eps_band: float | None = None) -> FractionsHistory:
+def volume_fractions(model: StressModel, traj: Trajectory) -> FractionsHistory:
     """Mass fractions near each stress branch at the running stress mean.
 
-    The default band is a quarter of the smallest gap between adjacent branch
-    values, so bands never overlap. Records whose stress mean sits within
+    The band is a quarter of the smallest gap between adjacent branch values,
+    so bands never overlap. Records whose stress mean sits within
     tolerance of a critical value get NaN rows (branch identity is ambiguous
     there) and a warning.
     """
@@ -270,12 +270,9 @@ def volume_fractions(model: StressModel, traj: Trajectory,
         )
     roots = roots_at(model, traj.stress_mean)  # column j is branch slot j
     roots[near] = np.nan
-    if eps_band is not None:
-        eps = np.full(traj.n_records, float(eps_band))
-    else:
-        # rows are nondecreasing, so the running max is the previous root
-        gaps = roots[:, 1:] - np.fmax.accumulate(roots, axis=1)[:, :-1]
-        eps = 0.25 * np.fmin.reduce(gaps, axis=1, initial=np.inf)
+    # rows are nondecreasing, so the running max is the previous root
+    gaps = roots[:, 1:] - np.fmax.accumulate(roots, axis=1)[:, :-1]
+    eps = 0.25 * np.fmin.reduce(gaps, axis=1, initial=np.inf)
     fractions = np.empty((traj.n_records, n_slots))
     for j in range(n_slots):
         sel = np.abs(traj.values - roots[:, j, None]) < eps[:, None]
@@ -297,8 +294,7 @@ class BranchMeanReport:
     max_deviation: float
 
 
-def nc3_check(model: StressModel, mu: float, n_grid: int = 101,
-              margin: float = 1e-4) -> BranchMeanReport:
+def nc3_check(model: StressModel, mu: float) -> BranchMeanReport:
     """For a cubic-like stress (exactly two critical points), tabulate the
     mean of the three branches across the bistable band; the flow cannot
     oscillate forever when this mean misses mu somewhere."""
@@ -310,7 +306,7 @@ def nc3_check(model: StressModel, mu: float, n_grid: int = 101,
         )
     c_minus, c_plus = float(crit_vals[1]), float(crit_vals[0])
     span = c_plus - c_minus
-    grid = np.linspace(c_minus + margin * span, c_plus - margin * span, n_grid)
+    grid = np.linspace(c_minus + NC3_MARGIN * span, c_plus - NC3_MARGIN * span, NC3_GRID)
     roots = roots_at(model, grid)
     counts = np.count_nonzero(~np.isnan(roots), axis=1)
     if np.any(counts != 3):
@@ -423,8 +419,7 @@ def asymptotics_report(model: StressModel, traj: Trajectory) -> AsymptoticsRepor
         band, n_grid = (crit_vals[1] + 0.25 * span, crit_vals[0] - 0.25 * span), 17
     elif len(zs) == 0:
         # monotone stress: one branch over any level interval inside the range
-        sig = np.asarray(model.sigma(model.grid(257)), dtype=float)
-        lo, hi = float(np.min(sig)), float(np.max(sig))
+        lo, hi = stress_range(model)
         band, n_grid = (lo + 0.4 * (hi - lo), lo + 0.6 * (hi - lo)), 9
     if band is not None:
         try:

@@ -62,7 +62,7 @@ def time_from_zero_curve(model: StressModel) -> tuple[CumulativeCurve, float]:
     Returns the curve and the smallest root. Also used by the traction-free
     solver to start trajectories from exactly zero strain. Built once per
     model and kept on the instance, as ``cached_property`` keeps
-    ``critical_data``.
+    ``roots_of_sigma``.
     """
     if "time_from_zero" in model.__dict__:
         return model.__dict__["time_from_zero"]

@@ -25,10 +25,6 @@ class CertificationError(StrainflowError):
     """A constant that a bound construction must certify could not be found."""
 
 
-class EstimationError(StrainflowError):
-    """A numerically estimated model constant did not saturate under refinement."""
-
-
 class BracketError(StrainflowError):
     """A root bracket could not be established inside the admissible window."""
 

@@ -1,9 +1,11 @@
-"""Stress laws, stored energies, hypothesis checks and inverse branches.
+"""Stress laws, stored energies, exact structure and inverse branches.
 
 A :class:`StressModel` bundles a scalar stress law ``sigma`` (vectorized over
 numpy arrays) with its derivative, its stored energy, the domain it lives on,
-and the handful of constants the bound constructions need. Models are
-immutable; every operation here is a pure function of the model.
+and its structure on the evaluation window: the convexity defect lambda and
+the critical points. ``make_model`` computes that structure once, exactly,
+from the law's coefficients. Models are immutable; every operation here is a
+pure function of the model.
 """
 
 from __future__ import annotations
@@ -14,49 +16,43 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EstimationError,
-    IntegrabilityError,
-    InvalidIntervalError,
-    ModelInconsistencyError,
-)
-from .numerics import bisect_root, quad_adaptive, quad_to_infinity
+from .errors import DomainError, InvalidIntervalError, ModelInconsistencyError
+from .numerics import bisect_root, quad_adaptive
 
 POSITIVE = "positive"
 FULL_LINE = "full-line"
 
 LAMBDA_SAFETY = 1.05  # the contraction tests need a valid constant, not a tight one
-FD_STEP = 1e-6  # relative central-difference step for the derivative fallback
 MAX_BRANCHES = 99
 CRITICAL_RTOL = 1e-9  # relative distance at which a stress level counts as critical
-LAMBDA_GRID = 1025  # points of the coarsest grid estimate_lambda samples sigma' on
-LAMBDA_REFINEMENTS = 3  # nested grid doublings after the coarsest
-CRITICAL_GRID = 8193  # window points scanned for sign changes of sigma'
+W_TOL = 1e-10  # quadrature tolerance per kept panel of eval_W
+REAL_ROOT_RTOL = 1e-6  # |imag| up to which a companion-matrix root counts as real
+NEWTON_POLISH = 3  # Newton steps that polish each critical point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the fields hold callables and arrays
 class StressModel:
     name: str
     sigma: Callable[[np.ndarray], np.ndarray]
-    sigma_prime: Callable[[np.ndarray], np.ndarray] | None = None
+    sigma_prime: Callable[[np.ndarray], np.ndarray]
+    lambda_: float
+    # the critical points (ascending sign changes of sigma' inside the
+    # window) and the critical values sigma takes there
+    critical_data: tuple[np.ndarray, np.ndarray]
     domain: str = POSITIVE
     theta: float | None = None
-    lambda_: float | None = None
     eval_window: tuple[float, float] = (1e-8, 10.0)
     closed_form_energy: Callable[[np.ndarray], np.ndarray] | None = None
-    analytic: bool = True
     spec: dict = field(default_factory=dict)  # registry name + params, round-trips configs
 
     def __post_init__(self):
         if self.domain not in (POSITIVE, FULL_LINE):
             raise ValueError(f"unknown domain kind {self.domain!r}")
-        if self.domain == POSITIVE and self.eval_window[0] <= 0.0:
+        lo, hi = self.eval_window
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"window {self.eval_window} needs finite ends with lo < hi")
+        if self.domain == POSITIVE and lo <= 0.0:
             raise ValueError("positive-only models need a positive window start")
-        if self.sigma_prime is None:
-            object.__setattr__(self, "sigma_prime", _fd_derivative(self.sigma))
-        if self.lambda_ is None:
-            object.__setattr__(self, "lambda_", estimate_lambda(self))
         if self.lambda_ < 0:
             raise ValueError("lambda must be nonnegative")
 
@@ -77,14 +73,10 @@ class StressModel:
     # -- cached structure --------------------------------------------------
 
     @cached_property
-    def critical_data(self) -> tuple[np.ndarray, np.ndarray]:
-        return _critical_points_impl(self)
-
-    @cached_property
     def roots_of_sigma(self) -> np.ndarray:
         return roots_at(self, 0.0)
 
-    def grid(self, n: int = 2049) -> np.ndarray:
+    def grid(self, n: int) -> np.ndarray:
         """Sample grid over the evaluation window (log-spaced near 0 when
         the domain is positive-only, so singular behaviour is visible)."""
         lo, hi = self.eval_window
@@ -94,23 +86,14 @@ class StressModel:
         return np.linspace(lo, hi, n)
 
 
-def _fd_derivative(sigma):
-    def prime(p):
-        p = np.asarray(p, dtype=float)
-        h = FD_STEP * np.maximum(1.0, np.abs(p))
-        return (sigma(p + h) - sigma(p - h)) / (2.0 * h)
-
-    return prime
-
-
 # -- stored energy ----------------------------------------------------------
 
 
-def eval_W(model: StressModel, p, force_quadrature: bool = False, tol: float = 1e-10):
+def eval_W(model: StressModel, p, force_quadrature: bool = False):
     """Stored energy W(p), the antiderivative of sigma vanishing at p = 1.
 
     Uses the registered closed form when available, otherwise one adaptive
-    quadrature from 1 to every p at once, ``tol`` bounding each kept panel.
+    quadrature from 1 to every p at once, ``W_TOL`` bounding each kept panel.
     """
     model.require_in_domain(p)
     scalar = np.isscalar(p) or np.ndim(p) == 0
@@ -118,79 +101,30 @@ def eval_W(model: StressModel, p, force_quadrature: bool = False, tol: float = 1
     if model.closed_form_energy is not None and not force_quadrature:
         out = np.asarray(model.closed_form_energy(p_arr), dtype=float)
     else:
-        out = quad_adaptive(model.sigma, 1.0, p_arr, tol)
+        out = quad_adaptive(model.sigma, 1.0, p_arr, W_TOL)
     return float(out[0]) if scalar else out
-
-
-# -- lambda-convexity constant ----------------------------------------------
-
-
-def estimate_lambda(model: StressModel) -> float:
-    """Convexity defect lambda = max(0, -inf sigma') over the window.
-
-    The infimum is taken on nested sample grids; if refining the grid keeps
-    driving the minimum down by non-shrinking amounts the derivative is
-    treated as unbounded below and estimation fails. The result carries a 5%
-    safety inflation.
-    """
-    mins = []
-    n = LAMBDA_GRID
-    lo, hi = model.eval_window
-    for k in range(LAMBDA_REFINEMENTS + 1):
-        if model.domain == POSITIVE:
-            # successive grids also reach closer to the singular end
-            reach = max(lo, abs(hi) * 10.0 ** (-3.0 * (k + 1)))
-            grid = np.geomspace(reach, hi, n)
-        else:
-            grid = np.linspace(lo, hi, n)
-        vals = np.asarray(model.sigma_prime(grid), dtype=float)
-        vals = vals[np.isfinite(vals)]
-        if len(vals) == 0:
-            raise EstimationError("sigma' not evaluable on the window")
-        mins.append(float(np.min(vals)))
-        n = 2 * n - 1  # nested refinement
-    drops = [mins[i] - mins[i + 1] for i in range(len(mins) - 1)]
-    scale = max(1.0, abs(mins[-1]))
-    if (
-        drops[-1] > 1e-6 * scale
-        and all(d > 0 for d in drops)
-        and drops[-1] >= 0.9 * drops[-2]
-    ):
-        raise EstimationError(
-            "sigma' keeps decreasing under grid refinement; "
-            "unbounded below on the window"
-        )
-    return max(0.0, -mins[-1]) * LAMBDA_SAFETY if mins[-1] < 0 else 0.0
 
 
 # -- critical points and branches --------------------------------------------
 
 
-def _critical_points_impl(model: StressModel) -> tuple[np.ndarray, np.ndarray]:
-    grid = model.grid(CRITICAL_GRID)
-    dvals = np.asarray(model.sigma_prime(grid), dtype=float)
-    a, b = dvals[:-1], dvals[1:]
-    finite = np.isfinite(a) & np.isfinite(b)
-    # a run of exact zeros of sigma' counts once, at its first sample
-    touch = finite & (a == 0.0) & np.concatenate([[True], dvals[:-2] != 0.0])
-    cross = finite & (a != 0.0) & (b != 0.0) & ((a > 0.0) != (b > 0.0))
-    crossings = bisect_root(model.sigma_prime, grid[:-1][cross], grid[1:][cross], xtol=1e-12)
-    zs = np.sort(np.concatenate([grid[:-1][touch], crossings]))
-    if len(zs) > MAX_BRANCHES:
-        raise ModelInconsistencyError("too many critical points to tabulate")
-    cs = model.sigma(zs) if len(zs) else np.array([])
-    return zs, np.asarray(cs, dtype=float)
-
-
 def critical_points(model: StressModel) -> tuple[np.ndarray, np.ndarray]:
-    """Sign changes of sigma' on the window and the critical values there.
+    """Sign changes of sigma' inside the window and the critical values there.
 
-    Sign changes are located on an 8193-point grid and refined together in
-    one batched bisection of sigma'. An empty result means sigma is monotone
-    on the window. The k critical points split the window into the k + 1
-    monotone pieces that index the columns of a :func:`roots_at` table.
+    An empty result means sigma is monotone on the window. The k critical
+    points split the window into the k + 1 monotone pieces that index the
+    columns of a :func:`roots_at` table.
     """
     return model.critical_data
+
+
+def stress_range(model: StressModel) -> tuple[float, float]:
+    """Least and greatest value of sigma on the window: sigma is monotone
+    between critical points, so both are taken at a window end or at a
+    critical point."""
+    ends = np.asarray(model.sigma(model.grid(2)), dtype=float)
+    vals = np.concatenate([ends, model.critical_data[1]])
+    return float(np.min(vals)), float(np.max(vals))
 
 
 def near_critical_value(model: StressModel, c) -> np.ndarray:
@@ -312,137 +246,6 @@ def find_branches(model: StressModel, c_interval: tuple[float, float], nc: int =
     )
 
 
-# -- hypothesis report -------------------------------------------------------
-
-PASS, FAIL, INDETERMINATE = "PASS", "FAIL", "INDETERMINATE"
-
-
-@dataclass(frozen=True)
-class HypothesisResult:
-    status: str
-    witness: float | str | None = None
-
-    def __bool__(self) -> bool:
-        return self.status == PASS
-
-
-def check_hypotheses(model: StressModel) -> dict[str, HypothesisResult]:
-    """Numerical evidence for the structural hypotheses the theory uses.
-
-    Limit-type statements are probed on the finite window with Cauchy or
-    saturation tests and can come back INDETERMINATE when the window is too
-    small to decide. Keys:
-
-    - ``lipschitz``            locally Lipschitz stress
-    - ``blowup_at_zero``       sigma -> -inf as p -> 0+
-    - ``convex_near_zero``     energy convex on (0, theta)
-    - ``slope_floor_near_zero``sigma' >= alpha > 0 on (0, theta)
-    - ``linear_growth_floor``  sigma(p)/p >= c > 0 for p > 1/theta
-    - ``convex_at_infinity``   sigma strictly increasing for large p
-    - ``positive_at_infinity`` sigma > 0 for large p
-    - ``integrable_tail``      finite improper integral of 1/sigma beyond the
-                               largest root
-    - ``analytic``             declared real-analytic
-    - ``two_critical_points``  cubic-like shape with nondegenerate extrema
-    """
-    report: dict[str, HypothesisResult] = {}
-    lo, hi = model.eval_window
-
-    # lipschitz: finite derivative on compact cores of the domain
-    core_lo = max(lo, 1e-6) if model.domain == POSITIVE else lo
-    core = (
-        np.geomspace(core_lo, hi, 1001)
-        if model.domain == POSITIVE
-        else np.linspace(lo, hi, 1001)
-    )
-    dvals = np.asarray(model.sigma_prime(core), dtype=float)
-    report["lipschitz"] = (
-        HypothesisResult(PASS, float(np.max(np.abs(dvals))))
-        if np.all(np.isfinite(dvals))
-        else HypothesisResult(FAIL, "nonfinite derivative inside the domain")
-    )
-
-    # blowup_at_zero
-    if model.domain == FULL_LINE:
-        report["blowup_at_zero"] = HypothesisResult(
-            FAIL, float(model.sigma(np.array([0.0]))[0])
-        )
-    else:
-        ps = 10.0 ** -np.arange(1, 13, dtype=float)
-        vals = np.asarray(model.sigma(ps), dtype=float)
-        drops = -np.diff(vals)  # positive when sigma decreases toward 0
-        scale = max(1.0, abs(vals[0]))
-        if np.all(drops > 0) and drops[-1] > 0.3 * max(np.max(drops[:3]), 1e-12):
-            report["blowup_at_zero"] = HypothesisResult(PASS, float(vals[-1]))
-        elif abs(drops[-1]) < 1e-6 * scale:
-            report["blowup_at_zero"] = HypothesisResult(FAIL, float(vals[-1]))
-        else:
-            report["blowup_at_zero"] = HypothesisResult(INDETERMINATE, float(vals[-1]))
-
-    # theta-anchored checks
-    theta = model.theta
-    if theta is None:
-        report["convex_near_zero"] = HypothesisResult(INDETERMINATE, "theta not set")
-        report["slope_floor_near_zero"] = HypothesisResult(INDETERMINATE, "theta not set")
-        report["linear_growth_floor"] = HypothesisResult(INDETERMINATE, "theta not set")
-    else:
-        near = (
-            np.geomspace(max(lo, 1e-12), theta, 801)
-            if model.domain == POSITIVE
-            else np.linspace(1e-12, theta, 801)
-        )
-        dnear = np.asarray(model.sigma_prime(near), dtype=float)
-        dmin = float(np.min(dnear))
-        report["convex_near_zero"] = HypothesisResult(PASS if dmin >= -1e-12 else FAIL, dmin)
-        report["slope_floor_near_zero"] = HypothesisResult(PASS if dmin > 0 else FAIL, dmin)
-        far = np.geomspace(1.0 / theta, hi, 801)
-        ratio = np.asarray(model.sigma(far), dtype=float) / far
-        rmin = float(np.min(ratio))
-        report["linear_growth_floor"] = HypothesisResult(PASS if rmin > 0 else FAIL, rmin)
-
-    # behaviour at the far end of the window
-    tail = np.geomspace(max(0.8 * hi, 1e-6), hi, 201) if hi > 0 else np.array([hi])
-    dtail = np.asarray(model.sigma_prime(tail), dtype=float)
-    report["convex_at_infinity"] = HypothesisResult(
-        PASS if np.min(dtail) > 0 else FAIL, float(np.min(dtail))
-    )
-    stail = np.asarray(model.sigma(tail), dtype=float)
-    report["positive_at_infinity"] = HypothesisResult(
-        PASS if np.min(stail) > 0 else FAIL, float(np.min(stail))
-    )
-
-    # integrable stress tail beyond the largest root
-    try:
-        roots = model.roots_of_sigma
-        if len(roots) == 0 or not report["positive_at_infinity"]:
-            report["integrable_tail"] = HypothesisResult(
-                INDETERMINATE, "no root / no positive tail inside the window"
-            )
-        else:
-            p_plus = float(roots[-1])
-            value = quad_to_infinity(lambda z: 1.0 / model.sigma(z), p_plus + 1.0, tol=1e-9)
-            report["integrable_tail"] = HypothesisResult(PASS, value)
-    except IntegrabilityError as exc:
-        report["integrable_tail"] = HypothesisResult(FAIL, str(exc))
-
-    report["analytic"] = HypothesisResult(PASS if model.analytic else INDETERMINATE)
-
-    zs, cs = model.critical_data
-    if len(zs) == 2 and cs[1] < cs[0]:
-        h = 1e-5 * np.maximum(1.0, np.abs(zs))
-        second = (
-            np.asarray(model.sigma_prime(zs + h), dtype=float)
-            - np.asarray(model.sigma_prime(zs - h), dtype=float)
-        ) / (2 * h)
-        ok = np.all(np.abs(second) > 1e-6)
-        report["two_critical_points"] = HypothesisResult(
-            PASS if ok else FAIL, float(np.min(np.abs(second)))
-        )
-    else:
-        report["two_critical_points"] = HypothesisResult(FAIL, len(zs))
-    return report
-
-
 # -- registry ----------------------------------------------------------------
 
 
@@ -487,6 +290,50 @@ def _poly_sigma(coeffs: np.ndarray, kappa: float):
     return sigma, sigma_prime, energy
 
 
+def _real_roots(q: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Real roots inside (lo, hi) of the polynomial q, ascending, from the
+    eigenvalues of its companion matrix. Roots with equal real parts (a
+    repeated root, a conjugate pair within REAL_ROOT_RTOL) come back once."""
+    r = np.roots(q)
+    r = r.real[np.abs(r.imag) <= REAL_ROOT_RTOL * np.maximum(1.0, np.abs(r))]
+    r = np.sort(r[(lo < r) & (r < hi)])
+    return r[np.diff(r, prepend=-np.inf) > 0.0]  # not np.unique, which imports numpy.ma
+
+
+def _poly_structure(coeffs: np.ndarray, kappa: float, window, sigma, sigma_prime):
+    """lambda and the critical data of sigma = P - kappa/p on the window.
+
+    With the 1/p terms cleared, sigma' = 0 is p^2 P'(p) + kappa = 0 and
+    sigma'' = 0 is p^3 P''(p) - 2 kappa = 0 (P' and P'' when kappa = 0).
+    A real root of the first is a critical point when sigma' takes opposite
+    nonzero signs at the midpoints to its neighbouring candidates, so a root
+    of even multiplicity is dropped. Each is then Newton-polished, a step
+    kept only when it stays inside that midpoint bracket and lowers the
+    residual. sigma' is least at a window end or at a real root of the
+    second.
+    """
+    lo, hi = window
+    d1, d2 = np.polyder(coeffs), np.polyder(coeffs, 2)
+    q1 = np.polyadd(np.polymul(d1, [1.0, 0.0, 0.0]), [kappa]) if kappa else d1
+    q2 = np.polyadd(np.polymul(d2, [1.0, 0.0, 0.0, 0.0]), [-2.0 * kappa]) if kappa else d2
+    cand = _real_roots(q1, lo, hi)
+    mids = 0.5 * (np.concatenate([[lo], cand]) + np.concatenate([cand, [hi]]))
+    sign = np.sign(np.asarray(sigma_prime(mids), dtype=float))
+    turn = sign[:-1] * sign[1:] < 0.0
+    zs, a, b = cand[turn], mids[:-1][turn], mids[1:][turn]
+    dq1 = np.polyder(q1)
+    for _ in range(NEWTON_POLISH):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = zs - np.polyval(q1, zs) / np.polyval(dq1, zs)
+            better = np.abs(np.polyval(q1, step)) < np.abs(np.polyval(q1, zs))
+        zs = np.where(better & (a < step) & (step < b), step, zs)
+    if len(zs) > MAX_BRANCHES:
+        raise ModelInconsistencyError("too many critical points to tabulate")
+    ends_and_flats = np.concatenate([[lo, hi], _real_roots(q2, lo, hi)])
+    lam = LAMBDA_SAFETY * max(0.0, -float(np.min(sigma_prime(ends_and_flats))))
+    return lam, (zs, np.asarray(sigma(zs), dtype=float))
+
+
 _CUBIC = {"a": 1.0, "b": 0.0, "c": -1.0, "d": 0.0}
 
 # The polynomial families are presets of ``poly``: their defaults for its
@@ -525,6 +372,8 @@ def make_model(name: str, **params) -> StressModel:
             name="log",
             sigma=lambda p: np.log(np.asarray(p, dtype=float)),
             sigma_prime=lambda p: 1.0 / np.asarray(p, dtype=float),
+            lambda_=0.0,
+            critical_data=(np.empty(0), np.empty(0)),
             domain=POSITIVE,
             theta=0.5,
             eval_window=(1e-9, 10.0),
@@ -538,15 +387,17 @@ def make_model(name: str, **params) -> StressModel:
     elif name != "poly":
         raise ValueError(f"unknown model name {name!r}")
     coeffs = np.asarray(params["coeffs"], dtype=float)
-    kappa = params.get("kappa", 0.0)
+    kappa, theta = params.get("kappa", 0.0), params.get("theta")
+    if not np.all(np.isfinite([*coeffs, kappa, 0.0 if theta is None else theta])):
+        raise ValueError("coeffs, kappa and theta must be finite")
     if name == "singular-cubic" and kappa <= 0:
         raise ValueError("singular-cubic needs kappa > 0")
     domain = POSITIVE if kappa != 0.0 else params.get("domain", FULL_LINE)
     default_window = (1e-8, 10.0) if domain == POSITIVE else (-3.0, 3.0)
     window = tuple(params.get("window", default_window))
     sig, sigp, en = _poly_sigma(coeffs, kappa)
+    lam, critical = _poly_structure(coeffs, kappa, window, sig, sigp)
     return StressModel(
-        name=name, sigma=sig, sigma_prime=sigp, domain=domain,
-        theta=params.get("theta"), eval_window=window,
-        closed_form_energy=en, spec=spec,
+        name=name, sigma=sig, sigma_prime=sigp, lambda_=lam, critical_data=critical,
+        domain=domain, theta=theta, eval_window=window, closed_form_energy=en, spec=spec,
     )

@@ -447,6 +447,9 @@ class TestInputErrors:
         ["bounds", "--model", "singular-cubic", "--param", "kappa=x"],
         ["equilibria", "--model", "nope", "--mu", "0.5"],
         ["equilibria", "--model", "poly", "--mu", "0.5"],  # no coeffs
+        ["equilibria", "--model", "poly", "--param", "coeffs=[1,0,-1,0]", "--param", "window=[3,-3]",
+         "--mu", "0.3"],
+        ["equilibria", "--model", "poly", "--param", "coeffs=[1,NaN,-1,0]", "--mu", "0.3"],
         ["mixed", "--p0", "abc"],
         ["mixed", "--p0", "step:1"],
         ["mixed", "--p0", "file:{root}/missing.txt"],

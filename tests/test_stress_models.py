@@ -1,22 +1,17 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainflow.errors import (
-    DomainError,
-    EstimationError,
-    InvalidIntervalError,
-)
+import reference_stress
+from strainflow.errors import DomainError, InvalidIntervalError
 from strainflow.stress_models import (
-    FULL_LINE,
     POSITIVE,
     StressModel,
-    check_hypotheses,
     critical_points,
-    estimate_lambda,
     eval_W,
     find_branches,
     make_model,
@@ -110,6 +105,21 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_model("singular-cubic", kappa=0.0)
 
+    @pytest.mark.parametrize("params", [
+        dict(window=(3.0, -3.0)), dict(window=(-3.0, np.inf)), dict(window=(np.nan, 3.0)),
+        dict(coeffs=[1.0, np.nan, -1.0, 0.0]), dict(kappa=np.inf), dict(theta=np.nan),
+    ])
+    def test_malformed_law_rejected(self, params):
+        with pytest.raises(ValueError):
+            make_model("poly", **{"coeffs": [1.0, 0.0, -1.0, 0.0], **params})
+
+    def test_positive_domain_sanity(self, singular):
+        # stress near the window start sits below the stress above theta
+        lo, hi = singular.eval_window
+        low_val = float(singular.sigma(np.array([lo]))[0])
+        above = np.linspace(singular.theta, hi, 101)
+        assert low_val < np.min(singular.sigma(above))
+
 
 class TestLambda:
     def test_cubic_lambda_inflated_unit(self, cubic):
@@ -120,15 +130,18 @@ class TestLambda:
         assert make_model("linear").lambda_ == 0.0
         assert make_model("hyperbolic").lambda_ == 0.0
 
-    def test_unbounded_derivative_fails_estimation(self):
-        with pytest.raises(EstimationError):
-            StressModel(
-                name="neg-sqrt",
-                sigma=lambda p: -2.0 * np.sqrt(p),
-                sigma_prime=lambda p: -1.0 / np.sqrt(p),
-                domain=POSITIVE,
-                eval_window=(1e-300, 10.0),
-            )
+    def test_sampled_reference_detects_unbounded_derivative(self):
+        model = StressModel(
+            name="neg-sqrt",
+            sigma=lambda p: -2.0 * np.sqrt(p),
+            sigma_prime=lambda p: -1.0 / np.sqrt(p),
+            lambda_=0.0,
+            critical_data=(np.empty(0), np.empty(0)),
+            domain=POSITIVE,
+            eval_window=(1e-300, 10.0),
+        )
+        with pytest.raises(reference_stress.EstimationError):
+            reference_stress.estimate_lambda(model)
 
     def test_lambda_monotonicity_of_shifted_law(self, cubic):
         # sigma + lambda * id must be nondecreasing on the window
@@ -144,9 +157,13 @@ class TestCriticalPointsAndBranches:
         assert np.allclose(zs, [-root3, root3], atol=1e-9)
         assert np.allclose(cs, [2.0 / (3.0 * np.sqrt(3.0)), -2.0 / (3.0 * np.sqrt(3.0))], atol=1e-9)
 
-    def test_monotone_model_has_no_critical_points(self):
-        zs, cs = critical_points(make_model("linear"))
-        assert len(zs) == 0
+    @pytest.mark.parametrize("params", [dict(name="linear"), dict(name="poly", coeffs=[1.0])],
+                             ids=["linear", "constant"])
+    def test_monotone_model_has_no_critical_points(self, params):
+        model = make_model(**params)
+        zs, cs = critical_points(model)
+        assert len(zs) == len(cs) == 0
+        assert model.lambda_ == 0.0
 
     def test_constant_shift_preserves_critical_points(self):
         shifted = make_model("shifted-cubic", a=1.0, b=0.0, c=-1.0, d=1e-3)
@@ -192,64 +209,6 @@ class TestCriticalPointsAndBranches:
         outside = [len(roots_at(cubic, c)) for c in (lo - 0.2, hi + 0.2)]
         assert set(inside) == {3}
         assert set(outside) == {1}
-
-
-class TestHypothesisReport:
-    def test_cubic_report(self, cubic):
-        rep = check_hypotheses(cubic)
-        assert rep["blowup_at_zero"].status == "FAIL"  # sigma(0) = 0 is finite
-        assert rep["convex_at_infinity"].status == "PASS"
-        assert rep["positive_at_infinity"].status == "PASS"
-        assert rep["integrable_tail"].status == "PASS"
-        assert rep["two_critical_points"].status == "PASS"
-
-    def test_log_report(self):
-        rep = check_hypotheses(make_model("log"))
-        assert rep["blowup_at_zero"].status == "PASS"
-        assert rep["integrable_tail"].status == "FAIL"
-
-    def test_quadratic_singular_report(self):
-        model = make_model("poly", coeffs=[1.0, 0.0, 0.0], kappa=1.0)  # p^2 - 1/p
-        rep = check_hypotheses(model)
-        assert rep["blowup_at_zero"].status == "PASS"
-        assert rep["integrable_tail"].status == "PASS"
-
-    def test_singular_cubic_satisfies_bound_hypotheses(self, singular):
-        rep = check_hypotheses(singular)
-        for key in (
-            "lipschitz",
-            "blowup_at_zero",
-            "convex_near_zero",
-            "slope_floor_near_zero",
-            "linear_growth_floor",
-            "convex_at_infinity",
-            "positive_at_infinity",
-            "integrable_tail",
-        ):
-            assert rep[key].status == "PASS", key
-
-    def test_positive_domain_sanity(self, singular):
-        # stress near the window start sits below the stress above theta
-        lo, hi = singular.eval_window
-        low_val = float(singular.sigma(np.array([lo]))[0])
-        above = np.linspace(singular.theta, hi, 101)
-        assert low_val < np.min(singular.sigma(above))
-
-
-class TestDerivativeFallback:
-    def test_fd_derivative_close_to_analytic(self):
-        model = StressModel(
-            name="fd-cubic",
-            sigma=lambda p: p ** 3 - p,
-            domain=FULL_LINE,
-            eval_window=(-3.0, 3.0),
-            analytic=False,
-        )
-        grid = np.linspace(-3.0, 3.0, 101)
-        exact = 3.0 * grid ** 2 - 1.0
-        # second derivative scale is |6 p| <= 18 on the window
-        tol = 10.0 * 1e-6 * np.maximum(1.0, np.abs(grid)) * (np.abs(6.0 * grid) + 1.0)
-        assert np.all(np.abs(model.sigma_prime(grid) - exact) <= tol)
 
 
 @settings(max_examples=30, deadline=None)
@@ -301,22 +260,6 @@ def _scalar_bisect(f, lo, hi, xtol=1e-12, max_iter=200):
         if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
-
-
-def _reference_critical_points(model, n=8193):
-    grid = model.grid(n)
-    dvals = np.asarray(model.sigma_prime(grid), dtype=float)
-    zs = []
-    for i in range(len(grid) - 1):
-        a, b = dvals[i], dvals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0 and (i == 0 or dvals[i - 1] != 0.0):
-            zs.append(grid[i])
-        elif a != 0.0 and b != 0.0 and (a > 0.0) != (b > 0.0):
-            zs.append(_scalar_bisect(lambda x: float(model.sigma_prime(np.array([x]))[0]),
-                                     grid[i], grid[i + 1]))
-    return np.array(sorted(zs))
 
 
 def _reference_roots_at(model, c):
@@ -383,12 +326,9 @@ class TestBatchedLevelSetsMatchScalarReference:
         zs, _ = critical_points(make_model(**EQUIVALENCE_MODELS["quintic"]))
         assert len(zs) == 4
 
-    def test_critical_points_bit_identical(self, equivalence_model):
-        zs, cs = critical_points(equivalence_model)
-        ref = _reference_critical_points(equivalence_model)
-        assert len(ref) >= 2
-        assert zs.tobytes() == ref.tobytes()
-        assert cs.tobytes() == np.asarray(equivalence_model.sigma(ref), dtype=float).tobytes()
+    def test_critical_points_match_sampled_reference(self, equivalence_model):
+        assert len(reference_stress._critical_points_impl(equivalence_model)[0]) >= 2
+        _assert_structure_matches_sampled_reference(equivalence_model)
 
     def test_special_levels_bit_identical(self, equivalence_model):
         _assert_table_matches_reference(equivalence_model, _special_levels(equivalence_model))
@@ -455,3 +395,99 @@ def test_horner_matches_polyval_bit_for_bit(name, coeffs, kappa):
     assert np.array_equal(got.view(np.int64), np.asarray(sig).view(np.int64))
     assert np.array_equal(got_p.view(np.int64), np.asarray(sig_p).view(np.int64))
     assert scalar == sig[7]
+
+
+# -- exact structure against the sampled reference ----------------------------
+
+
+def _changes_sign_at(model, z, others):
+    """sigma' has opposite nonzero signs a thousandth of the distance to the
+    nearest other point (critical point or window end) left and right of z."""
+    h = 1e-3 * np.min(np.abs(np.asarray(others) - z))
+    left, right = np.asarray(model.sigma_prime(np.array([z - h, z + h])), dtype=float)
+    return left * right < 0.0
+
+
+def _assert_structure_matches_sampled_reference(model):
+    zs, cs = critical_points(model)
+    lo, hi = model.eval_window
+    assert np.all(np.diff(zs) > 0.0) and np.all((lo < zs) & (zs < hi))
+    assert cs.tobytes() == np.asarray(model.sigma(zs), dtype=float).tobytes()
+    seen = np.zeros(len(zs), dtype=bool)
+    for r in reference_stress._critical_points_impl(model)[0]:
+        near = np.abs(zs - r) <= 1e-12 * max(1.0, abs(r))
+        # the reference also reports a sample where sigma' is exactly 0
+        # without changing sign (every constant law, at the window start)
+        assert near.any() or model.sigma_prime(np.array([r]))[0] == 0.0, r
+        seen |= near
+    for z in zs[~seen]:  # found only by the exact structure
+        assert _changes_sign_at(model, z, np.concatenate([[lo, hi], zs[zs != z]])), z
+    sampled = reference_stress.estimate_lambda(model)
+    assert sampled <= model.lambda_ <= sampled * (1.0 + 1e-5)
+
+
+@pytest.mark.parametrize("name, coeffs, kappa", [*_poly_laws(), ("log", None, None)])
+def test_exact_structure_matches_sampled_reference(name, coeffs, kappa):
+    # every registered law; the equivalence models are checked above
+    model = make_model(name, **({} if name != "poly" else {"coeffs": coeffs, "kappa": kappa}))
+    _assert_structure_matches_sampled_reference(model)
+
+
+@pytest.mark.parametrize("name, coeffs, kappa", [*_poly_laws(), ("poly", EQUIVALENCE_MODELS["quintic"]["coeffs"], 0.0)])
+def test_critical_points_polished_to_roundoff(name, coeffs, kappa):
+    # within 2 ulp of the 40-digit zero of the same sigma' (the unpolished
+    # companion-matrix roots are up to 1.6e-15 off)
+    model = make_model(name, **({} if name != "poly" else {"coeffs": coeffs, "kappa": kappa}))
+    zs, _ = critical_points(model)
+    with mpmath.workdps(40):
+        d1 = [mpmath.mpf(c) for c in np.polyder(np.asarray(coeffs, dtype=float))]
+        exact = [float(mpmath.findroot(lambda x: mpmath.polyval(d1, x) + kappa / x ** 2, mpmath.mpf(z)))
+                 for z in zs]
+    assert np.all(np.abs(zs - exact) <= 4e-16 * np.maximum(1.0, np.abs(zs)))
+
+
+def test_grid_blind_cubic_has_both_critical_points():
+    # sigma' = 3 (p - 0.12345)(p - 0.12355) is negative only between two
+    # neighbouring samples of the reference's 8193-point window grid
+    model = make_model("shifted-cubic", a=1.0, b=-0.3705, c=3 * 0.12345 * 0.12355, d=0.0)
+    assert len(reference_stress._critical_points_impl(model)[0]) == 0
+    assert reference_stress.estimate_lambda(model) == 0.0
+    zs, _ = critical_points(model)
+    assert np.allclose(zs, [0.12345, 0.12355], rtol=0.0, atol=1e-12)
+    assert model.lambda_ == pytest.approx(1.05 * 7.5e-9, rel=1e-6)
+
+
+# Coefficients are 0 or at least 1e-3 in size: companion-matrix roots are
+# accurate to about 1e-16 of the largest root, so a law such as
+# p^5 + p^3 + 4e-81 (p^2 - p), whose critical points are 2e-40 apart, has them
+# merged into one double root and dropped.
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.sampled_from([1, 3, 5, 7]),
+    lead=st.floats(0.1, 3.0),
+    rest=st.lists(_COEFFICIENT, min_size=7, max_size=7),
+    kappa=st.sampled_from([0.0, 0.7]),
+)
+def test_exact_structure_property(degree, lead, rest, kappa):
+    """For random odd-degree laws, sigma' changes sign across each critical
+    point and nowhere else on a dense grid, and sigma + lambda * id is
+    nondecreasing there."""
+    coeffs = [lead, *rest[:degree]]
+    model = make_model("poly", coeffs=coeffs, kappa=kappa)
+    zs, _ = critical_points(model)
+    grid = model.grid(4001)
+    d = np.asarray(model.sigma_prime(grid), dtype=float)
+    # a sign is decided where sigma' exceeds its evaluation roundoff, away
+    # from the critical points
+    terms = np.polyval(np.abs(np.polyder(coeffs)), np.abs(grid)) + (kappa / grid ** 2 if kappa else 0.0)
+    off = np.all(np.abs(grid[:, None] - zs) > 1e-9 * np.maximum(1.0, np.abs(zs)), axis=1)
+    clear = (np.abs(d) > 1e-12 * terms) & off
+    g, up = grid[clear], d[clear] > 0.0
+    between = np.searchsorted(zs, g[1:]) - np.searchsorted(zs, g[:-1])
+    assert np.array_equal(up[1:] != up[:-1], between % 2 == 1)
+    shifted = np.asarray(model.sigma(grid), dtype=float) + model.lambda_ * grid
+    scale = np.maximum(1.0, np.abs(shifted))
+    assert np.all(np.diff(shifted) >= -1e-12 * np.maximum(scale[1:], scale[:-1]))
