@@ -56,13 +56,19 @@ def equilibria_enumerate(model: StressModel, mu: float):
 
     Scans stress levels over the window's stress range; at every level whose
     root hull straddles mu there is a two-point equilibrium family, and a
-    sample member (outermost roots, lever-rule fractions) is returned.
+    sample member (outermost roots, lever-rule fractions) is returned. A
+    constant sigma has one level, whose root set is the whole window.
     """
-    levels = np.linspace(*stress_range(model), EQUILIBRIUM_LEVELS)
-    roots = roots_at(model, levels)
-    roots[near_critical_value(model, levels)] = np.nan
-    first = np.fmin.reduce(roots, axis=1)  # outermost roots; NaN for none
-    last = np.fmax.reduce(roots, axis=1)
+    c_lo, c_hi = stress_range(model)
+    if c_lo == c_hi:
+        levels = np.array([c_lo])
+        first, last = (np.array([end]) for end in model.eval_window)
+    else:
+        levels = np.linspace(c_lo, c_hi, EQUILIBRIUM_LEVELS)
+        roots = roots_at(model, levels)
+        roots[near_critical_value(model, levels)] = np.nan
+        first = np.fmin.reduce(roots, axis=1)  # outermost roots; NaN for none
+        last = np.fmax.reduce(roots, axis=1)
     ok = (first < mu) & (mu < last)  # implies at least two roots
     found: list[EquilibriumDescription] = []
     for c, lo, hi in zip(levels[ok].tolist(), first[ok].tolist(), last[ok].tolist()):

@@ -1,18 +1,19 @@
 """Low-level numerical kernels.
 
-Bracketed root finding (scalar and vectorized); one adaptive quadrature
-kernel, interval halving on interior-node Gauss panels (so integrable
-endpoint singularities never get sampled), whose tolerance bounds each kept
-panel and which takes scalar or array endpoints, so that a cumulative
-curve's table, its point values and each step of its inversion cost one
-``f`` call per refinement level; truncated improper integrals, several
-doubling segments to a kernel call, with geometric tail extrapolation; and
-an embedded Runge-Kutta 5(4) driver with PI step-size control whose state
-may be an ensemble (members x dim) integrated in one call, each member held
-to the tolerance by its own error norm, and whose cost at small dimensions
-is its numpy calls per step. Everything here is independent of the
-stress-model layer, so the higher modules can cross-check each other
-through these primitives.
+One bracketed root finder, batched Newton safeguarded by bisection, for
+every scalar level set (the stress level sets and the cumulative-curve
+inversions); one adaptive quadrature kernel, interval halving on
+interior-node Gauss panels (so integrable endpoint singularities never get
+sampled), whose tolerance bounds each kept panel and which takes scalar or
+array endpoints, so that a cumulative curve's table, its point values and
+each step of its inversion cost one ``f`` call per refinement level;
+truncated improper integrals, several doubling segments to a kernel call,
+with geometric tail extrapolation; and an embedded Runge-Kutta 5(4) driver
+with PI step-size control whose state may be an ensemble (members x dim)
+integrated in one call, each member held to the tolerance by its own error
+norm, and whose cost at small dimensions is its numpy calls per step.
+Everything here is independent of the stress-model layer, so the higher
+modules can cross-check each other through these primitives.
 """
 
 from __future__ import annotations
@@ -157,65 +158,74 @@ def quad_to_infinity(f, a: float, tol: float = 1e-9) -> float:
     )
 
 
-_BISECT_MAX_ITER = 200  # halvings per bisect_root call
+_BISECT_MAX_ITER = 200  # iterations per bisect_root call
 
 
-def bisect_root(f, lo, hi, xtol: float = 1e-12):
-    """Roots of ``f`` on sign-changing brackets [lo, hi].
+# Named for its bisection fallback: perfbench/spans.py traces it by this name.
+def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
+    """Roots of ``f`` on sign-changing brackets [lo, hi] (arrays broadcast
+    together; scalars give a float), by Newton steps safeguarded with
+    bisection, as in Numerical Recipes' ``rtsafe``.
 
-    ``lo`` and ``hi`` may be arrays (broadcast together), and ``f`` then acts
-    componentwise on arrays of that shape. Each component stops where a
-    scalar bisection of its bracket stops and returns that bisection's root:
-    on an exact zero of ``f``, or at the bracket midpoint once
-    hi - lo <= xtol * max(1, |lo|, |hi|). Scalar brackets give a float.
-
-    Signs are compared directly, never through products, which would
-    underflow to zero for subnormal function values and corrupt the bracket.
-    Raises BracketError on a bracket without a sign change and
-    IterationBudgetError when a bracket is still open after
-    _BISECT_MAX_ITER halvings.
+    ``f`` and ``fprime`` are called as ``(x, i)``: the iterates of the
+    brackets still open and their flat indices, so a closed bracket is never
+    evaluated again. Each iterate (the midpoint first) shrinks its bracket
+    to the sign change; the next is the Newton step if it lands strictly
+    inside, the midpoint if not (or if the step is not finite). A bracket
+    closes on an exact zero; on a Newton correction of at most
+    xtol * max(1, |x|), returning x minus it even on or past a bracket end,
+    which the converged iterate is; or at the midpoint once
+    hi - lo <= xtol * max(1, |lo|, |hi|). Signs are compared directly:
+    products underflow for subnormal values. Raises BracketError on a
+    bracket without a sign change, and IterationBudgetError on one still
+    open after _BISECT_MAX_ITER iterations.
     """
-    lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
-    flo = np.asarray(f(lo), dtype=float)
-    fhi = np.asarray(f(hi), dtype=float)
-    live = (flo != 0.0) & (fhi != 0.0)
+    shape = np.broadcast(lo, hi).shape
+    lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
+    i = np.arange(lo.size)
+    f_ends = np.asarray(f(np.concatenate([lo, hi]), np.concatenate([i, i])), dtype=float)
+    flo, fhi = f_ends[:lo.size], f_ends[lo.size:]
     lo_pos = flo > 0.0  # every later lo keeps this sign
+    live = (flo != 0.0) & (fhi != 0.0)
     bad = live & (lo_pos == (fhi > 0.0))
     if np.any(bad):
         i = np.flatnonzero(bad)[0]
-        raise BracketError(f"no sign change on [{lo.flat[i]!r}, {hi.flat[i]!r}]")
-    # an exact zero closes its bracket onto that point; the midpoint is then exact
-    hi = np.where(flo == 0.0, lo, hi)
-    lo = np.where((flo != 0.0) & (fhi == 0.0), hi, lo)
+        raise BracketError(f"no sign change on [{lo[i]!r}, {hi[i]!r}]")
+    out = np.where(flo == 0.0, lo, hi)  # an exact zero at a bracket end is the root
+    i = np.flatnonzero(live)
+    lo, hi, lo_pos = lo[i], hi[i], lo_pos[i]
+    x = 0.5 * (lo + hi)
     for _ in range(_BISECT_MAX_ITER):
-        if not np.any(live):
+        if i.size == 0:
             break
+        fx = np.asarray(f(x, i), dtype=float)
+        dfx = np.asarray(fprime(x, i), dtype=float)
+        same = (fx > 0.0) == lo_pos
+        lo, hi = np.where(same, x, lo), np.where(same, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.where(np.isfinite(dfx), fx / dfx, np.nan)
+        newton = x - step
         mid = 0.5 * (lo + hi)
-        fm = np.asarray(f(mid), dtype=float)
-        same = (fm > 0.0) == lo_pos
-        lo = np.where(live & ((fm == 0.0) | same), mid, lo)
-        hi = np.where(live & ((fm == 0.0) | ~same), mid, hi)
-        live = live & ~(hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
-    if np.any(live):
+        zero = fx == 0.0
+        tiny = zero | (np.abs(step) <= xtol * np.maximum(1.0, np.abs(x)))
+        narrow = hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        out[i] = np.where(zero, x, np.where(tiny, newton, mid))
+        x = np.where((lo < newton) & (newton < hi), newton, mid)
+        keep = ~(tiny | narrow)
+        i, lo, hi, lo_pos, x = i[keep], lo[keep], hi[keep], lo_pos[keep], x[keep]
+    if i.size:
         raise IterationBudgetError(
-            f"bisection left {int(np.count_nonzero(live))} bracket(s) open "
-            f"after {_BISECT_MAX_ITER} halvings"
+            f"root finding left {i.size} bracket(s) open after {_BISECT_MAX_ITER} iterations"
         )
-    out = 0.5 * (lo + hi)
-    return float(out) if out.ndim == 0 else out
-
-
-_INVERT_MAX_ITER = 120  # Newton iterations per CumulativeCurve.invert call
-_INVERT_XTOL = 1e-12  # relative step and bracket width that end an inversion
-_CURVE_BASE = 0.0  # value of a CumulativeCurve at its start x0
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 class CumulativeCurve:
     """Cumulative integral x -> int_{x0}^{x} f(z) dz.
 
     Panel sums are precomputed on a fixed node grid so that point values cost
-    one short local quadrature, and inversion costs a table lookup plus a few
-    safeguarded Newton steps (the derivative is ``f`` itself). ``tol`` bounds
+    one short local quadrature, and inversion costs a table lookup plus one
+    ``bisect_root`` call (the derivative is ``f`` itself). ``tol`` bounds
     each kept quadrature panel, as in ``quad_adaptive``. Only ``invert``
     needs the curve monotone, that is f > 0 between the nodes.
     """
@@ -228,7 +238,7 @@ class CumulativeCurve:
         self.tol = tol
         start = self.nodes[0] if x0 is None else x0
         lefts = np.concatenate([[start], self.nodes[:-1]])
-        self.cum = _CURVE_BASE + np.cumsum(quad_adaptive(f, lefts, self.nodes, tol))
+        self.cum = np.cumsum(quad_adaptive(f, lefts, self.nodes, tol))
 
     def value(self, x):
         """The curve at ``x``, componentwise for an array (a scalar gives a
@@ -246,51 +256,23 @@ class CumulativeCurve:
     def invert(self, target):
         """Solve value(x) = target; clips to the tabulated range.
 
-        ``target`` may be an array, solved componentwise by one vectorised
-        Newton iteration (a scalar target gives a float). Each target keeps
-        the left node of its table panel as a fixed anchor, so value(x) is
-        the anchor's table entry plus one batch quadrature from the anchor.
-        Newton steps that leave the bracket maintained from the signs of
-        value(x) - target are replaced by bisection. A target converges when
-        its residual is within 1e-14 * max(1, |target|), its Newton
-        correction within _INVERT_XTOL * max(1, |x|) or its bracket within
-        _INVERT_XTOL; IterationBudgetError is raised when any target is still
-        open after _INVERT_MAX_ITER iterations.
+        ``target`` may be an array, solved componentwise by one
+        ``bisect_root`` call (a scalar target gives a float). Each target's
+        bracket is its table panel, whose left node is a fixed anchor, so
+        value(x) is the anchor's table entry plus one batch quadrature from
+        the anchor, and the derivative is ``f`` itself.
         """
         t = np.asarray(target, dtype=float)
         flat = t.ravel()
         out = np.where(flat <= self.cum[0], self.nodes[0], self.nodes[-1])
-        idx = np.flatnonzero((flat > self.cum[0]) & (flat < self.cum[-1]))
-        goal = flat[idx]
+        inside = (flat > self.cum[0]) & (flat < self.cum[-1])
+        goal = flat[inside]
         j = np.searchsorted(self.cum, goal) - 1
         anchor, g_anchor = self.nodes[j], self.cum[j]
-        lo, hi = anchor, self.nodes[j + 1]
-        x = 0.5 * (lo + hi)
-        for _ in range(_INVERT_MAX_ITER):
-            if idx.size == 0:
-                break
-            gx = g_anchor + quad_adaptive(self.f, anchor, x, self.tol)
-            below = gx < goal
-            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-            hit = np.abs(gx - goal) <= 1e-14 * np.maximum(1.0, np.abs(goal))
-            deriv = np.asarray(self.f(x), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(np.isfinite(deriv) & (deriv > 0), (gx - goal) / deriv, np.nan)
-            # a Newton correction below _INVERT_XTOL ends the target even where
-            # roundoff in f keeps the residual above the hit threshold
-            tiny = np.abs(step) <= _INVERT_XTOL * np.maximum(1.0, np.abs(x))
-            inside = (lo < x - step) & (x - step < hi)
-            x_new = np.where(inside | tiny, x - step, 0.5 * (lo + hi))
-            narrow = hi - lo <= _INVERT_XTOL * np.maximum(1.0, np.abs(hi))
-            out[idx] = np.where(hit, x, x_new)
-            keep = ~(hit | narrow | tiny)
-            idx, goal, anchor, g_anchor, lo, hi, x = (
-                v[keep] for v in (idx, goal, anchor, g_anchor, lo, hi, x_new)
-            )
-        if idx.size:
-            raise IterationBudgetError(
-                f"curve inversion left {idx.size} target(s) open after {_INVERT_MAX_ITER} iterations"
-            )
+        out[inside] = bisect_root(
+            lambda x, i: g_anchor[i] + quad_adaptive(self.f, anchor[i], x, self.tol) - goal[i],
+            lambda x, i: self.f(x), anchor, self.nodes[j + 1],
+        )
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -312,29 +294,8 @@ _DP_ERR = np.array(
 )
 
 
-@dataclass
-class StepController:
-    """PI step-size controller state for the embedded 5(4) pair."""
-
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    dt: float = 1e-4
-    dt_min: float = 1e-14
-    dt_max: float = float("inf")
-    safety: float = 0.9
-    err_prev: float = 1.0
-
-    def after_accept(self, err: float) -> None:
-        err = max(err, 1e-12)
-        factor = self.safety * err ** (-0.7 / 5.0) * self.err_prev ** (0.4 / 5.0)
-        self.dt = min(self.dt * min(5.0, max(0.2, factor)), self.dt_max)
-        self.err_prev = err
-
-    def after_reject(self, err: float) -> None:
-        if np.isfinite(err) and err > 0:
-            self.dt *= max(0.2, self.safety * err ** (-1.0 / 5.0))
-        else:
-            self.dt *= 0.25
+_DT_MIN = 1e-14  # proposed step below which rk45 raises StiffnessError
+_SAFETY = 0.9  # safety factor of the PI step-size control
 
 
 @dataclass
@@ -373,9 +334,9 @@ def rk45(
     integral is accumulated with the fifth-order weights (dissipation).
 
     Raises StiffnessError when a rejection, or an accepted step that was not
-    clamped to a record time, leaves a proposed step below the controller's
-    ``dt_min``. A StrainflowError raised while stepping carries the records
-    reached so far as ``exc.partial``, an RKResult.
+    clamped to a record time, leaves a proposed step below ``_DT_MIN``. A
+    StrainflowError raised while stepping carries the records reached so far
+    as ``exc.partial``, an RKResult.
     """
     t_record = np.asarray(t_record, dtype=float)
     if t_record.ndim != 1 or len(t_record) == 0:
@@ -390,9 +351,9 @@ def rk45(
     records[0] = y
     aux_total = 0.0
 
-    ctrl = StepController(rtol=rtol, atol=atol)
-    span = t_record[-1] - t_record[0]
-    ctrl.dt = min(1e-4, span)
+    # PI step-size control: h is the proposed step, err_prev the last accepted error
+    h = min(1e-4, t_record[-1] - t_record[0])
+    err_prev = 1.0
 
     k = np.empty((7,) + y.shape)
     kf = k.reshape(7, -1)  # flat views: one stage sum for every member at once
@@ -405,8 +366,8 @@ def rk45(
     idx = 1
     try:
         while idx < len(t_rec):
-            dt = min(ctrl.dt, t_rec[idx] - t)
-            clamped = dt < ctrl.dt
+            dt = min(h, t_rec[idx] - t)
+            clamped = dt < h
             if not fsal_valid:
                 k[0] = f(y)
                 fsal_valid = True
@@ -431,12 +392,11 @@ def rk45(
                 err = float("nan")
             if bad:
                 n_rejected += 1
-                ctrl.after_reject(err)
+                finite = math.isfinite(err) and err > 0
+                h *= max(0.2, _SAFETY * err ** (-1.0 / 5.0)) if finite else 0.25
                 # k[0] still holds f at the unchanged y, so FSAL stays valid
-                if ctrl.dt < ctrl.dt_min:
-                    raise StiffnessError(
-                        f"step size underflow at t={t!r} (dt={ctrl.dt!r})"
-                    )
+                if h < _DT_MIN:
+                    raise StiffnessError(f"step size underflow at t={t!r} (dt={h!r})")
                 continue
 
             if stage_rate is not None:
@@ -451,14 +411,16 @@ def rk45(
                     y = y_post
                     fsal_valid = False
             if not clamped:
-                ctrl.after_accept(err)
+                err = max(err, 1e-12)
+                h *= min(5.0, max(0.2, _SAFETY * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)))
+                err_prev = err
             while idx < len(t_rec) and t >= t_rec[idx] - 1e-14 * max(1.0, abs(t)):
                 records[idx] = y
                 aux[idx] = aux_total
                 idx += 1
-            # a step clamped to a record time leaves ctrl.dt as it was
-            if not clamped and ctrl.dt < ctrl.dt_min and idx < len(t_rec):
-                raise StiffnessError(f"step size underflow at t={t!r} (dt={ctrl.dt!r})")
+            # a step clamped to a record time leaves h as it was
+            if not clamped and h < _DT_MIN and idx < len(t_rec):
+                raise StiffnessError(f"step size underflow at t={t!r} (dt={h!r})")
     except StrainflowError as exc:
         exc.partial = RKResult(times=t_record[:idx], states=records[:idx],
                                aux_integral=aux[:idx], n_steps=n_steps, n_rejected=n_rejected)

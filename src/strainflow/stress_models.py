@@ -142,9 +142,10 @@ def roots_at(model: StressModel, c) -> np.ndarray:
 
     sigma is monotone on each piece between consecutive critical points (and
     the window ends), so a piece holds at most one root per level. Every
-    (level, piece) pair whose ends bracket the level is bisected to 1e-12 in
-    a single batched bisection; roots within 1e-9 * max(1, |p|) of the
-    previous root of the same level are dropped as duplicates.
+    (level, piece) pair whose ends bracket the level is solved in a single
+    batched ``bisect_root`` call, Newton on sigma' safeguarded by bisection;
+    roots within 1e-9 * max(1, |p|) of the previous root of the same level
+    are dropped as duplicates.
 
     A scalar ``c`` gives that level's roots as a sorted 1-d array. A 1-d
     array of levels gives a NaN-padded table of shape (n_levels, n_pieces):
@@ -172,8 +173,8 @@ def roots_at(model: StressModel, c) -> np.ndarray:
     bracket = finite & (fa != 0.0) & (fb != 0.0) & ((fa > 0.0) != (fb > 0.0))
     rows, cols = np.nonzero(bracket)
     table[rows, cols] = bisect_root(
-        lambda p: np.asarray(model.sigma(p), dtype=float) - levels[rows],
-        a[cols], b[cols], xtol=1e-12,
+        lambda p, i: np.asarray(model.sigma(p), dtype=float) - levels[rows[i]],
+        lambda p, i: model.sigma_prime(p), a[cols], b[cols],
     )
     last = table[:, -1]
     last[(fb[:, -1] == 0.0) & np.isnan(last)] = hi

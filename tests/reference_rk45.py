@@ -1,16 +1,44 @@
 """The explicit stepper as it was before its per-step numpy calls were cut,
 kept verbatim as a reference: one ``stage_rate`` call per stage, stage sums
 reshaped per stage, the error norm on fresh arrays and a ``np.array_equal``
-test after every ``postprocess``. The current ``numerics.rk45`` must take the
-same steps and give the same records bit for bit.
+test after every ``postprocess``, with the step-size controller as the class
+it then was. The current ``numerics.rk45`` must take the same steps and give
+the same records bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from strainflow.errors import StiffnessError, StrainflowError
-from strainflow.numerics import _DP_A, _DP_B5, _DP_ERR, RKResult, StepController
+from strainflow.numerics import _DP_A, _DP_B5, _DP_ERR, RKResult
+
+
+@dataclass
+class _StepController:
+    """PI step-size controller state for the embedded 5(4) pair."""
+
+    rtol: float = 1e-9
+    atol: float = 1e-12
+    dt: float = 1e-4
+    dt_min: float = 1e-14
+    dt_max: float = float("inf")
+    safety: float = 0.9
+    err_prev: float = 1.0
+
+    def after_accept(self, err: float) -> None:
+        err = max(err, 1e-12)
+        factor = self.safety * err ** (-0.7 / 5.0) * self.err_prev ** (0.4 / 5.0)
+        self.dt = min(self.dt * min(5.0, max(0.2, factor)), self.dt_max)
+        self.err_prev = err
+
+    def after_reject(self, err: float) -> None:
+        if np.isfinite(err) and err > 0:
+            self.dt *= max(0.2, self.safety * err ** (-1.0 / 5.0))
+        else:
+            self.dt *= 0.25
 
 
 def reference_rk45(
@@ -58,7 +86,7 @@ def reference_rk45(
     records[0] = y
     aux_total = 0.0
 
-    ctrl = StepController(rtol=rtol, atol=atol, dt_min=dt_min, dt_max=dt_max)
+    ctrl = _StepController(rtol=rtol, atol=atol, dt_min=dt_min, dt_max=dt_max)
     span = t_record[-1] - t_record[0]
     ctrl.dt = min(1e-4, span)
 

@@ -4,19 +4,74 @@ grids (with the unbounded-below test that raised ``EstimationError``), and
 the critical points as the sign changes of sigma' on an 8193-point window
 grid, refined in one batched bisection. Both can miss features narrower than
 their grids; the exact structure must agree with them wherever they see one.
+The batched bisection that refines them is kept verbatim as well, as
+``numerics.bisect_root`` was before it took Newton steps, so that this
+reference does not move with the solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from strainflow.errors import ModelInconsistencyError, StrainflowError
-from strainflow.numerics import bisect_root
+from strainflow.errors import (
+    BracketError,
+    IterationBudgetError,
+    ModelInconsistencyError,
+    StrainflowError,
+)
 from strainflow.stress_models import LAMBDA_SAFETY, MAX_BRANCHES, POSITIVE, StressModel
 
 LAMBDA_GRID = 1025  # points of the coarsest grid estimate_lambda samples sigma' on
 LAMBDA_REFINEMENTS = 3  # nested grid doublings after the coarsest
 CRITICAL_GRID = 8193  # window points scanned for sign changes of sigma'
+
+
+_BISECT_MAX_ITER = 200  # halvings per bisect_root call
+
+
+def bisect_root(f, lo, hi, xtol: float = 1e-12):
+    """Roots of ``f`` on sign-changing brackets [lo, hi].
+
+    ``lo`` and ``hi`` may be arrays (broadcast together), and ``f`` then acts
+    componentwise on arrays of that shape. Each component stops where a
+    scalar bisection of its bracket stops and returns that bisection's root:
+    on an exact zero of ``f``, or at the bracket midpoint once
+    hi - lo <= xtol * max(1, |lo|, |hi|). Scalar brackets give a float.
+
+    Signs are compared directly, never through products, which would
+    underflow to zero for subnormal function values and corrupt the bracket.
+    Raises BracketError on a bracket without a sign change and
+    IterationBudgetError when a bracket is still open after
+    _BISECT_MAX_ITER halvings.
+    """
+    lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
+    flo = np.asarray(f(lo), dtype=float)
+    fhi = np.asarray(f(hi), dtype=float)
+    live = (flo != 0.0) & (fhi != 0.0)
+    lo_pos = flo > 0.0  # every later lo keeps this sign
+    bad = live & (lo_pos == (fhi > 0.0))
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise BracketError(f"no sign change on [{lo.flat[i]!r}, {hi.flat[i]!r}]")
+    # an exact zero closes its bracket onto that point; the midpoint is then exact
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where((flo != 0.0) & (fhi == 0.0), hi, lo)
+    for _ in range(_BISECT_MAX_ITER):
+        if not np.any(live):
+            break
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(f(mid), dtype=float)
+        same = (fm > 0.0) == lo_pos
+        lo = np.where(live & ((fm == 0.0) | same), mid, lo)
+        hi = np.where(live & ((fm == 0.0) | ~same), mid, hi)
+        live = live & ~(hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+    if np.any(live):
+        raise IterationBudgetError(
+            f"bisection left {int(np.count_nonzero(live))} bracket(s) open "
+            f"after {_BISECT_MAX_ITER} halvings"
+        )
+    out = 0.5 * (lo + hi)
+    return float(out) if out.ndim == 0 else out
 
 
 class EstimationError(StrainflowError):

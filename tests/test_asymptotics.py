@@ -54,6 +54,24 @@ class TestEquilibria:
         assert near_zero.fractions[0] == pytest.approx(0.5, abs=1e-3)
         assert near_zero.mean == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("coeffs, domain", [([2.0], "full-line"), ([], "full-line"),
+                                                ([2.0], "positive")])
+    def test_constant_law_is_non_unique(self, coeffs, domain):
+        # sigma is constant, so every state is an equilibrium: the example is
+        # the window-end pair with its lever-rule fractions
+        model = make_model("poly", coeffs=coeffs, domain=domain)
+        lo, hi = model.eval_window
+        mu = lo + 0.3 * (hi - lo)
+        verdict, found = equilibria_enumerate(model, mu)
+        assert verdict == "NON-UNIQUE" and len(found) == 1
+        (d,) = found
+        assert d.stress_level == (coeffs[0] if coeffs else 0.0)
+        assert d.branch_values == (lo, hi)
+        assert d.fractions == pytest.approx((0.7, 0.3), rel=1e-12)
+        assert d.mean == pytest.approx(mu, rel=1e-12)
+        # a mean outside the window has no two-point member inside it
+        assert equilibria_enumerate(model, hi + 1.0) == ("UNIQUE", [])
+
     def test_cubic_with_large_mean_is_unique(self, cubic):
         verdict, found = equilibria_enumerate(cubic, mu=5.0)
         assert verdict == "UNIQUE"

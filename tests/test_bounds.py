@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from strainflow.bounds import (
+    DEFAULT_T_GRID,
     bounds_profile,
     certify_lower_constants,
     certify_upper_threshold,
@@ -63,6 +64,15 @@ class TestMixedLower:
         curve, _ = mixed_lower(singular, t)
         assert np.all(curve > 0.0)
         assert np.all(np.diff(curve) >= -1e-12)
+
+    def test_zero_strain_inverse_is_exact_for_its_table(self, singular):
+        # dp/dt is about 500 at t = 1e-6, so a residual stop of 1e-14 in time
+        # left the early inverse 5e-9 relative off; the Newton correction
+        # stop is at roundoff
+        curve = time_from_zero_curve(singular)[0]
+        got = curve.invert(DEFAULT_T_GRID)
+        exact = _bisect_table(curve, DEFAULT_T_GRID)
+        assert np.all(np.abs(got - exact) <= 1e-12 * exact)
 
     def test_rejects_model_without_blowup(self, cubic):
         with pytest.raises(HypothesisError):
@@ -266,6 +276,18 @@ def _scalar_invert(curve, target, xtol=1e-12):
     raise AssertionError("reference inversion did not converge")
 
 
+def _bisect_table(curve, targets):
+    """The exact inverse of a curve's own point values: 200 halvings of the
+    whole table range per target, out-of-range targets clipped as in invert."""
+    t = np.asarray(targets, dtype=float)
+    lo, hi = np.full(t.shape, curve.nodes[0]), np.full(t.shape, curve.nodes[-1])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = curve.value(mid) < t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(t <= curve.cum[0], lo, np.where(t >= curve.cum[-1], hi, 0.5 * (lo + hi)))
+
+
 class TestBatchInversion:
     """Every target each envelope inverts, against the scalar reference."""
 
@@ -283,10 +305,14 @@ class TestBatchInversion:
         return calls
 
     def _check(self, calls, n_calls):
+        # each inverse is no farther from the exact inverse of the table than
+        # the scalar reference, whose 1e-14 absolute residual stop leaves up
+        # to 6e-10 relative error where the curve is flat, or within 1e-12
         assert len(calls) == n_calls
         for curve, targets, got in calls:
             ref = np.array([_scalar_invert(curve, float(t)) for t in targets])
-            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+            exact = _bisect_table(curve, targets)
+            assert np.all(np.abs(got - exact) <= np.maximum(np.abs(ref - exact), 1e-12 * exact))
 
     def test_mixed_envelopes(self, recorded):
         model = make_model("singular-cubic")
@@ -303,9 +329,10 @@ class TestBatchInversion:
         assert np.count_nonzero(j == len(curve.nodes) - 2) >= 20
 
     def test_free_field_grid_quadrature_calls(self, monkeypatch):
-        # targets within about 1e-5 of p_minus cannot reach the 1e-14
-        # residual (roundoff in sigma) and stop on the Newton correction:
-        # the table build plus 20 iterations, against 42 calls without it
+        # targets within about 1e-5 of p_minus, where roundoff in sigma
+        # keeps the residual from vanishing, stop on the Newton correction:
+        # the table build, the bracket ends and 20 iterations, against 43
+        # calls for a stop on the bracket width alone
         import strainflow.numerics as numerics
 
         calls = [0]

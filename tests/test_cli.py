@@ -105,8 +105,8 @@ class TestRunCommand:
         assert "diverges" in manifest["error"]
 
     def test_bound_budget_failure_exits_4_with_manifest(self, out_env, tmp_path, monkeypatch):
-        # one Newton iteration cannot invert the cubic's upper-bound curve
-        monkeypatch.setattr("strainflow.numerics._INVERT_MAX_ITER", 1)
+        # one root-finder iteration cannot invert the cubic's upper-bound curve
+        monkeypatch.setattr("strainflow.numerics._BISECT_MAX_ITER", 1)
         cfg_path = write_config(tmp_path / "c.json", output_dir="run_budget")
         assert main(["run", "--config", str(cfg_path)]) == 4
         manifest = json.loads((out_env / "run_budget" / "manifest.json").read_text())
@@ -299,6 +299,16 @@ class TestOtherCommands:
         assert main(["equilibria", "--model", "cubic", "--mu", "0.0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "NON-UNIQUE"
+
+    @pytest.mark.parametrize("coeffs", ["[2.0]", "[]"])
+    def test_equilibria_constant_law_is_non_unique(self, out_env, capsys, coeffs):
+        assert main(["equilibria", "--model", "poly", "--param", f"coeffs={coeffs}",
+                     "--mu", "0.3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "NON-UNIQUE"
+        (example,) = payload["examples"]
+        assert example["branch_values"] == [-3.0, 3.0]
+        assert example["fractions"] == pytest.approx([0.45, 0.55], rel=1e-12)
 
     def test_counterexample_demo_files(self, out_env):
         code = main([

@@ -135,34 +135,77 @@ def test_tail_batches_keep_the_sequential_bits():
 
 
 def test_bisect_root_simple():
-    r = bisect_root(lambda x: x ** 2 - 2.0, 0.0, 2.0, xtol=1e-14)
+    r = bisect_root(lambda x, i: x ** 2 - 2.0, lambda x, i: 2.0 * x, 0.0, 2.0, xtol=1e-14)
     assert abs(r - np.sqrt(2.0)) < 1e-13
     with pytest.raises(BracketError):
-        bisect_root(lambda x: x ** 2 + 1.0, -1.0, 1.0)
+        bisect_root(lambda x, i: x ** 2 + 1.0, lambda x, i: 2.0 * x, -1.0, 1.0)
 
 
 def test_bisect_root_batched_matches_scalar_brackets():
     # zero at a bracket start, zero at a bracket end, zero hit by the first
-    # midpoint, and two brackets that stop on the width rule
-    f = lambda x: x * x - 4.0
+    # midpoint, and two brackets that stop on a Newton correction
+    f = lambda x, i: x * x - 4.0
+    fprime = lambda x, i: 2.0 * x
     lo = np.array([2.0, -1.0, 0.0, 1.0, 0.0])
     hi = np.array([5.0, 2.0, 4.0, 2.5, 3.0])
-    batched = bisect_root(f, lo, hi)
+    batched = bisect_root(f, fprime, lo, hi)
     assert isinstance(batched, np.ndarray)
-    scalar = [bisect_root(f, a, b) for a, b in zip(lo, hi)]
+    scalar = [bisect_root(f, fprime, a, b) for a, b in zip(lo, hi)]
     assert all(isinstance(r, float) for r in scalar)
     assert batched.tobytes() == np.array(scalar).tobytes()
 
 
+def _counting(fn, counts):
+    """``fn`` with each call's indices tallied into ``counts``."""
+    def wrapped(x, i):
+        np.add.at(counts, i, 1)
+        return fn(x, i)
+    return wrapped
+
+
+def test_bisect_root_evaluates_open_brackets_only():
+    # after the two end values, f sees only the brackets still open: the
+    # linear bracket closes on its second Newton correction while the
+    # bisection-only one keeps going
+    lo, hi = np.zeros(2), np.ones(2)
+    counts = np.zeros(2, dtype=int)
+    fprime = lambda x, i: np.where(i == 0, 1.0, np.nan)
+    root = bisect_root(_counting(lambda x, i: x - 0.3, counts), fprime, lo, hi)
+    assert np.abs(root - 0.3).max() <= 1e-12
+    assert counts[0] == 2 + 2 and counts[1] > 30
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_bisect_root_without_usable_derivative_bisects(bad):
+    # a non-finite or zero derivative gives no Newton step: the solver bisects
+    # to the width rule and returns the final bracket's midpoint
+    counts = np.zeros(1, dtype=int)
+    f = lambda x, i: x ** 3 - 0.3
+    r = bisect_root(_counting(f, counts), lambda x, i: np.full_like(x, bad), 0.0, 1.0)
+    assert abs(r - 0.3 ** (1.0 / 3.0)) <= 1e-12
+    assert 40 <= counts[0] - 2 <= 45  # halvings of [0, 1] down to 1e-12
+
+
+def test_bisect_root_accepts_a_tiny_correction_on_the_bracket_end():
+    # the converged iterate is a bracket end, and its last correction, below
+    # half an ulp, leaves it there: the solver must stop on it, not bisect on
+    counts = np.zeros(3, dtype=int)
+    f = _counting(lambda x, i: x * x - np.array([2.0, 3.0, 5.0])[i], counts)
+    r = bisect_root(f, lambda x, i: 2.0 * x, np.zeros(3), np.full(3, 3.0))
+    assert np.abs(r - np.sqrt([2.0, 3.0, 5.0])).max() <= 4.5e-16
+    assert (counts - 2).max() <= 8
+
+
 def test_bisect_root_budget_exhaustion_raises(monkeypatch):
-    # three halvings cannot shrink [0, 1] to 1e-12: the midpoint is unconverged
+    # three halvings cannot shrink [0, 1] to 1e-12: the bracket stays open
+    no_slope = lambda x, i: np.full_like(x, np.nan)
     monkeypatch.setattr("strainflow.numerics._BISECT_MAX_ITER", 3)
     with pytest.raises(IterationBudgetError):
-        bisect_root(lambda x: x - 0.3, 0.0, 1.0)
+        bisect_root(lambda x, i: x - 0.3, no_slope, 0.0, 1.0)
     with pytest.raises(IterationBudgetError):
-        bisect_root(lambda x: x - 0.3, np.zeros(2), np.array([1.0, 0.5]))
+        bisect_root(lambda x, i: x - 0.3, no_slope, np.zeros(2), np.array([1.0, 0.5]))
     monkeypatch.setattr("strainflow.numerics._BISECT_MAX_ITER", 1)
-    assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == 0.5  # exact hit
+    assert bisect_root(lambda x, i: x - 0.5, no_slope, 0.0, 1.0) == 0.5  # exact hit
 
 
 def test_cumulative_curve_value_and_inverse():
@@ -214,7 +257,7 @@ def test_quad_live_panel_budget_bounds_memory():
 def test_cumulative_curve_invert_budget_raises(monkeypatch):
     nodes = np.geomspace(1e-6, 0.999, 200)
     curve = CumulativeCurve(lambda z: 1.0 / (1.0 - z), nodes, tol=1e-12, x0=0.0)
-    monkeypatch.setattr("strainflow.numerics._INVERT_MAX_ITER", 1)
+    monkeypatch.setattr("strainflow.numerics._BISECT_MAX_ITER", 1)
     with pytest.raises(IterationBudgetError):
         curve.invert(np.array([0.4, 1.3]))
 
