@@ -6,12 +6,11 @@ inversions); one adaptive quadrature kernel, interval halving on
 interior-node Gauss panels (so integrable endpoint singularities never get
 sampled), whose tolerance bounds each kept panel and which takes scalar or
 array endpoints, so that a cumulative curve's table, its point values and
-each step of its inversion cost one ``f`` call per refinement level;
-truncated improper integrals, several doubling segments to a kernel call,
-with geometric tail extrapolation; and an embedded Runge-Kutta 5(4) driver
-with PI step-size control whose state may be an ensemble (members x dim)
-integrated in one call, each member held to the tolerance by its own error
-norm, and whose cost at small dimensions is its numpy calls per step.
+each step of its inversion cost one ``f`` call per refinement level; and
+an embedded Runge-Kutta 5(4) driver with PI step-size control whose state
+may be an ensemble (members x dim) integrated in one call, each member held
+to the tolerance by its own error norm, and whose cost at small dimensions
+is its numpy calls per step.
 Everything here is independent of the stress-model layer, so the higher
 modules can cross-check each other through these primitives.
 """
@@ -55,9 +54,6 @@ _GL_WEIGHTS = np.array(
 # Panels of one quad_adaptive refinement level over all components: bounds a
 # call's memory (the largest level seen: 4,096 in the tests, 110 in runs).
 _QUAD_MAX_PANELS = 2 ** 17
-_TAIL_BATCH = 8  # doubling segments per quad_adaptive call in quad_to_infinity
-_TAIL_MAX_SEGMENTS = 64  # doubling segments before a tail counts as not converging
-_TAIL_RATIO_CAP = 0.8  # segment-sum decay ratio above which a tail counts as divergent
 
 
 def quad_adaptive(f, a, b, tol: float = 1e-10):
@@ -73,7 +69,8 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
     value is far more accurate than the estimate. ``f`` must accept numpy
     arrays of any shape. Endpoints are never evaluated, so integrable
     endpoint singularities are fine; b < a gives the negated integral.
-    Raises IntegrabilityError on a non-finite panel that cannot be split, and
+    Raises IntegrabilityError on a panel too narrow to split whose value is
+    not finite or whose estimate misses ``tol`` (1/z at 0), and
     IterationBudgetError when a component needs more than 4096 splits or a
     refinement level more than ``_QUAD_MAX_PANELS`` panels.
     """
@@ -98,13 +95,12 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
             err = np.abs(halves - whole)
             value = halves + (halves - whole) / 1023.0
         splittable = np.abs(b - a) > 1e-15 * np.maximum(np.abs(a), np.abs(b)) + 1e-300
-        finite = np.isfinite(value)
-        if (~finite & ~splittable).any():
-            i = np.flatnonzero(~finite & ~splittable)[0]
+        done = np.isfinite(value) & (err <= tol)
+        if (~done & ~splittable).any():
+            i = np.flatnonzero(~done & ~splittable)[0]
             raise IntegrabilityError(
-                f"integrand not finite and not resolvable on ({a[i]!r}, {b[i]!r})"
+                f"integrand not finite or not resolved on the unsplittable ({a[i]!r}, {b[i]!r})"
             )
-        done = finite & (~splittable | (err <= tol))
         np.add.at(total, owner[done], value[done])
         split = ~done
         splits += np.bincount(owner[split], minlength=total.size)
@@ -115,47 +111,6 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
         whole = np.concatenate([left[split], right[split]])
         owner = np.concatenate([owner[split], owner[split]])
     return float(total[0]) if shape == () else total.reshape(shape)
-
-
-def quad_to_infinity(f, a: float, tol: float = 1e-9) -> float:
-    """Integrate ``f`` over (a, infinity).
-
-    Sums ``quad_adaptive`` integrals over geometrically doubling segments,
-    each to ``tol``/16 per kept panel, and closes the remainder with a
-    geometric-series extrapolation of the last segment. The Cauchy test for
-    convergence is that segment sums decay with a stable ratio below
-    ``_TAIL_RATIO_CAP``; when they refuse to decay the integral is declared
-    divergent. Segments are summed and tested one by one but integrated
-    ``_TAIL_BATCH`` to a kernel call, a few past the one that ends the sum.
-    """
-    # segment ends added one by one, as a loop over doubling lengths would
-    ends = np.add.accumulate(np.append(float(a), np.ldexp(max(1.0, abs(a)), np.arange(_TAIL_MAX_SEGMENTS))))
-    total = 0.0
-    seg_values: list[float] = []
-    for start in range(0, _TAIL_MAX_SEGMENTS, _TAIL_BATCH):
-        batch = slice(start, start + _TAIL_BATCH)
-        for part in quad_adaptive(f, ends[:-1][batch], ends[1:][batch], tol / 16.0).tolist():
-            seg_values.append(part)
-            total += part
-            if len(seg_values) >= 2:
-                prev, cur = abs(seg_values[-2]), abs(seg_values[-1])
-                ratio = cur / prev if prev > 0 else 0.0
-                if cur <= tol / 4.0 and ratio <= _TAIL_RATIO_CAP:
-                    return total + seg_values[-1] * ratio / (1.0 - ratio)
-                if len(seg_values) >= 5:
-                    recent = [abs(v) for v in seg_values[-4:]]
-                    ratios = [
-                        recent[i + 1] / recent[i] if recent[i] > 0 else 0.0
-                        for i in range(3)
-                    ]
-                    if min(ratios) > _TAIL_RATIO_CAP:
-                        raise IntegrabilityError(
-                            "tail segments of the improper integral do not decay "
-                            f"(recent ratios {ratios}); integral treated as divergent"
-                        )
-    raise IntegrabilityError(
-        "improper integral did not converge within the segment budget"
-    )
 
 
 _BISECT_MAX_ITER = 200  # iterations per bisect_root call
@@ -172,10 +127,10 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
     evaluated again. Each iterate (the midpoint first) shrinks its bracket
     to the sign change; the next is the Newton step if it lands strictly
     inside, the midpoint if not (or if the step is not finite). A bracket
-    closes on an exact zero; on a Newton correction of at most
-    xtol * max(1, |x|), returning x minus it even on or past a bracket end,
-    which the converged iterate is; or at the midpoint once
-    hi - lo <= xtol * max(1, |lo|, |hi|). Signs are compared directly:
+    closes on an exact zero (which Newton reaches for a root at 0); on a
+    Newton correction of at most xtol * |x|, returning x minus it even on or
+    past a bracket end, which the converged iterate is; or at the midpoint
+    once hi - lo <= xtol * max(|lo|, |hi|). Signs are compared directly:
     products underflow for subnormal values. Raises BracketError on a
     bracket without a sign change, and IterationBudgetError on one still
     open after _BISECT_MAX_ITER iterations.
@@ -207,8 +162,8 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
         newton = x - step
         mid = 0.5 * (lo + hi)
         zero = fx == 0.0
-        tiny = zero | (np.abs(step) <= xtol * np.maximum(1.0, np.abs(x)))
-        narrow = hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        tiny = zero | (np.abs(step) <= xtol * np.abs(x))
+        narrow = hi - lo <= xtol * np.maximum(np.abs(lo), np.abs(hi))
         out[i] = np.where(zero, x, np.where(tiny, newton, mid))
         x = np.where((lo < newton) & (newton < hi), newton, mid)
         keep = ~(tiny | narrow)

@@ -2,7 +2,8 @@
 references: the globally adaptive heap quadrature (summed error estimates
 against ``tol``, with a panel budget that returns the unconverged total),
 the doubling antiderivative table behind ``F_functional``, and the improper
-integral that called the kernel once per doubling segment.
+integral that called the kernel once per doubling segment (the oracle for
+the escape times, which are now tabulated from infinity).
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expi
 
 from strainflow.bounds import (
     DEFAULT_T_GRID,
+    _escape_envelope,
     bounds_profile,
     certify_lower_constants,
     certify_upper_threshold,
@@ -13,12 +16,17 @@ from strainflow.bounds import (
     mixed_upper,
     time_from_zero_curve,
 )
-from strainflow.errors import CertificationError, HypothesisError, IntegrabilityError
+from strainflow.errors import (
+    CertificationError,
+    HypothesisError,
+    IntegrabilityError,
+    StrainflowError,
+)
 from strainflow.mixed import solve_field
 from strainflow.numerics import CumulativeCurve
 from strainflow.stress_models import make_model
 
-from reference_quadrature import heap_quad_adaptive
+from reference_quadrature import heap_quad_adaptive, sequential_quad_to_infinity
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +82,16 @@ class TestMixedLower:
         exact = _bisect_table(curve, DEFAULT_T_GRID)
         assert np.all(np.abs(got - exact) <= 1e-12 * exact)
 
+    def test_zero_strain_inverse_next_to_every_node(self, singular):
+        # one ulp below each table entry the inverse is its node: the
+        # solver's stops are relative, so nodes down to 1e-12 * p_minus keep
+        # their digits (absolute stops left 227 of 479 more than 1e-12 off,
+        # the worst 4e-4, and 299 outside their panel)
+        curve = time_from_zero_curve(singular)[0]
+        got = curve.invert(np.nextafter(curve.cum[1:], -np.inf))
+        assert np.all(np.abs(got - curve.nodes[1:]) <= 1e-12 * curve.nodes[1:])
+        assert np.all((curve.nodes[:-1] <= got) & (got <= curve.nodes[1:]))
+
     def test_rejects_model_without_blowup(self, cubic):
         with pytest.raises(HypothesisError):
             mixed_lower(cubic, np.array([1.0]))
@@ -113,6 +131,72 @@ class TestMixedUpper:
         t = np.geomspace(1e-6, 1e3, 200)
         curve, _ = mixed_upper(singular, t)
         assert np.all(np.diff(curve) <= 1e-12)
+
+
+def _tail_cases():
+    """The escape times the envelopes take, with their integrands: 1/sigma
+    beyond p+ + 1 for each registered law (t_saturate_upper), and the
+    escape-time integrand above the certified threshold M for a range of
+    masses (t0_upper)."""
+    cases = []
+    for name in ("cubic", "shifted-cubic", "singular-cubic", "hyperbolic", "linear", "log"):
+        model = make_model(name)
+        start = float(model.roots_of_sigma[-1]) + 1.0
+        cases.append((lambda t, m=model: mixed_upper(m, t)[1]["t_saturate_upper"],
+                      lambda z, m=model: 1.0 / m.sigma(z), start))
+        for mu in np.linspace(0.1, 3.0, 12):
+            try:
+                M = certify_upper_threshold(model, mu)
+            except StrainflowError:
+                continue
+            cases.append((lambda t, m=model, mu=mu: displacement_upper(m, mu, t)[1]["t0_upper"],
+                          lambda z, m=model, mu=mu: 2.0 * z / (m.sigma(z) * (z - 2.0 * mu)), M))
+    return cases
+
+
+class TestEscapeTimes:
+    """The total escape times, tabulated from infinity, against the doubling
+    segment summation with geometric extrapolation that they replaced."""
+
+    def test_totals_match_segment_summation(self):
+        cases = _tail_cases()
+        assert len(cases) > 40
+        converged = 0
+        for total, f, a in cases:
+            try:
+                ref = sequential_quad_to_infinity(f, a, tol=1e-9)
+            except IntegrabilityError:
+                with pytest.raises(IntegrabilityError, match="diverges"):
+                    total(np.array([1.0]))
+                continue
+            assert total(np.array([1.0])) == pytest.approx(ref, rel=1e-9)
+            converged += 1
+        assert converged > 20
+
+    def test_closed_forms(self):
+        # int_2^inf z^-3 = 1/8; int_2^inf e^-z = e^-2; the curve inverts them
+        t = np.array([1e-10, 1e-3, 0.1, 1.0])
+        curve, total = _escape_envelope(lambda z: z ** -3.0, 2.0, t, "z^-3")
+        assert total == pytest.approx(0.125, rel=1e-13)
+        assert np.allclose(curve, np.maximum(2.0, 1.0 / np.sqrt(2.0 * t)), rtol=2e-9, atol=0)
+        _, total = _escape_envelope(lambda z: np.exp(-z), 2.0, t, "e^-z")
+        assert total == pytest.approx(np.exp(-2.0), rel=1e-13)
+
+    @pytest.mark.parametrize("name", ["log", "linear", "hyperbolic"])
+    def test_registered_divergent_laws_raise(self, name):
+        # their tails are not integrable at u = 0, which only the decade
+        # test sees: a table alone would return a finite escape time
+        model = make_model(name)
+        with pytest.raises(IntegrabilityError, match="diverges"):
+            mixed_upper(model, np.array([1.0]))
+        with pytest.raises(IntegrabilityError, match="diverges"):
+            displacement_upper(model, 1.0, np.array([1.0]))
+
+    @pytest.mark.parametrize("tail", [lambda z: 1.0 / z, lambda z: 1.0 / np.log(z),
+                                      lambda z: z ** -0.9], ids=["1/z", "1/ln z", "z^-0.9"])
+    def test_divergent_tails_raise(self, tail):
+        with pytest.raises(IntegrabilityError, match="diverges"):
+            _escape_envelope(tail, 2.0, np.array([1.0]), "the tail")
 
 
 class TestDisplacementLower:
@@ -247,6 +331,90 @@ class TestProfiles:
             assert list(inspect.signature(fn).parameters) == ["model", "mu", "t_grid"]
 
 
+_ORACLE_T = np.union1d(DEFAULT_T_GRID, np.geomspace(1e-10, 1e-6, 9))
+
+
+def _p2_escape(p):
+    """int_p^inf dz/(z^2 - 1/z) = sum_k p^-(3k+1)/(3k+1), for p > 1."""
+    k = np.arange(30)[:, None]
+    return np.sum(np.asarray(p, dtype=float) ** -(3.0 * k + 1.0) / (3.0 * k + 1.0), axis=0)
+
+
+def _mp_time(integrand, lo, hi):
+    """An mpmath quadrature at 30 digits, one point at a time."""
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.quad(integrand, [mpmath.mpf(a), b]))
+                         for a, b in zip(lo, hi)])
+
+
+def _singular_sigma(z):
+    return z ** 3 - z - mpmath.mpf("0.5") / z
+
+
+# (model, builder, exact time as a function of the envelope value, its rate
+# |dT/dp|, and the subsample of _ORACLE_T it is checked on). The exact time
+# is the escape time from p for an upper envelope and the travel time from
+# zero strain to p for a lower one; either way the envelope encloses the
+# exact strain exactly when that time is at most t.
+_ORACLE_CASES = {
+    "cubic-mixed-upper": (
+        ("cubic", {}), mixed_upper,
+        lambda p: -0.5 * np.log1p(-1.0 / p ** 2),
+        lambda p: 1.0 / (p ** 3 - p), slice(None)),
+    "cubic-displacement-upper": (
+        ("cubic", {}), lambda m, t: displacement_upper(m, 0.5, t),
+        lambda p: 1.0 / (p - 1.0) - np.arctanh(1.0 / p),
+        lambda p: 2.0 / ((p - 1.0) ** 2 * (p + 1.0)), slice(None)),
+    "p2-mixed-upper": (
+        ("poly", {"coeffs": [1.0, 0.0, 0.0], "kappa": 1.0}), mixed_upper,
+        _p2_escape, lambda p: p / (p ** 3 - 1.0), slice(None)),
+    "log-mixed-lower": (
+        ("log", {}), mixed_lower,
+        lambda p: -expi(np.log(p)), lambda p: -1.0 / np.log(p), slice(None)),
+    "hyperbolic-mixed-lower": (
+        ("hyperbolic", {}), mixed_lower,
+        lambda p: -0.5 * np.log1p(-p ** 2), lambda p: p / (1.0 - p ** 2), slice(None)),
+    "singular-mixed-upper": (
+        ("singular-cubic", {}), mixed_upper,
+        lambda p: _mp_time(lambda z: 1 / _singular_sigma(z), p, [mpmath.inf] * len(p)),
+        lambda p: p / (p ** 4 - p ** 2 - 0.5), slice(None, None, 9)),
+    "singular-mixed-lower": (
+        ("singular-cubic", {}), mixed_lower,
+        lambda p: _mp_time(lambda z: -1 / _singular_sigma(z), np.zeros(len(p)), p),
+        lambda p: p / (0.5 + p ** 2 - p ** 4), slice(None, None, 9)),
+    "singular-displacement-upper": (
+        ("singular-cubic", {}), lambda m, t: displacement_upper(m, 1.0, t),
+        lambda p: _mp_time(lambda z: 2 * z / (_singular_sigma(z) * (z - 2)), p,
+                           [mpmath.inf] * len(p)),
+        lambda p: 2.0 * p ** 2 / ((p ** 4 - p ** 2 - 0.5) * (p - 2.0)), slice(None, None, 9)),
+}
+
+
+class TestEnvelopeOracles:
+    """Every envelope against an exact escape or travel time, down to
+    t = 1e-10: enclosure at every point, and tightness to 1e-8 relative in
+    the strain for t >= 1e-6 wherever the envelope is not at its clamp."""
+
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_encloses_and_is_tight(self, case):
+        (name, params), build, exact_time, rate, subsample = _ORACLE_CASES[case]
+        t = _ORACLE_T[subsample]
+        env, consts = build(make_model(name, **params), t)
+        if "t_saturate_lower" in consts:  # past it, the table end 1e-6 short of p_minus
+            free = t < consts["t_saturate_lower"]
+        else:  # the clamp at the start point is the saturation
+            start, total = ((consts["M"], consts["t0_upper"]) if "M" in consts
+                            else (consts["p_plus"] + 1.0, consts["t_saturate_upper"]))
+            free = t < total
+            assert np.all(env[~free] == start)
+            assert total == pytest.approx(float(exact_time(np.array([start]))[0]), rel=1e-12)
+        slack = t - exact_time(env)
+        assert np.all(slack >= 0.0)
+        free &= t >= 1e-6
+        gap = slack[free] / (env[free] * rate(env[free]))  # relative strain gap, to first order
+        assert np.all(gap <= 1e-8)
+
+
 def _scalar_invert(curve, target, xtol=1e-12):
     """The per-target inversion the batch invert replaced: safeguarded Newton
     with an adaptive quadrature from the panel anchor at every iterate."""
@@ -351,17 +519,17 @@ class TestBatchInversion:
         builds = []
         real = CumulativeCurve.__init__
 
-        def counted(curve, f, nodes, *args, **kwargs):
-            builds.append(np.asarray(nodes)[-1])
-            real(curve, f, nodes, *args, **kwargs)
+        def counted(curve, *args, **kwargs):
+            builds.append(curve)
+            real(curve, *args, **kwargs)
 
         monkeypatch.setattr(CumulativeCurve, "__init__", counted)
         model = make_model("singular-cubic")
         bounds_profile(model, "mixed", t_grid=np.linspace(0.0, 20.0, 201))
         solve_field(model, [0.0, 0.0, 0.5, 2.0], np.linspace(0.0, 20.0, 201))
-        p_minus = float(model.roots_of_sigma[0])
-        assert len(builds) == 2  # the zero-strain curve and the tail curve
-        assert sum(end < p_minus for end in builds) == 1
+        zero_curve = time_from_zero_curve(model)[0]  # kept on the model: no new build
+        assert len(builds) == 2  # the zero-strain curve and the escape-time table
+        assert sum(curve is zero_curve for curve in builds) == 1
 
     @pytest.mark.parametrize("name, mu", [("cubic", 0.5), ("singular-cubic", 1.0)])
     def test_displacement_upper(self, recorded, name, mu):

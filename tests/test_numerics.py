@@ -4,25 +4,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from strainflow.bounds import certify_upper_threshold
 from strainflow.errors import (
     BracketError,
     IntegrabilityError,
     IterationBudgetError,
     StiffnessError,
-    StrainflowError,
 )
 from strainflow.numerics import (
     CumulativeCurve,
     bisect_root,
     quad_adaptive,
-    quad_to_infinity,
     rk45,
     trailing_stats,
 )
-from strainflow.stress_models import make_model
+from strainflow.stress_models import make_model, roots_at
 
-from reference_quadrature import heap_quad_adaptive, sequential_quad_to_infinity
+from reference_quadrature import heap_quad_adaptive
 from reference_rk45 import reference_rk45
 
 
@@ -88,50 +85,12 @@ def test_quad_budget_exhaustion_raises():
         quad_adaptive(rough, 0.5, 1.0, tol=1e-12)
 
 
-def test_tail_integral_power_law():
-    # int_2^inf z^-3 dz = 1/8
-    val = quad_to_infinity(lambda z: z ** -3.0, 2.0, tol=1e-10)
-    assert abs(val - 0.125) < 1e-9
-
-
-def test_tail_integral_divergence_detected():
-    with pytest.raises(IntegrabilityError):
-        quad_to_infinity(lambda z: 1.0 / z, 1.0)
-    with pytest.raises(IntegrabilityError):
-        quad_to_infinity(lambda z: 1.0 / np.log(z), 2.0)
-
-
-def _tail_cases():
-    """The tail integrals the program takes: 1/sigma beyond p+ + 1 for each
-    registered law, and the escape-time integrand above the certified
-    threshold M for a range of masses (t0_upper), plus two closed forms."""
-    cases = [(lambda z: z ** -3.0, 2.0), (lambda z: np.exp(-z), 0.5), (lambda z: 1.0 / z, 1.0)]
-    for name in ("cubic", "shifted-cubic", "singular-cubic", "hyperbolic", "linear", "log"):
-        model = make_model(name)
-        roots = model.roots_of_sigma
-        cases.append((lambda z, m=model: 1.0 / m.sigma(z), float(roots[-1]) + 1.0))
-        for mu in np.linspace(0.1, 3.0, 12):
-            try:
-                M = certify_upper_threshold(model, mu)
-            except StrainflowError:
-                continue
-            cases.append((lambda z, m=model, mu=mu: 2.0 * z / (m.sigma(z) * (z - 2.0 * mu)), M))
-    return cases
-
-
-def test_tail_batches_keep_the_sequential_bits():
-    # segments integrated several to a kernel call but summed and tested one
-    # by one give the sequential loop's value, or its divergence verdict
-    cases = _tail_cases()
-    assert len(cases) > 40
-    for f, a in cases:
-        try:
-            ref = sequential_quad_to_infinity(f, a, tol=1e-9)
-        except IntegrabilityError:
-            with pytest.raises(IntegrabilityError):
-                quad_to_infinity(f, a, tol=1e-9)
-            continue
-        assert quad_to_infinity(f, a, tol=1e-9) == ref
+def test_quad_unresolved_unsplittable_panel_raises():
+    # 1/z is not integrable at 0: the panel at 0 splits until it cannot be
+    # split, and its estimate still misses tol (about 1,000 levels); the
+    # kernel used to accept it there and return 696.33
+    with pytest.raises(IntegrabilityError, match="not resolved"):
+        quad_adaptive(lambda z: 1.0 / z, 0.0, 1.0)
 
 
 def test_bisect_root_simple():
@@ -194,6 +153,14 @@ def test_bisect_root_accepts_a_tiny_correction_on_the_bracket_end():
     r = bisect_root(f, lambda x, i: 2.0 * x, np.zeros(3), np.full(3, 3.0))
     assert np.abs(r - np.sqrt([2.0, 3.0, 5.0])).max() <= 4.5e-16
     assert (counts - 2).max() <= 8
+
+
+def test_bisect_root_reaches_a_root_at_zero():
+    # the stops are relative to |x|, which a root at exactly 0 never meets:
+    # Newton from an asymmetric bracket lands on the exact zero instead
+    r = bisect_root(lambda x, i: x ** 3 - x, lambda x, i: 3.0 * x ** 2 - 1.0, -0.3, 0.5)
+    assert r == 0.0
+    assert roots_at(make_model("cubic"), 0.0).tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_bisect_root_budget_exhaustion_raises(monkeypatch):
