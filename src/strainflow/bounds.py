@@ -82,10 +82,16 @@ def time_from_zero_curve(model: StressModel) -> tuple[CumulativeCurve, float]:
             "the blow-up-at-zero hypothesis fails"
         )
     integrand = lambda z: -1.0 / model.sigma(z)
-    # stop 1e-6 short of the root: sigma evaluated closer suffers catastrophic
-    # cancellation, and the curve's inverse is insensitive there (the inverse
-    # error is the time error scaled by |sigma|, which vanishes at the root)
-    nodes = np.geomspace(1e-12 * p_minus, (1.0 - 1e-6) * p_minus, 480)
+    # graded toward both ends: geometric in p up to p_minus/2, then geometric
+    # in the distance p_minus - p, so no panel spans the travel time's log
+    # singularity at the root and each inversion target sits in a panel its
+    # Newton steps resolve in a few rounds. Stop 1e-6 short of the root:
+    # sigma evaluated closer suffers catastrophic cancellation, and the
+    # curve's inverse is insensitive there (the inverse error is the time
+    # error scaled by |sigma|, which vanishes at the root)
+    half = 0.5 * p_minus
+    nodes = np.concatenate([np.geomspace(1e-12 * p_minus, half, 240),
+                            p_minus - np.geomspace(half, 1e-6 * p_minus, 241)[1:]])
     curve = CumulativeCurve(integrand, nodes, tol=1e-9, x0=0.0)
     model.__dict__["time_from_zero"] = (curve, p_minus)
     return curve, p_minus

@@ -1,12 +1,14 @@
 """Traction-free problem: the flow decouples into pointwise ODEs dp/dt = -sigma(p).
 
 Each material point evolves independently, so the field solver integrates
-every sample in one rk45 call, one ensemble member per sample, and
-reassembles diagnostics; the pointwise solver is its one-sample case.
-Strains starting at exactly zero outside the domain are bootstrapped once
-through the travel-time relation int_0^p -dz/sigma(z) = t (exact where the
-explicit stepper would be hopeless), inverted in batch, and handed to the
-adaptive stepper near the smallest root, well clear of the singularity.
+every sample as one rk45 ensemble, one member per sample, and reassembles
+diagnostics; the pointwise solver is its one-sample case. Strains starting
+at exactly zero outside the domain follow the travel-time relation
+int_0^p -dz/sigma(z) = t (exact where the explicit stepper would be
+hopeless), inverted in batch, until they reach 0.999 of the smallest root
+at the hand-off time; the ensemble is split there, and one zero-strain
+member joins it for the rest of the run, its column copied to every zero
+sample.
 """
 
 from __future__ import annotations
@@ -39,14 +41,17 @@ class PointwiseSolution:
 
 
 def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
-          rtol: float, atol: float) -> np.ndarray:
-    """Values (records x samples) of dp/dt = -sigma(p) from each sample.
+          rtol: float, atol: float) -> tuple[np.ndarray, int, int]:
+    """Values (records x samples) of dp/dt = -sigma(p) from each sample, and
+    the accepted and rejected rk45 steps summed over the stepper calls.
 
-    Samples away from exactly 0 share one rk45 call as an ensemble of
-    one-dimensional members; the flow is decoupled, so only the step sizes
-    couple them, and rk45's per-member error norm holds each sample to
-    ``rtol``/``atol``. A zero strain outside the domain is bootstrapped once
-    and its column copied to every zero sample.
+    The samples share rk45 calls as an ensemble of one-dimensional members;
+    the flow is decoupled, so only the step sizes couple them, and rk45's
+    per-member error norm holds each sample to ``rtol``/``atol``. Without a
+    zero strain outside the domain that is one call. With one, the others
+    run up to the hand-off time t_boot of ``_zero_start`` and then, joined by
+    one zero-strain member started at its hand-off strain, on to the end;
+    that member's column is copied to every zero sample.
     """
     if samples.ndim != 1 or len(samples) == 0:
         raise ValueError("p0_samples must be a non-empty 1-d array")
@@ -59,39 +64,50 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
     guard = None
     if model.domain == POSITIVE:
         guard = lambda y_old, y_new: y_new.min() > 0.0
+    runs = []
+
+    def step(y0, grid):
+        runs.append(rk45(f, y0[:, None], grid, rtol=rtol, atol=atol, accept_state=guard))
+        return runs[-1].states[:, :, 0]
+
     boot = (samples == 0.0) & (model.domain == POSITIVE)
-    values = np.empty((len(t_grid), len(samples)))
-    if np.any(boot):
-        values[:, boot] = _zero_start(model, t_grid, f, guard, rtol, atol)[:, None]
-    if not np.all(boot):
-        res = rk45(f, samples[~boot, None], t_grid, rtol=rtol, atol=atol, accept_state=guard)
-        values[:, ~boot] = res.states[:, :, 0]
-    return values
+    if not np.any(boot):
+        values = step(samples, t_grid)
+    else:
+        values = np.empty((len(t_grid), len(samples)))
+        t_boot, early, p_start = _zero_start(model, t_grid)
+        head, rest = t_grid <= t_boot, t_grid > t_boot
+        values[np.ix_(head, boot)] = early[:, None]
+        members = samples[~boot]
+        if len(members):
+            # the hand-off time closes the grid once, even when it is a record
+            states = step(members, np.append(t_grid[t_grid < t_boot], t_boot))
+            values[np.ix_(head, ~boot)] = states[:np.count_nonzero(head)]
+            members = states[-1]
+        if np.any(rest):
+            states = step(np.append(members, p_start), np.append(t_boot, t_grid[rest]))
+            values[np.ix_(rest, ~boot)] = states[1:, :-1]
+            values[np.ix_(rest, boot)] = states[1:, -1:]
+    return values, sum(r.n_steps for r in runs), sum(r.n_rejected for r in runs)
 
 
-def _zero_start(model, t_grid, f, guard, rtol, atol) -> np.ndarray:
-    """Trajectory from strain 0 where 0 is not in the domain: invert the
-    travel-time relation until the strain reaches BOOTSTRAP_FRACTION of the
-    smallest root p_minus, then continue with the stepper. The inversion
-    stays accurate that far, and the stepper never sees the steep start,
-    where dp/dt ~ -sigma(p) is large and the tolerance relative to p small."""
+def _zero_start(model, t_grid) -> tuple[float, np.ndarray, float]:
+    """The hand-off time t_boot (capped at the last record), the zero-strain
+    trajectory on the records up to it and the strain at it, from the
+    travel-time relation inverted until the strain reaches
+    BOOTSTRAP_FRACTION of the smallest root p_minus. The inversion stays
+    accurate that far, and the stepper never sees the steep start, where
+    dp/dt ~ -sigma(p) is large and the tolerance relative to p small."""
     curve, p_minus = time_from_zero_curve(model)
     t_boot = min(curve.value(BOOTSTRAP_FRACTION * p_minus), float(t_grid[-1]))
     early = t_grid[(t_grid > 0.0) & (t_grid <= t_boot)]
     inv = curve.invert(np.append(early, t_boot))
-    p_start = inv[-1]
-    if p_start <= 0.0:
+    if inv[-1] <= 0.0:
         raise HypothesisError(
             "travel-time relation from zero strain is not solvable; "
             "the stress does not blow down fast enough at zero"
         )
-    vals = np.concatenate([[0.0], inv[:-1]])
-    rest = t_grid[t_grid > t_boot]
-    if len(rest):
-        grid2 = np.concatenate([[t_boot], rest])
-        res = rk45(f, np.array([p_start]), grid2, rtol=rtol, atol=atol, accept_state=guard)
-        vals = np.concatenate([vals, res.states[1:, 0]])
-    return vals
+    return t_boot, np.concatenate([[0.0], inv[:-1]]), float(inv[-1])
 
 
 def _limit_roots(model: StressModel, finals: np.ndarray) -> np.ndarray:
@@ -115,7 +131,7 @@ def solve_pointwise(
     """Solve dp/dt = -sigma(p), p(0) = p0 >= 0, recording on ``t_grid``: the
     one-sample case of ``solve_field``."""
     t_grid = np.asarray(t_grid, dtype=float)
-    values = _flow(model, np.array([float(p0)]), t_grid, rtol, atol)[:, 0]
+    values = _flow(model, np.array([float(p0)]), t_grid, rtol, atol)[0][:, 0]
     if p0 != 0.0:
         method = "stiff-ode"
     elif model.domain == POSITIVE:
@@ -144,7 +160,7 @@ def solve_field(
     limit is unresolved)."""
     samples = np.asarray(p0_samples, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    values = _flow(model, samples, t_grid, rtol, atol)
+    values, n_steps, n_rejected = _flow(model, samples, t_grid, rtol, atol)
     weights = np.full(len(samples), 1.0 / len(samples))
 
     # diagnostics evaluated just inside the domain when a sample sits at 0
@@ -163,7 +179,8 @@ def solve_field(
         energy=energy,
         dissipation=diss_rate,
         dissipation_cum=np.zeros_like(t_grid),
-        metadata={"kind": "mixed", "model": model.spec},
+        metadata={"kind": "mixed", "model": model.spec,
+                  "n_steps": n_steps, "n_rejected": n_rejected},
         converged=bool(np.max(np.abs(sig[-1])) < EQUILIBRIUM_TOL),
     )
     roots = _limit_roots(model, values[-1])

@@ -96,6 +96,35 @@ class TestMixedLower:
         with pytest.raises(HypothesisError):
             mixed_lower(cubic, np.array([1.0]))
 
+    @pytest.mark.parametrize("name", ["singular-cubic", "log", "hyperbolic", "linear"])
+    def test_zero_strain_inversion_rounds(self, name, monkeypatch):
+        # nodes graded toward the root keep every target's panel narrow
+        # enough for a few Newton steps: 6-8 calls of f, where one panel
+        # across [0.944, 0.999999] p_minus took 20-21
+        import strainflow.numerics as numerics
+
+        curve = time_from_zero_curve(make_model(name))[0]
+        calls = [0]
+        real = numerics.bisect_root
+
+        def spy(f, fprime, lo, hi, **kwargs):
+            def counted(x, i):
+                calls[0] += 1
+                return f(x, i)
+            return real(counted, fprime, lo, hi, **kwargs)
+
+        monkeypatch.setattr(numerics, "bisect_root", spy)
+        curve.invert(DEFAULT_T_GRID)
+        assert 0 < calls[0] <= 10
+
+    def test_singular_saturation_time_against_mpmath(self, singular):
+        # the whole table, 0 to (1 - 1e-6) p_minus: 3.6e-14 relative off
+        # with graded nodes, 1.8e-13 with purely geometric ones
+        _, consts = mixed_lower(singular, DEFAULT_T_GRID)
+        end = (1.0 - 1e-6) * consts["p_minus"]
+        exact = _mp_time(lambda z: -1 / _singular_sigma(z), [0.0], [end])[0]
+        assert abs(consts["t_saturate_lower"] - exact) <= 1e-13 * exact
+
 
 class TestMixedUpper:
     def test_saturates_at_largest_root_plus_one(self):

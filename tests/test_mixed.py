@@ -6,7 +6,8 @@ from scipy.integrate import quad, solve_ivp
 
 from strainflow.bounds import mixed_lower, mixed_upper, time_from_zero_curve
 from strainflow.errors import DomainError
-from strainflow.mixed import reconstruct_y, solve_field, solve_pointwise
+from strainflow import mixed
+from strainflow.mixed import BOOTSTRAP_FRACTION, reconstruct_y, solve_field, solve_pointwise
 from strainflow.numerics import rk45
 from strainflow.stress_models import eval_W, make_model
 
@@ -217,14 +218,18 @@ class TestVectorFieldSolve:
         assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
         assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
 
-    def test_zero_columns_equal_pointwise_bits(self, model):
+    def test_zero_columns_match_pointwise(self, model):
+        # one zero-strain member stands for every zero sample, so their
+        # columns are equal; it shares the ensemble's steps, so it meets the
+        # one-sample solve to the tolerance (about 1e-13), not bit for bit
         samples = _free_field_samples(5)
         traj, _ = solve_field(model, samples, self.T)
         single = solve_pointwise(model, 0.0, self.T).values
-        zero = samples == 0.0
-        assert zero.sum() == 8
-        for col in traj.values[:, zero].T:
-            assert np.array_equal(col, single)
+        zero = traj.values[:, samples == 0.0]
+        assert zero.shape[1] == 8
+        assert np.array_equal(zero, np.repeat(zero[:, :1], 8, axis=1))
+        rel = np.abs(zero[:, 0] - single) / np.maximum(1.0, np.abs(single))
+        assert np.max(rel) <= 1e-10
 
     def test_sigma_call_budget(self, model):
         # one vector rk45 call plus one zero-strain bootstrap; the
@@ -256,6 +261,105 @@ class TestVectorFieldSolve:
         exact = 1.0 + (samples[None, :] - 1.0) * np.exp(-t)[:, None]
         assert np.max(np.abs(traj.values - exact)) <= 1e-8
         assert np.all(traj.values[:, 0] == 1.0)
+
+
+def _hand_off(model):
+    """The hand-off time from the travel-time relation to the stepper."""
+    curve, p_minus = time_from_zero_curve(model)
+    return curve.value(BOOTSTRAP_FRACTION * p_minus)
+
+
+class TestZeroStartSplit:
+    """Zero strains outside the domain: the travel-time inversion up to the
+    hand-off time t_boot, then one ensemble with a single zero-strain
+    member. Calls of rk45 are recorded as (y0 shape, record grid, result)."""
+
+    T = np.linspace(0.0, 20.0, 201)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return make_model("singular-cubic")
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+
+        def spy(f, y0, t_record, **kwargs):
+            res = rk45(f, y0, t_record, **kwargs)
+            calls.append((np.shape(y0), np.array(t_record), res))
+            return res
+
+        monkeypatch.setattr(mixed, "rk45", spy)
+        return calls
+
+    def test_two_calls_split_at_hand_off(self, model, calls):
+        samples = _free_field_samples(1)
+        solve_field(model, samples, self.T)
+        t_boot = _hand_off(model)
+        assert [shape for shape, _, _ in calls] == [(56, 1), (57, 1)]
+        (_, head, first), (_, tail, second) = calls
+        assert np.array_equal(head, np.append(self.T[self.T < t_boot], t_boot))
+        assert np.array_equal(tail, np.append(t_boot, self.T[self.T > t_boot]))
+        # the ensemble carries on from where the first call stopped
+        assert np.array_equal(second.states[0, :-1], first.states[-1])
+
+    def test_every_sample_zero(self, model, calls):
+        traj, _ = solve_field(model, np.zeros(5), self.T)
+        assert [shape for shape, _, _ in calls] == [(1, 1)]
+        assert np.array_equal(traj.values, np.repeat(traj.values[:, :1], 5, axis=1))
+        single = solve_pointwise(model, 0.0, self.T).values
+        assert np.array_equal(traj.values[:, 0], single)
+
+    def test_final_time_before_hand_off(self, model, calls):
+        t = np.linspace(0.0, 0.5 * _hand_off(model), 11)
+        curve = time_from_zero_curve(model)[0]
+        from_inversion = np.append(0.0, curve.invert(t[1:]))
+        traj, _ = solve_field(model, np.zeros(3), t)
+        assert calls == []
+        assert np.array_equal(traj.values, np.repeat(from_inversion[:, None], 3, axis=1))
+        # nonzero samples take one call on the record grid itself
+        traj, _ = solve_field(model, [0.0, 0.5, 2.0], t)
+        assert len(calls) == 1 and calls[0][0] == (2, 1)
+        assert np.array_equal(calls[0][1], t)
+        assert np.array_equal(traj.values[:, 0], from_inversion)
+
+    def test_record_grid_holding_hand_off(self, model, calls):
+        t_boot = _hand_off(model)
+        t = np.union1d(self.T, [t_boot])
+        samples = np.array([0.0, 0.3, 0.0, 2.5])
+        traj, _ = solve_field(model, samples, t)
+        assert len(calls) == 2
+        for _, grid, _ in calls:
+            assert np.all(np.diff(grid) > 0.0)
+        (_, head, first), (_, tail, _) = calls
+        assert head[-1] == tail[0] == t_boot
+        k = np.flatnonzero(t == t_boot)[0]
+        assert np.array_equal(traj.values[k, samples > 0.0], first.states[-1, :, 0])
+        assert traj.values[k, 0] == time_from_zero_curve(model)[0].invert(t_boot)
+        # the extra record leaves the others within the tolerance
+        plain, _ = solve_field(model, samples, self.T)
+        rest = np.isin(t, self.T)
+        rel = np.abs(traj.values[rest] - plain.values) / np.maximum(1.0, plain.values)
+        assert np.max(rel) <= 1e-8
+
+    def test_no_zero_sample_keeps_one_call(self, model, calls):
+        samples = _free_field_samples(1)
+        samples = samples[samples > 0.0]
+        traj, _ = solve_field(model, samples, self.T)
+        assert len(calls) == 1 and calls[0][0] == (56, 1)
+        f = lambda y: -np.asarray(model.sigma(y), dtype=float)
+        guard = lambda y_old, y_new: y_new.min() > 0.0
+        direct = rk45(f, samples[:, None], self.T, rtol=1e-9, atol=1e-12, accept_state=guard)
+        assert np.array_equal(traj.values, direct.states[:, :, 0])
+
+    @pytest.mark.parametrize("zeros", [0, 8])
+    def test_metadata_counts_steps(self, model, calls, zeros):
+        samples = _free_field_samples(1)
+        samples = samples[samples > 0.0] if zeros == 0 else samples
+        traj, _ = solve_field(model, samples, self.T)
+        assert len(calls) == (1 if zeros == 0 else 2)
+        assert traj.metadata["n_steps"] == sum(res.n_steps for _, _, res in calls)
+        assert traj.metadata["n_rejected"] == sum(res.n_rejected for _, _, res in calls)
 
 
 class TestReconstructY:
