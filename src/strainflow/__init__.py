@@ -24,7 +24,7 @@ from .bounds import (
     mixed_lower,
     mixed_upper,
 )
-from .counterexample import CylState, CylTrajectory, dense_data_demo, simulate_cyl, simulate_ensemble
+from .counterexample import CylTrajectory, dense_data_demo, simulate_cyl, simulate_ensemble
 from .displacement import (
     GronwallReport,
     approximate_initial_data,
@@ -41,7 +41,6 @@ from .state import SimpleState, Trajectory, state_distance
 from .stress_models import (
     BranchSet,
     StressModel,
-    critical_points,
     eval_W,
     find_branches,
     make_model,

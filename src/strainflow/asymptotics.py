@@ -25,7 +25,6 @@ from .state import Trajectory
 from .stress_models import (
     POSITIVE,
     StressModel,
-    critical_points,
     find_branches,
     near_critical_value,
     roots_at,
@@ -149,7 +148,7 @@ def chi_functional(model: StressModel, traj: Trajectory, a: float, b: float):
     limit. The floor is 0 for positive-only models, 1 for full-line ones."""
     if b < a:
         raise ValueError("need a <= b")
-    zs, _ = critical_points(model)
+    zs, _ = model.critical_data
     if np.any(near_critical_value(model, [a, b])):
         warnings.warn(
             "band endpoint sits on a critical value of the stress; "
@@ -265,7 +264,7 @@ def volume_fractions(model: StressModel, traj: Trajectory) -> FractionsHistory:
     tolerance of a critical value get NaN rows (branch identity is ambiguous
     there) and a warning.
     """
-    zs, _ = critical_points(model)
+    zs, _ = model.critical_data
     n_slots = len(zs) + 1
     near = near_critical_value(model, traj.stress_mean)
     if np.any(near):
@@ -304,7 +303,7 @@ def nc3_check(model: StressModel, mu: float) -> BranchMeanReport:
     """For a cubic-like stress (exactly two critical points), tabulate the
     mean of the three branches across the bistable band; the flow cannot
     oscillate forever when this mean misses mu somewhere."""
-    zs, crit_vals = critical_points(model)
+    zs, crit_vals = model.critical_data
     if len(zs) != 2 or not (crit_vals[1] < crit_vals[0]):
         raise HypothesisError(
             "branch-mean check needs a cubic-like stress with exactly two "
@@ -398,7 +397,7 @@ def asymptotics_report(model: StressModel, traj: Trajectory) -> AsymptoticsRepor
         rhs_norm_final=float(series[-1]),
         settled=settled,
     )
-    zs, crit_vals = critical_points(model)
+    zs, crit_vals = model.critical_data
     mu = float(traj.mass()[0])
     try:
         cub = cubic_invariants(model, traj)

@@ -60,10 +60,11 @@ def time_from_zero_curve(model: StressModel) -> tuple[CumulativeCurve, float]:
     """Cumulative travel time g(p) = int_0^p -dz/sigma(z) below the smallest
     root, for models whose stress blows down at zero strain.
 
-    Returns the curve and the smallest root. Also used by the traction-free
-    solver to start trajectories from exactly zero strain. Built once per
-    model and kept on the instance, as ``cached_property`` keeps
-    ``roots_of_sigma``.
+    Returns the curve and the smallest root p_minus. Also used by the
+    traction-free solver to start trajectories from exactly zero strain.
+    Built once per model and kept on the instance, as ``cached_property``
+    keeps ``roots_of_sigma``. sigma is continuous and has no root below
+    p_minus, so its sign at one point below decides that it is negative.
     """
     if "time_from_zero" in model.__dict__:
         return model.__dict__["time_from_zero"]
@@ -75,8 +76,7 @@ def time_from_zero_curve(model: StressModel) -> tuple[CumulativeCurve, float]:
     if len(roots) == 0:
         raise HypothesisError("no root of sigma inside the window")
     p_minus = float(roots[0])
-    probes = np.geomspace(model.eval_window[0], 0.9 * p_minus, 64)
-    if np.any(model.sigma(probes) >= 0.0):
+    if not model.sigma(np.sqrt(model.eval_window[0] * p_minus)) < 0.0:
         raise HypothesisError(
             "stress is not negative between zero strain and its smallest root; "
             "the blow-up-at-zero hypothesis fails"
@@ -209,7 +209,9 @@ def certify_upper_threshold(model: StressModel, mu: float) -> float:
       the envelope), and
     * sigma(gamma) at least the running maximum of sigma below gamma over the
       whole window, negative strains included (the plateau argument needs the
-      stress at the threshold to dominate every smaller strain's stress).
+      stress at the threshold to dominate every smaller strain's stress);
+      sigma is monotone between critical points, so on negative strains that
+      maximum is sigma at the window start, at 0 or at a critical point.
     """
     if mu <= 0:
         raise CertificationError("the upper bound needs a positive mean strain")
@@ -221,8 +223,9 @@ def certify_upper_threshold(model: StressModel, mu: float) -> float:
     prefix_ratio_max = np.maximum.accumulate(ratios)
     dominated = np.maximum.accumulate(sig)
     if model.domain == FULL_LINE and lo < 0.0:
-        neg = np.linspace(lo, 0.0, 2000)
-        dominated = np.maximum(dominated, float(np.max(model.sigma(neg))))
+        zs, crit_vals = model.critical_data
+        ends = np.asarray(model.sigma(np.array([lo, 0.0])), dtype=float)
+        dominated = np.maximum(dominated, float(np.max([*ends, *crit_vals[zs <= 0.0]])))
     ok = (
         (sig / (2.0 * mu) + sig / p_grid > prefix_ratio_max)
         & (sig >= dominated)

@@ -68,6 +68,7 @@ _DEFAULTS = {
         "invariants": True,
     },
 }
+_OPTIONAL_KEYS = {"initial": {"values", "weights", "samples", "path"}}  # beyond the defaults
 
 
 @dataclass
@@ -95,6 +96,9 @@ class ExperimentConfig:
             if isinstance(merged[key], dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"field {key!r} must be an object")
+                unknown = set(value) - set(merged[key]) - _OPTIONAL_KEYS.get(key, set())
+                if unknown:
+                    raise ConfigError(f"unknown {key} fields: {sorted(unknown)}")
                 merged[key].update(value)
             elif isinstance(value, dict):
                 raise ConfigError(f"field {key!r} must not be an object")
@@ -182,35 +186,33 @@ def _build_model(name, params) -> StressModel:
 
 
 def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
+    """The state ``cfg.initial`` describes; data that builds none (say, weights
+    not summing to one, an empty ramp or lo above hi) is a ConfigError."""
     spec = cfg.initial
     kind = spec["kind"]
-    if kind == "seeded":
-        return seeded_state(model, cfg.n, cfg.mu, spec["seed"], lo=spec["lo"], hi=spec["hi"])
-    if kind == "explicit":
-        values = np.asarray(spec["values"], dtype=float)
-        weights = spec.get("weights")
-        if weights is None:
-            return SimpleState.uniform(values)
-        return SimpleState(values=values, weights=np.asarray(weights, dtype=float))
-    if kind == "ramp":
-        m = int(spec.get("samples", 512))
-        x = (np.arange(m) + 0.5) / m
-        samples = 2.0 * cfg.mu * x
-        state, _ = approximate_initial_data(samples, cfg.n)
-        return state
-    # kind == "file", the last one validate() admits
     try:
+        if kind == "seeded":
+            return seeded_state(model, cfg.n, cfg.mu, spec["seed"], lo=spec["lo"], hi=spec["hi"])
+        if kind == "explicit":
+            values = np.asarray(spec["values"], dtype=float)
+            weights = spec.get("weights")
+            if weights is None:
+                return SimpleState.uniform(values)
+            return SimpleState(values=values, weights=np.asarray(weights, dtype=float))
+        if kind == "ramp":
+            m = int(spec.get("samples", 512))
+            x = (np.arange(m) + 0.5) / m
+            state, _ = approximate_initial_data(2.0 * cfg.mu * x, cfg.n)
+            return state
+        # kind == "file", the last one validate() admits
         samples = np.loadtxt(spec["path"], dtype=float).ravel()
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read initial data: {exc}") from exc
-    mean = samples.mean() if len(samples) else 0.0
-    if mean <= 0:
-        raise ConfigError("file data carries no positive mass")
-    try:
+        mean = samples.mean() if len(samples) else 0.0
+        if mean <= 0:
+            raise ConfigError("file data carries no positive mass")
         state, _ = approximate_initial_data(samples * (cfg.mu / mean), cfg.n)
-    except DegenerateDataError as exc:
-        raise ConfigError(str(exc)) from exc
-    return state
+        return state
+    except (OSError, ValueError, TypeError, DegenerateDataError) as exc:
+        raise ConfigError(f"cannot build initial data: {exc}") from exc
 
 
 # -- invariant checks -------------------------------------------------------------
@@ -332,6 +334,7 @@ def command_run(cfg: ExperimentConfig) -> int:
                 model, state.values, grid,
                 rtol=cfg.stepper["rtol"],
                 atol=cfg.stepper["atol"],
+                weights=state.weights,
             )
         except StrainflowError as exc:
             print(f"integration failure: {exc}", file=sys.stderr)
@@ -396,7 +399,15 @@ def _load_trajectory(prefix) -> tuple[Trajectory, StressModel]:
     return traj, _build_model(spec.get("name"), spec.get("params", {}))
 
 
+def _require_positive(**flags) -> None:
+    """ConfigError naming the first given command-line flag that is not positive."""
+    for name, value in flags.items():
+        if not value > 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value}")
+
+
 def command_mixed(args) -> int:
+    _require_positive(n=args.n, t_final=args.t_final, records=args.records)
     model = _build_model(args.model, _parse_params(args.param))
     out_dir = _out_dir(args.out)
     try:
@@ -486,6 +497,7 @@ def command_asympt(args) -> int:
 
 
 def command_counterexample(args) -> int:
+    _require_positive(t_final=args.t_final, records=args.records)
     out_dir = _out_dir(args.out)
     if args.demo:
         z0s = DEMO_Z0

@@ -29,17 +29,6 @@ import numpy as np
 from .numerics import rk45
 
 
-@dataclass(frozen=True)
-class CylState:
-    r: float
-    theta: float  # radians, unwrapped
-    z: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("radius must be nonnegative")
-
-
 @dataclass
 class CylTrajectory:
     times: np.ndarray
@@ -50,10 +39,6 @@ class CylTrajectory:
     @property
     def lyapunov(self) -> np.ndarray:
         return self.r ** 2 + self.z ** 2
-
-    @property
-    def abs_u(self) -> np.ndarray:
-        return np.sqrt(self.lyapunov)
 
 
 def _field(y: np.ndarray) -> np.ndarray:
@@ -109,7 +94,7 @@ def member_summary(z0: float, traj: CylTrajectory) -> dict:
         "final_r": float(traj.r[-1]),
         "final_theta": float(traj.theta[-1]),
         "final_z": float(traj.z[-1]),
-        "final_abs_u": float(traj.abs_u[-1]),
+        "final_abs_u": float(np.sqrt(lyap[-1])),
         "theta_gain": float(traj.theta[-1] - traj.theta[0]),
         "lyapunov_monotone": bool(np.all(np.diff(lyap) <= 1e-9 * (1.0 + lyap[:-1]))),
     }

@@ -154,14 +154,17 @@ def solve_field(
     t_grid,
     rtol: float = 1e-9,
     atol: float = 1e-12,
+    weights: np.ndarray | None = None,
 ) -> tuple[Trajectory, np.ndarray]:
     """Solve the decoupled flow for a sampled field; returns the trajectory
     and the classified limit field (limit roots, or the final value where the
-    limit is unresolved)."""
+    limit is unresolved). ``weights`` are the samples' material fractions,
+    which weight the stress mean, energy and dissipation (equal by default)."""
     samples = np.asarray(p0_samples, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     values, n_steps, n_rejected = _flow(model, samples, t_grid, rtol, atol)
-    weights = np.full(len(samples), 1.0 / len(samples))
+    n = len(samples)
+    weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
 
     # diagnostics evaluated just inside the domain when a sample sits at 0
     floor = 1e-12 if model.domain == POSITIVE else -np.inf

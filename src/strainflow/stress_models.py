@@ -1,11 +1,11 @@
 """Stress laws, stored energies, exact structure and inverse branches.
 
 A :class:`StressModel` bundles a scalar stress law ``sigma`` (vectorized over
-numpy arrays) with its derivative, its stored energy, the domain it lives on,
-and its structure on the evaluation window: the convexity defect lambda and
-the critical points. ``make_model`` computes that structure once, exactly,
-from the law's coefficients. Models are immutable; every operation here is a
-pure function of the model.
+numpy arrays) with its derivative, its closed-form stored energy, the domain
+it lives on, and its structure on the evaluation window: the convexity defect
+lambda, the critical points and values. ``make_model`` computes that structure
+once, exactly, from the law's coefficients; callers read it, never sample
+sigma for it. Models are immutable; every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidIntervalError, ModelInconsistencyError
+# quad_adaptive is unused here: perfbench/spans.py traces it under this module too.
 from .numerics import bisect_root, quad_adaptive
 
 POSITIVE = "positive"
@@ -25,7 +26,6 @@ FULL_LINE = "full-line"
 LAMBDA_SAFETY = 1.05  # the contraction tests need a valid constant, not a tight one
 MAX_BRANCHES = 99
 CRITICAL_RTOL = 1e-9  # relative distance at which a stress level counts as critical
-W_TOL = 1e-10  # quadrature tolerance per kept panel of eval_W
 REAL_ROOT_RTOL = 1e-6  # |imag| up to which a companion-matrix root counts as real
 NEWTON_POLISH = 3  # Newton steps that polish each critical point
 
@@ -36,13 +36,16 @@ class StressModel:
     sigma: Callable[[np.ndarray], np.ndarray]
     sigma_prime: Callable[[np.ndarray], np.ndarray]
     lambda_: float
-    # the critical points (ascending sign changes of sigma' inside the
-    # window) and the critical values sigma takes there
+    # the critical points (the ascending sign changes of sigma' inside the
+    # window; empty when sigma is monotone there) and the critical values
+    # sigma takes there. The k points split the window into the k + 1
+    # monotone pieces that index the columns of a roots_at table.
     critical_data: tuple[np.ndarray, np.ndarray]
+    # the stored energy W, the antiderivative of sigma vanishing at p = 1
+    closed_form_energy: Callable[[np.ndarray], np.ndarray]
     domain: str = POSITIVE
     theta: float | None = None
     eval_window: tuple[float, float] = (1e-8, 10.0)
-    closed_form_energy: Callable[[np.ndarray], np.ndarray] | None = None
     spec: dict = field(default_factory=dict)  # registry name + params, round-trips configs
 
     def __post_init__(self):
@@ -64,12 +67,6 @@ class StressModel:
             return p > 0.0
         return np.isfinite(p)
 
-    def require_in_domain(self, p) -> None:
-        if not np.all(self.in_domain(p)):
-            raise DomainError(
-                f"strain value outside the domain of model {self.name!r}"
-            )
-
     # -- cached structure --------------------------------------------------
 
     @cached_property
@@ -89,33 +86,17 @@ class StressModel:
 # -- stored energy ----------------------------------------------------------
 
 
-def eval_W(model: StressModel, p, force_quadrature: bool = False):
-    """Stored energy W(p), the antiderivative of sigma vanishing at p = 1.
-
-    Uses the registered closed form when available, otherwise one adaptive
-    quadrature from 1 to every p at once, ``W_TOL`` bounding each kept panel.
-    """
-    model.require_in_domain(p)
-    scalar = np.isscalar(p) or np.ndim(p) == 0
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if model.closed_form_energy is not None and not force_quadrature:
-        out = np.asarray(model.closed_form_energy(p_arr), dtype=float)
-    else:
-        out = quad_adaptive(model.sigma, 1.0, p_arr, W_TOL)
-    return float(out[0]) if scalar else out
+def eval_W(model: StressModel, p):
+    """Stored energy W(p), the antiderivative of sigma vanishing at p = 1,
+    from the model's closed form: a float for a scalar p, else an array.
+    Raises DomainError when a strain lies outside the model's domain."""
+    if not np.all(model.in_domain(p)):
+        raise DomainError(f"strain value outside the domain of model {model.name!r}")
+    out = model.closed_form_energy(np.atleast_1d(np.asarray(p, dtype=float)))
+    return float(out[0]) if np.ndim(p) == 0 else np.asarray(out, dtype=float)
 
 
 # -- critical points and branches --------------------------------------------
-
-
-def critical_points(model: StressModel) -> tuple[np.ndarray, np.ndarray]:
-    """Sign changes of sigma' inside the window and the critical values there.
-
-    An empty result means sigma is monotone on the window. The k critical
-    points split the window into the k + 1 monotone pieces that index the
-    columns of a :func:`roots_at` table.
-    """
-    return model.critical_data
 
 
 def stress_range(model: StressModel) -> tuple[float, float]:
@@ -192,12 +173,9 @@ def roots_at(model: StressModel, c) -> np.ndarray:
 class BranchSet:
     """Inverse branches of sigma over a stress interval free of critical values."""
 
-    c_lo: float
-    c_hi: float
     c_grid: np.ndarray
     branches: np.ndarray  # shape (2k+1, nc), strictly ordered rows
     signs: tuple[int, ...]
-    critical_values: np.ndarray
 
     @property
     def count(self) -> int:
@@ -237,14 +215,7 @@ def find_branches(model: StressModel, c_interval: tuple[float, float], nc: int =
     rows = table[found].reshape(nc, counts[0]).T.copy()
     slopes = np.asarray(model.sigma_prime(rows[:, nc // 2]), dtype=float)
     signs = tuple(1 if d > 0 else -1 for d in slopes)
-    return BranchSet(
-        c_lo=c_lo,
-        c_hi=c_hi,
-        c_grid=c_grid,
-        branches=rows,
-        signs=signs,
-        critical_values=np.sort(crit_vals),
-    )
+    return BranchSet(c_grid=c_grid, branches=rows, signs=signs)
 
 
 # -- registry ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from strainflow.errors import (
     NotConvergedError,
 )
 from strainflow.state import SimpleState
-from strainflow.stress_models import POSITIVE, critical_points, make_model, roots_at
+from strainflow.stress_models import POSITIVE, make_model, roots_at
 
 from reference_quadrature import CumulativeAntiderivative
 
@@ -170,7 +170,7 @@ class TestFFunctional:
 def _chi_reference(model, traj, a, b):
     """The interval-merging chi series that the broadcast measure replaced:
     in-band gaps merged where they touch, then a cumulative-length lookup."""
-    zs, _ = critical_points(model)
+    zs, _ = model.critical_data
     z_floor = 0.0 if model.domain == POSITIVE else 1.0
     lo, hi = model.eval_window
     ends = roots_at(model, np.array([a, b], dtype=float))
@@ -241,7 +241,7 @@ class TestChiFunctional:
         # relative tolerance 1e-9 * |c| that volume_fractions and
         # equilibria_enumerate use, so the band check must agree with them
         model = make_model("shifted-cubic", d=1e4)
-        c_plus = float(critical_points(model)[1][0])
+        c_plus = float(model.critical_data[1][0])
         with pytest.warns(RuntimeWarning):
             chi_functional(model, converged_run, c_plus - 0.2, c_plus + 5e-9)
         with warnings.catch_warnings():
@@ -351,7 +351,7 @@ class TestVolumeFractions:
 
 def _reference_volume_fractions(model, traj):
     """Per-record loop: scalar roots_at at each record, slots by searchsorted."""
-    zs, crit_vals = critical_points(model)
+    zs, crit_vals = model.critical_data
     fractions = np.full((traj.n_records, len(zs) + 1), np.nan)
     for i, c in enumerate(traj.stress_mean):
         if len(crit_vals) and np.min(np.abs(crit_vals - c)) < 1e-9 * max(1.0, abs(c)):

@@ -92,9 +92,15 @@ class TestMixedLower:
         assert np.all(np.abs(got - curve.nodes[1:]) <= 1e-12 * curve.nodes[1:])
         assert np.all((curve.nodes[:-1] <= got) & (got <= curve.nodes[1:]))
 
-    def test_rejects_model_without_blowup(self, cubic):
-        with pytest.raises(HypothesisError):
-            mixed_lower(cubic, np.array([1.0]))
+    @pytest.mark.parametrize("params, match", [
+        (dict(name="cubic"), "positive-only domain"),
+        # 1 - p on (0, inf): positive between zero strain and its root 1
+        (dict(name="poly", coeffs=[-1.0, 1.0], domain="positive"),
+         "not negative between zero strain and its smallest root"),
+    ])
+    def test_rejects_model_without_blowup(self, params, match):
+        with pytest.raises(HypothesisError, match=match):
+            mixed_lower(make_model(**params), np.array([1.0]))
 
     @pytest.mark.parametrize("name", ["singular-cubic", "log", "hyperbolic", "linear"])
     def test_zero_strain_inversion_rounds(self, name, monkeypatch):
@@ -315,6 +321,16 @@ class TestDisplacementUpper:
         # value there, 2/sqrt(3)
         M = certify_upper_threshold(cubic, 0.5)
         assert M > 2.0 / np.sqrt(3.0)
+
+    def test_threshold_dominates_every_negative_critical_value(self):
+        # a fold value narrower than a 2000-point scan of [-3, 0] resolves:
+        # the scan misses sigma's peak at the critical point near -0.568 by
+        # 1.2e-7, which a grid-certified M then fails to dominate
+        model = make_model("poly", coeffs=[1.0, 0.0, -0.967575, 0.0])
+        M = certify_upper_threshold(model, 0.5)
+        zs, crit_vals = model.critical_data
+        assert np.any(zs <= 0.0)
+        assert float(model.sigma(M / 1.1)) >= np.max(crit_vals[zs <= 0.0])
 
     def test_full_line_enclosure_over_random_runs(self, cubic):
         from strainflow.displacement import integrate, seeded_state

@@ -11,6 +11,7 @@ from strainflow import cli, displacement
 from strainflow.cli import ExperimentConfig, load_config, main
 from strainflow.errors import ConfigError
 from strainflow.state import Trajectory
+from strainflow.stress_models import make_model
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -89,10 +90,16 @@ class TestRunCommand:
         for name in ("report.json", "manifest.json"):
             assert json.loads((out_env / "run_checked" / name).read_text())["checked"] is True
 
-    def test_hypothesis_failure_exits_3_with_manifest(self, out_env, tmp_path):
+    @pytest.mark.parametrize("model, error", [
+        ({"name": "log", "params": {}}, "diverges"),
+        # 1 - p is positive below its root: the zero-strain lower curve fails
+        ({"name": "poly", "params": {"coeffs": [-1.0, 1.0], "domain": "positive"}},
+         "not negative between zero strain"),
+    ])
+    def test_hypothesis_failure_exits_3_with_manifest(self, out_env, tmp_path, model, error):
         cfg_path = write_config(
             tmp_path / "c.json",
-            model={"name": "log", "params": {}},
+            model=model,
             mu=1.0,
             analyses={"bounds_upper": True},
             bc="mixed",
@@ -102,7 +109,7 @@ class TestRunCommand:
         assert code == 3
         manifest = json.loads((out_env / "run3" / "manifest.json").read_text())
         assert manifest["exit_code"] == 3
-        assert "diverges" in manifest["error"]
+        assert error in manifest["error"]
 
     def test_bound_budget_failure_exits_4_with_manifest(self, out_env, tmp_path, monkeypatch):
         # one root-finder iteration cannot invert the cubic's upper-bound curve
@@ -130,6 +137,16 @@ class TestRunCommand:
         ['mu="a"'],                     # string for a number
         ['t_final="5"'],                # numeric string for a number
         ["initial.seed=[1]"],           # list for an integer field
+        ["stepper.rtoll=1e-3"],         # unknown nested keys
+        ["analyses.invarants=false"],
+        ['model.nmae="cubic"'],
+        ["initial.colour=1"],
+        ['initial.kind="ramp"', 'initial.samples="abc"'],
+        ['initial.kind="ramp"', "initial.samples=0"],
+        ['initial.kind="ramp"', "initial.samples=-3"],
+        ['initial.kind="explicit"', 'initial.values=[1,"a"]'],
+        ['initial.kind="explicit"', "initial.values=[0.5,1.5]", "initial.weights=[0.5,0.4]"],
+        ["initial.lo=3", "initial.hi=1"],
     ])
     def test_malformed_override_exits_2(self, out_env, tmp_path, capsys, with_config, overrides):
         argv = ["run", "--out", "bad"]
@@ -238,6 +255,22 @@ class TestRunCommand:
         checks = json.loads((out_env / "run_mixed" / "report.json").read_text())["checks"]
         assert set(checks) == {"monotone_paths", "energy_nonincreasing", "bound_enclosure"}
         assert all(checks.values())
+
+    def test_mixed_bc_run_keeps_weights(self, out_env, tmp_path):
+        weights = [0.7, 0.2, 0.1]
+        cfg_path = write_config(
+            tmp_path / "c.json",
+            model={"name": "singular-cubic", "params": {}},
+            bc="mixed",
+            initial={"kind": "explicit", "values": [0.5, 1.5, 2.0], "weights": weights},
+            output_dir="run_mixed_weights",
+            t_final=3.0,
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        traj = Trajectory.load(out_env / "run_mixed_weights" / "trajectory")
+        assert traj.weights.tolist() == weights
+        sig = make_model("singular-cubic").sigma(traj.values)
+        assert np.allclose(traj.stress_mean, sig @ np.array(weights), rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("tamper, failing", [
         ("reverse", "monotone_paths"),
@@ -466,6 +499,11 @@ class TestInputErrors:
         ["run", "--set", 'initial.kind="file"', "--set", 'initial.path="{root}/missing.txt"'],
         ["run", "--set", 'initial.kind="file"', "--set", 'initial.path="{root}/garbled.txt"'],
         ["run", "--set", 'initial.kind="file"'],  # no path
+        ["mixed", "--records", "0"],
+        ["mixed", "--n", "0"],
+        ["mixed", "--t-final", "-1"],
+        ["counterexample", "--records", "0"],
+        ["counterexample", "--t-final", "-5"],
     ])
     def test_bad_model_or_p0_exits_2(self, out_env, capsys, argv):
         (out_env / "garbled.txt").write_text("0.5 abc\n")

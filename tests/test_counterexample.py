@@ -3,7 +3,6 @@ import pytest
 
 from strainflow.counterexample import (
     DEMO_Z0,
-    CylState,
     CylTrajectory,
     _field,
     dense_data_demo,
@@ -74,8 +73,6 @@ class TestInvariants:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             simulate_cyl(-1.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            CylState(r=-0.1, theta=0.0, z=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,3 @@
-import dataclasses
 
 import mpmath
 import numpy as np
@@ -8,10 +7,10 @@ from hypothesis import strategies as st
 
 import reference_stress
 from strainflow.errors import DomainError, InvalidIntervalError
+from strainflow.numerics import quad_adaptive
 from strainflow.stress_models import (
     POSITIVE,
     StressModel,
-    critical_points,
     eval_W,
     find_branches,
     make_model,
@@ -42,8 +41,8 @@ class TestStoredEnergy:
 
     def test_cubic_quadrature_matches_closed_form(self, cubic):
         ps = np.linspace(-3.0, 3.0, 25)
-        numeric = eval_W(cubic, ps, force_quadrature=True)
-        assert np.max(np.abs(numeric - 0.25 * (ps ** 2 - 1.0) ** 2)) < 1e-9
+        numeric = quad_adaptive(cubic.sigma, 1.0, ps, 1e-10)
+        assert np.max(np.abs(numeric - eval_W(cubic, ps))) < 1e-9
 
     @pytest.mark.parametrize("name, ps", [
         ("cubic", np.linspace(-3.0, 3.0, 25)),
@@ -59,19 +58,20 @@ class TestStoredEnergy:
             calls[0] += 1
             return model.sigma(p)
 
-        counted_model = dataclasses.replace(model, sigma=counted)
-        batch = eval_W(counted_model, ps, force_quadrature=True)
+        batch = quad_adaptive(counted, 1.0, ps, 1e-10)
+        assert np.max(np.abs(batch - eval_W(model, ps))) < 1e-9
         n_batch, deepest = calls[0], 0
         for p, w in zip(ps, batch):
             calls[0] = 0
-            assert eval_W(counted_model, p, force_quadrature=True) == pytest.approx(w, abs=1e-14)
+            assert quad_adaptive(counted, 1.0, p, 1e-10) == pytest.approx(w, abs=1e-14)
             deepest = max(deepest, calls[0])
         assert n_batch == deepest
 
     def test_log_model_W_at_e(self):
         # int_1^e ln z dz = [z ln z - z] = 1
         model = make_model("log")
-        assert eval_W(model, np.e, force_quadrature=True) == pytest.approx(1.0, abs=1e-9)
+        assert eval_W(model, np.e) == pytest.approx(1.0, abs=1e-14)
+        assert quad_adaptive(model.sigma, 1.0, np.e, 1e-10) == pytest.approx(1.0, abs=1e-9)
 
     def test_domain_error_outside_positive_domain(self, singular):
         with pytest.raises(DomainError):
@@ -137,6 +137,7 @@ class TestLambda:
             sigma_prime=lambda p: -1.0 / np.sqrt(p),
             lambda_=0.0,
             critical_data=(np.empty(0), np.empty(0)),
+            closed_form_energy=lambda p: -4.0 / 3.0 * (p ** 1.5 - 1.0),
             domain=POSITIVE,
             eval_window=(1e-300, 10.0),
         )
@@ -152,7 +153,7 @@ class TestLambda:
 
 class TestCriticalPointsAndBranches:
     def test_cubic_critical_points(self, cubic):
-        zs, cs = critical_points(cubic)
+        zs, cs = cubic.critical_data
         root3 = 1.0 / np.sqrt(3.0)
         assert np.allclose(zs, [-root3, root3], atol=1e-9)
         assert np.allclose(cs, [2.0 / (3.0 * np.sqrt(3.0)), -2.0 / (3.0 * np.sqrt(3.0))], atol=1e-9)
@@ -161,13 +162,13 @@ class TestCriticalPointsAndBranches:
                              ids=["linear", "constant"])
     def test_monotone_model_has_no_critical_points(self, params):
         model = make_model(**params)
-        zs, cs = critical_points(model)
+        zs, cs = model.critical_data
         assert len(zs) == len(cs) == 0
         assert model.lambda_ == 0.0
 
     def test_constant_shift_preserves_critical_points(self):
         shifted = make_model("shifted-cubic", a=1.0, b=0.0, c=-1.0, d=1e-3)
-        zs, cs = critical_points(shifted)
+        zs, cs = shifted.critical_data
         root3 = 1.0 / np.sqrt(3.0)
         assert np.allclose(zs, [-root3, root3], atol=1e-9)
         assert np.allclose(cs, [2.0 / (3.0 * np.sqrt(3.0)) + 1e-3, -2.0 / (3.0 * np.sqrt(3.0)) + 1e-3], atol=1e-9)
@@ -203,7 +204,7 @@ class TestCriticalPointsAndBranches:
             find_branches(cubic, (0.3, 0.5))  # c+ ~ 0.385 inside
 
     def test_root_counts_constant_between_critical_values(self, cubic):
-        _, cs = critical_points(cubic)
+        _, cs = cubic.critical_data
         lo, hi = np.min(cs), np.max(cs)
         inside = [len(roots_at(cubic, c)) for c in np.linspace(lo + 1e-3, hi - 1e-3, 7)]
         outside = [len(roots_at(cubic, c)) for c in (lo - 0.2, hi + 0.2)]
@@ -263,7 +264,7 @@ def _scalar_bisect(f, lo, hi, xtol=1e-12, max_iter=200):
 
 
 def _reference_roots_at(model, c):
-    zs, _ = critical_points(model)
+    zs, _ = model.critical_data
     lo, hi = model.eval_window
     if model.domain == POSITIVE:
         lo = max(lo, 1e-300)
@@ -304,7 +305,7 @@ def equivalence_model(request):
 def _special_levels(model):
     """Critical values, sigma at each window end (at the nudged start that a
     positive-only model bisects from, too) and levels outside the range."""
-    _, cs = critical_points(model)
+    _, cs = model.critical_data
     lo, hi = model.eval_window
     ends = [lo, hi] + ([lo + 1e-13 * max(1.0, lo)] if model.domain == POSITIVE else [])
     at_ends = model.sigma(np.array(ends, dtype=float))
@@ -336,7 +337,7 @@ def _assert_table_matches_reference(model, levels):
     """roots_at finds the reference bisection's roots, each no farther from
     the exact root than the reference's or within 4 ulp of it."""
     table = roots_at(model, levels)
-    assert table.shape == (len(levels), len(critical_points(model)[0]) + 1)
+    assert table.shape == (len(levels), len(model.critical_data[0]) + 1)
     for row, c in zip(table, levels):
         got, ref = row[~np.isnan(row)], _reference_roots_at(model, float(c))
         assert roots_at(model, float(c)).tobytes() == got.tobytes(), c
@@ -350,7 +351,7 @@ def _assert_table_matches_reference(model, levels):
 
 class TestBatchedLevelSetsMatchScalarReference:
     def test_quintic_has_four_critical_points(self):
-        zs, _ = critical_points(make_model(**EQUIVALENCE_MODELS["quintic"]))
+        zs, _ = make_model(**EQUIVALENCE_MODELS["quintic"]).critical_data
         assert len(zs) == 4
 
     def test_critical_points_match_sampled_reference(self, equivalence_model):
@@ -361,7 +362,7 @@ class TestBatchedLevelSetsMatchScalarReference:
         _assert_table_matches_reference(equivalence_model, _special_levels(equivalence_model))
 
     def test_interior_levels_match_reference(self, equivalence_model):
-        _, cs = critical_points(equivalence_model)
+        _, cs = equivalence_model.critical_data
         levels = np.linspace(np.min(cs) - 0.5, np.max(cs) + 0.5, 41)
         _assert_table_matches_reference(equivalence_model, levels)
 
@@ -402,7 +403,7 @@ def test_level_sets_take_few_iterations(monkeypatch):
 
     monkeypatch.setattr(stress_models, "bisect_root", counting)
     names = [name for name in ["log", *stress_models._POLY_PRESETS]
-             if len(critical_points(make_model(name))[0])]
+             if len(make_model(name).critical_data[0])]
     assert "cubic" in names
     for name in names:
         model = make_model(name)
@@ -414,7 +415,7 @@ def test_critical_value_proximity_is_relative():
     # |c| >> 1: 5e-9 from a critical value is near under the relative rule
     # (1e-9 * |c| ~ 1e-5) though not under an absolute 1e-9
     model = make_model("shifted-cubic", d=1e4)
-    _, cs = critical_points(model)
+    _, cs = model.critical_data
     assert near_critical_value(model, cs[0] + 5e-9)
     assert not near_critical_value(model, cs[0] + 2e-5)
     assert near_critical_value(model, np.array([cs[1] - 5e-9, 0.0])).tolist() == [True, False]
@@ -464,7 +465,7 @@ def _changes_sign_at(model, z, others):
 
 
 def _assert_structure_matches_sampled_reference(model):
-    zs, cs = critical_points(model)
+    zs, cs = model.critical_data
     lo, hi = model.eval_window
     assert np.all(np.diff(zs) > 0.0) and np.all((lo < zs) & (zs < hi))
     assert cs.tobytes() == np.asarray(model.sigma(zs), dtype=float).tobytes()
@@ -493,7 +494,7 @@ def test_critical_points_polished_to_roundoff(name, coeffs, kappa):
     # within 2 ulp of the 40-digit zero of the same sigma' (the unpolished
     # companion-matrix roots are up to 1.6e-15 off)
     model = make_model(name, **({} if name != "poly" else {"coeffs": coeffs, "kappa": kappa}))
-    zs, _ = critical_points(model)
+    zs, _ = model.critical_data
     with mpmath.workdps(40):
         d1 = [mpmath.mpf(c) for c in np.polyder(np.asarray(coeffs, dtype=float))]
         exact = [float(mpmath.findroot(lambda x: mpmath.polyval(d1, x) + kappa / x ** 2, mpmath.mpf(z)))
@@ -507,7 +508,7 @@ def test_grid_blind_cubic_has_both_critical_points():
     model = make_model("shifted-cubic", a=1.0, b=-0.3705, c=3 * 0.12345 * 0.12355, d=0.0)
     assert len(reference_stress._critical_points_impl(model)[0]) == 0
     assert reference_stress.estimate_lambda(model) == 0.0
-    zs, _ = critical_points(model)
+    zs, _ = model.critical_data
     assert np.allclose(zs, [0.12345, 0.12355], rtol=0.0, atol=1e-12)
     assert model.lambda_ == pytest.approx(1.05 * 7.5e-9, rel=1e-6)
 
@@ -532,7 +533,7 @@ def test_exact_structure_property(degree, lead, rest, kappa):
     nondecreasing there."""
     coeffs = [lead, *rest[:degree]]
     model = make_model("poly", coeffs=coeffs, kappa=kappa)
-    zs, _ = critical_points(model)
+    zs, _ = model.critical_data
     grid = model.grid(4001)
     d = np.asarray(model.sigma_prime(grid), dtype=float)
     # a sign is decided where sigma' exceeds its evaluation roundoff, away
