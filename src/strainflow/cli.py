@@ -116,7 +116,10 @@ class ExperimentConfig:
         for name, value in numbers.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name, value in {"n": self.n, "initial.seed": self.initial["seed"]}.items():
+        integers = {"n": self.n, "initial.seed": self.initial["seed"]}
+        if "samples" in self.initial:  # fewer than one fails as an empty ramp
+            integers["initial.samples"] = self.initial["samples"]
+        for name, value in integers.items():
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.output_dir, str):
@@ -187,32 +190,37 @@ def _build_model(name, params) -> StressModel:
 
 def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
     """The state ``cfg.initial`` describes; data that builds none (say, weights
-    not summing to one, an empty ramp or lo above hi) is a ConfigError."""
+    not summing to one, an empty ramp or lo above hi) or strains outside a
+    positive-only law's domain are a ConfigError."""
     spec = cfg.initial
     kind = spec["kind"]
     try:
         if kind == "seeded":
-            return seeded_state(model, cfg.n, cfg.mu, spec["seed"], lo=spec["lo"], hi=spec["hi"])
-        if kind == "explicit":
+            state = seeded_state(model, cfg.n, cfg.mu, spec["seed"], lo=spec["lo"], hi=spec["hi"])
+        elif kind == "explicit":
             values = np.asarray(spec["values"], dtype=float)
             weights = spec.get("weights")
-            if weights is None:
-                return SimpleState.uniform(values)
-            return SimpleState(values=values, weights=np.asarray(weights, dtype=float))
-        if kind == "ramp":
-            m = int(spec.get("samples", 512))
+            state = (SimpleState.uniform(values) if weights is None else
+                     SimpleState(values=values, weights=np.asarray(weights, dtype=float)))
+        elif kind == "ramp":
+            m = spec.get("samples", 512)
             x = (np.arange(m) + 0.5) / m
             state, _ = approximate_initial_data(2.0 * cfg.mu * x, cfg.n)
-            return state
-        # kind == "file", the last one validate() admits
-        samples = np.loadtxt(spec["path"], dtype=float).ravel()
-        mean = samples.mean() if len(samples) else 0.0
-        if mean <= 0:
-            raise ConfigError("file data carries no positive mass")
-        state, _ = approximate_initial_data(samples * (cfg.mu / mean), cfg.n)
-        return state
+        else:  # kind == "file", the last one validate() admits
+            samples = np.loadtxt(spec["path"], dtype=float).ravel()
+            mean = samples.mean() if len(samples) else 0.0
+            if mean <= 0:
+                raise ConfigError("file data carries no positive mass")
+            state, _ = approximate_initial_data(samples * (cfg.mu / mean), cfg.n)
     except (OSError, ValueError, TypeError, DegenerateDataError) as exc:
         raise ConfigError(f"cannot build initial data: {exc}") from exc
+    # the held flow needs strains above 0; the traction-free flow also
+    # starts samples at exactly 0
+    low = float(state.values.min())
+    if model.domain == POSITIVE and (low < 0.0 or (low == 0.0 and cfg.bc == "displacement")):
+        raise ConfigError(f"initial strain {low} is outside the domain of model "
+                          f"{model.name!r}, which needs positive strains")
+    return state
 
 
 # -- invariant checks -------------------------------------------------------------

@@ -16,6 +16,7 @@ both facts are enforced (renormalization) or measured (diagnostics) here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,13 @@ from .stress_models import POSITIVE, StressModel, eval_W
 CONVERGENCE_TOL = 1e-8   # weighted rhs norm below which a state counts as settled
 ORDER_SLACK = 1e-12      # roundoff allowance in the ordering guard
 _PROX_MAX_ITER = 100     # Newton steps per proximal step
+_PROX_RES_TOL = 1e-14    # relative residual that ends a proximal solve
+_PROX_SPREAD_TOL = 1e-10  # relative stationarity spread a roundoff stop must meet
 _PROX_MIN_STEP = 2.0 ** -40  # shortest damped Newton step tried
 
 
 def _require_strict_domain(model: StressModel, values: np.ndarray) -> None:
-    if model.domain == POSITIVE and np.any(values <= 0.0):
+    if model.domain == POSITIVE and not np.minimum.reduce(values) > 0.0:
         raise DomainError("the mean-constrained flow needs strictly positive strains")
 
 
@@ -68,7 +71,17 @@ def _ordering_ok(perm: np.ndarray, values: np.ndarray) -> bool:
 # -- proximal (implicit Euler) stepper ----------------------------------------
 
 
-def prox_step(model: StressModel, state: SimpleState, tau: float) -> SimpleState:
+class ProxState(SimpleState):
+    """A proximal step's new state, with its Newton iterations (sigma'
+    evaluations) and the relative residual it was accepted at, as
+    ``prox_step`` builds it through ``sharing_weights``. A plain subclass: a
+    dataclass costs about 1 ms at import."""
+
+    newton_iters: int
+    residual: float
+
+
+def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
     """Implicit Euler with a mass multiplier: one minimising-movement step.
 
     Minimises sum_i w_i [W(v_i) + (v_i - p_i)^2 / 2 tau] under sum_i w_i v_i =
@@ -76,9 +89,17 @@ def prox_step(model: StressModel, state: SimpleState, tau: float) -> SimpleState
     from v = p. With g = sigma(v) + (v - p)/tau and d = sigma'(v) + 1/tau > 0,
     the multiplier is c = sum w g/d / sum w/d and the step (c - g)/d keeps the
     mass. Steps are halved until the point is in the domain and the residual
-    sum_i w_i (g_i - sum_j w_j g_j)^2 falls (Armijo), so W is never evaluated.
-    Raises IterationBudgetError after ``_PROX_MAX_ITER`` steps, and
-    StrainflowError when no step length lowers a residual off roundoff.
+    res = sum_i w_i (g_i - gbar)^2, gbar = sum_j w_j g_j, falls (Armijo), so W
+    is never evaluated.
+
+    A point is accepted on its residual: the solve returns once the relative
+    residual sqrt(res) / max(1, |gbar|) <= ``_PROX_RES_TOL``. Its roundoff
+    stops (a Newton correction at roundoff, a full step too short for Armijo)
+    accept a point only if its relative stationarity spread (max g - min g) /
+    max(1, max |g|) is at most ``_PROX_SPREAD_TOL``, and raise StrainflowError
+    otherwise, as when sigma' overflows near a singular stress. Raises
+    IterationBudgetError after ``_PROX_MAX_ITER`` steps, and StrainflowError
+    when no step length lowers a residual off roundoff.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -92,52 +113,73 @@ def prox_step(model: StressModel, state: SimpleState, tau: float) -> SimpleState
     w = state.weights
     mu = state.mu
     _require_strict_domain(model, p)
+    sigma, sigma_prime, rate = model.sigma, model.sigma_prime, 1.0 / tau
+    positive = model.domain == POSITIVE
 
-    def gradient(v):
-        return np.asarray(model.sigma(v), dtype=float) + (v - p) / tau
+    def gradient(v):  # built in an array of its own: sigma(v) may be shared
+        g = v - p
+        g /= tau
+        g += sigma(v)
+        return g
 
-    def residual(g):
-        r = g - float(np.dot(w, g))
-        return float(np.dot(w, r * r))
+    def residual(g):  # res and the relative residual sqrt(res) / max(1, |gbar|)
+        gbar = float(np.dot(w, g))
+        r = g - gbar
+        res = float(np.dot(w, r * r))
+        return res, math.sqrt(res) / max(1.0, abs(gbar))
 
-    v = p
-    g = gradient(v)
-    res = residual(g)
-    for _ in range(_PROX_MAX_ITER):
-        d = np.asarray(model.sigma_prime(v), dtype=float) + 1.0 / tau
-        c = float(np.dot(w, g / d)) / float(np.dot(w, 1.0 / d))
-        delta = (c - g) / d
-        # relative to each strain on (0, inf): near a singular stress at 0 a
-        # step can be tiny in absolute terms and still double the strain
-        scale = np.abs(v) if model.domain == POSITIVE else np.maximum(1.0, np.abs(v))
-        size = float(np.max(np.abs(delta) / scale))
-        if size <= 1e-15:
-            break
-        # a full Newton step this short fails the Armijo test only when the
-        # residual is at roundoff, which ends the solve
-        short = size <= 1e-8
-        alpha = 1.0
-        while alpha >= (1.0 if short else _PROX_MIN_STEP):
-            trial = v + alpha * delta
-            if np.all(model.in_domain(trial)):
-                g_trial = gradient(trial)
-                res_trial = residual(g_trial)
-                if res_trial <= (1.0 - 1e-4 * alpha) * res:
-                    break
-            alpha *= 0.5
-        else:
-            if short:
+    # near a singular stress sigma' and the residual overflow; the spread test
+    # below turns that into an error, so no warning is due. A non-finite
+    # trial gives a NaN residual, which Armijo rejects.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v = p
+        g = gradient(v)
+        res, relative = residual(g)
+        for k in range(1, _PROX_MAX_ITER + 1):
+            d = np.asarray(sigma_prime(v), dtype=float) + rate
+            c = float(np.dot(w, g / d)) / float(np.dot(w, 1.0 / d))
+            delta = (c - g) / d
+            # relative to each strain on (0, inf): near a singular stress at 0
+            # a step can be tiny in absolute terms and still double the strain
+            scale = v if positive else np.maximum(1.0, np.abs(v))
+            size = float(np.maximum.reduce(np.abs(delta) / scale))
+            if size <= 1e-15:
                 break
-            raise StrainflowError(
-                f"proximal Newton line search stalled at step size {size:.3g}"
+            # a full Newton step this short fails the Armijo test only when
+            # the residual is at roundoff
+            short = size <= 1e-8
+            alpha = 1.0
+            while alpha >= (1.0 if short else _PROX_MIN_STEP):
+                trial = v + alpha * delta
+                if not positive or np.minimum.reduce(trial) > 0.0:
+                    g_trial = gradient(trial)
+                    res_trial, relative_trial = residual(g_trial)
+                    if res_trial <= (1.0 - 1e-4 * alpha) * res:
+                        break
+                alpha *= 0.5
+            else:
+                if short:
+                    break
+                raise StrainflowError(
+                    f"proximal Newton line search stalled at step size {size:.3g}"
+                )
+            v, g, res, relative = trial, g_trial, res_trial, relative_trial
+            if relative <= _PROX_RES_TOL:
+                break
+        else:
+            raise IterationBudgetError(
+                f"proximal Newton solve did not converge in {_PROX_MAX_ITER} steps"
             )
-        v, g, res = trial, g_trial, res_trial
-    else:
-        raise IterationBudgetError(
-            f"proximal Newton solve did not converge in {_PROX_MAX_ITER} steps"
-        )
+        if not relative <= _PROX_RES_TOL:
+            spread = (np.maximum.reduce(g) - np.minimum.reduce(g)) / max(
+                1.0, np.maximum.reduce(np.abs(g)))
+            if not spread <= _PROX_SPREAD_TOL:
+                raise StrainflowError(
+                    f"proximal Newton solve stopped at a relative step of {size:.3g} "
+                    f"with relative stationarity spread {spread:.3g} > {_PROX_SPREAD_TOL:g}"
+                )
     v = v + (mu - float(np.dot(w, v)))  # exact mass
-    return state.with_values(v)
+    return ProxState.sharing_weights(w, v, newton_iters=k, residual=relative)
 
 
 # -- trajectory driver --------------------------------------------------------
@@ -159,7 +201,8 @@ def _diagnostics(model: StressModel, times, values, weights, diss_cum, metadata,
     sig = np.asarray(model.sigma(values), dtype=float)
     c = sig @ weights
     vel = -sig + c[:, None]
-    diss_rate = (vel ** 2) @ weights
+    with np.errstate(over="ignore"):  # inf near a singular stress, its float value
+        diss_rate = (vel ** 2) @ weights
     energy = np.asarray(eval_W(model, values.ravel()), dtype=float).reshape(sig.shape) @ weights
     if n_steps is not None:
         metadata = dict(metadata, n_steps=n_steps)
@@ -241,11 +284,17 @@ def integrate(
         total = 0.0
         t = 0.0
         idx = 1
+        n_steps = newton_iters = 0
+        max_residual = 0.0
         try:
             while idx < len(grid):
                 dt = min(tau, grid[idx] - t)
                 new_state = prox_step(model, state, dt)
                 total += float(np.dot(w, (new_state.values - state.values) ** 2)) / dt
+                n_steps += 1
+                if isinstance(new_state, ProxState):  # a replaced stepper may carry none
+                    newton_iters += new_state.newton_iters
+                    max_residual = max(max_residual, new_state.residual)
                 state = new_state
                 t += dt
                 while idx < len(grid) and t >= grid[idx] - 1e-12 * max(1.0, t):
@@ -254,7 +303,9 @@ def integrate(
                     idx += 1
         except StrainflowError as exc:
             meta["error"] = str(exc)
-        return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta)
+        meta.update(newton_iters=newton_iters, max_residual=max_residual)
+        return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta,
+                            n_steps)
 
     raise ValueError(f"unknown stepper {stepper!r}")
 

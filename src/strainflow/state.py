@@ -53,8 +53,25 @@ class SimpleState:
         """Mean strain, the conserved mass of the displacement flow."""
         return float(np.dot(self.weights, self.values))
 
+    @classmethod
+    def sharing_weights(cls, weights: np.ndarray, values, **fields) -> "SimpleState":
+        """``cls(values, weights, **fields)`` checking only the values (1-d,
+        matching, finite): ``weights`` must be an existing state's read-only,
+        validated array, which the new state shares."""
+        values = np.array(values, dtype=float)
+        if values.shape != weights.shape:
+            raise ValueError("values and weights must be matching 1-d arrays")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        values.setflags(write=False)
+        new = object.__new__(cls)
+        for name, value in (("values", values), ("weights", weights), *fields.items()):
+            object.__setattr__(new, name, value)
+        return new
+
     def with_values(self, values) -> "SimpleState":
-        return SimpleState(values=np.asarray(values, dtype=float), weights=self.weights)
+        """This state's weights carrying new ``values``, which are checked."""
+        return SimpleState.sharing_weights(self.weights, values)
 
 
 def state_distance(a: SimpleState, b: SimpleState) -> float:

@@ -147,6 +147,8 @@ class TestRunCommand:
         ['initial.kind="explicit"', 'initial.values=[1,"a"]'],
         ['initial.kind="explicit"', "initial.values=[0.5,1.5]", "initial.weights=[0.5,0.4]"],
         ["initial.lo=3", "initial.hi=1"],
+        ['initial.kind="ramp"', "initial.samples=2.5"],
+        ['initial.kind="ramp"', 'initial.samples="12"'],
     ])
     def test_malformed_override_exits_2(self, out_env, tmp_path, capsys, with_config, overrides):
         argv = ["run", "--out", "bad"]
@@ -156,6 +158,20 @@ class TestRunCommand:
             argv += ["--set", ov]
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_prox_step_that_cannot_converge_exits_4(self, out_env, capsys):
+        # sigma' overflows at 1e-200, so no proximal step from here is stationary
+        argv = ["run", "--model", "singular-cubic", "--stepper", "prox", "--tau", "0.01",
+                "--t-final", "1", "--mu", "1", "--set", 'initial.kind="explicit"',
+                "--set", "initial.values=[1e-200,1,2]", "--out", "stuck"]
+        assert main(argv) == 4
+        assert "stationarity spread" in capsys.readouterr().err
+        run_dir = out_env / "stuck"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        report = json.loads((run_dir / "report.json").read_text())
+        assert manifest["exit_code"] == 4
+        assert report["error"] == manifest["error"]
+        assert "stationarity spread" in manifest["error"]
 
     def test_integration_failure_exits_4_with_partial_outputs(self, out_env, tmp_path):
         # records spaced wider than 1/lambda force a proximal step beyond the
@@ -504,6 +520,11 @@ class TestInputErrors:
         ["mixed", "--t-final", "-1"],
         ["counterexample", "--records", "0"],
         ["counterexample", "--t-final", "-5"],
+        # strains outside a positive-only law's domain
+        ["run", "--model", "singular-cubic", "--set", "initial.lo=-1"],
+        ["run", "--model", "singular-cubic", "--set", 'initial.kind="explicit"',
+         "--set", "initial.values=[-0.5,1.5]"],
+        ["run", "--model", "singular-cubic", "--mu", "-0.5"],
     ])
     def test_bad_model_or_p0_exits_2(self, out_env, capsys, argv):
         (out_env / "garbled.txt").write_text("0.5 abc\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -531,6 +532,50 @@ class TestProxNewton:
                          stepper="prox", tau=0.01, record_every=0.25)
         assert "error" not in traj.metadata
         assert calls[0] <= 20 * 200
+
+    @pytest.mark.parametrize("v0", [1e-160, 1e-200, 1e-300])
+    def test_overflowing_singular_start_raises(self, v0):
+        # sigma' = kappa / v^2 overflows, so the Newton step leaves v0 where
+        # it is; the point is not stationary and must not come back
+        model = make_model("singular-cubic")
+        state = SimpleState.uniform([v0, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StrainflowError, match="stationarity spread"):
+                prox_step(model, state, 10.0)
+
+    @staticmethod
+    def _held_prox_runs(seeds):
+        """Held-prox-shaped runs (singular cubic, n = 16, tau = 0.01 to t = 2,
+        200 proximal steps): each trajectory with its sigma' call count."""
+        model = make_model("singular-cubic")
+        calls = [0]
+
+        def counted(p):
+            calls[0] += 1
+            return model.sigma_prime(p)
+
+        counted_model = dataclasses.replace(model, sigma_prime=counted)
+        for seed in seeds:
+            calls[0] = 0
+            state = seeded_state(model, 16, 1.0, seed=seed)
+            traj = integrate(counted_model, state, 2.0, stepper="prox", tau=0.01,
+                             record_every=0.25)
+            assert "error" not in traj.metadata
+            yield traj, calls[0]
+
+    def test_held_prox_sigma_prime_calls_per_step(self):
+        # a point is accepted on its residual; confirming every point with
+        # one more Newton correction at roundoff costs 3.22-3.36 per step
+        per_step = [n / 200 for _, n in self._held_prox_runs((1, 7, 31, 4242, 123456))]
+        assert np.mean(per_step) <= 2.6, per_step
+
+    def test_prox_run_records_its_counters(self):
+        for traj, n_calls in self._held_prox_runs((3, 31)):
+            meta = traj.metadata
+            assert meta["n_steps"] == 200
+            assert meta["newton_iters"] == n_calls
+            assert 0.0 < meta["max_residual"] <= 1e-10
 
     def test_iteration_budget_raises_and_ends_run(self, singular, monkeypatch):
         monkeypatch.setattr(displacement, "_PROX_MAX_ITER", 1)

@@ -27,6 +27,16 @@ class TestSimpleState:
         with pytest.raises(ValueError):
             state.values[0] = 5.0
 
+    def test_with_values_checks_the_values_and_shares_the_weights(self):
+        state = SimpleState(values=np.array([1.0, 2.0]), weights=np.array([0.25, 0.75]))
+        new = state.with_values([3.0, 4.0])
+        assert type(new) is SimpleState
+        assert new.weights is state.weights
+        assert np.array_equal(new.values, [3.0, 4.0]) and not new.values.flags.writeable
+        for bad in ([1.0], [[1.0, 2.0]], [1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                state.with_values(bad)
+
     def test_distance_requires_shared_weights(self):
         a = SimpleState.uniform([1.0, 2.0])
         b = SimpleState(values=np.array([1.0, 2.0]), weights=np.array([0.3, 0.7]))
