@@ -20,7 +20,7 @@ from .errors import (
     NotConvergedError,
     StrainflowError,
 )
-from .numerics import CumulativeCurve, trailing_stats
+from .numerics import CumulativeCurve, trailing_stats, trailing_window
 from .state import Trajectory
 from .stress_models import (
     POSITIVE,
@@ -93,9 +93,7 @@ def convergence_monitor(traj: Trajectory) -> tuple[np.ndarray, bool]:
     nonincreasing up to 1e-10 noise.
     """
     series = np.sqrt(traj.dissipation)
-    t = traj.times
-    window = t >= t[-1] - TRAILING_FRAC * (t[-1] - t[0])
-    tail = series[window]
+    tail = series[trailing_window(traj.times, TRAILING_FRAC)]
     monotone = bool(np.all(np.diff(tail) <= 1e-10)) if len(tail) > 1 else True
     return series, bool(series[-1] < RHS_SETTLED and monotone)
 
@@ -219,12 +217,15 @@ def cubic_invariants(model: StressModel, traj: Trajectory,
             f"stress mean still moves (trailing spread {c_spread:.2e}); "
             "integrate longer before extracting limits"
         )
-    p = traj.values
-    k1_series = (p ** 7 / 7.0 - 0.4 * p ** 5 + p ** 3 / 3.0) @ traj.weights
-    sig = np.asarray(model.sigma(p), dtype=float)
-    k2_series = (sig * p - p ** 2) @ traj.weights
-    K1, K1_spread = trailing_stats(traj.times, k1_series, TRAILING_FRAC)
-    K2, K2_spread = trailing_stats(traj.times, k2_series, TRAILING_FRAC)
+    # the K1 and K2 terms of the trailing records only, in full-size arrays:
+    # a BLAS product over fewer rows can group its sums differently
+    rows = trailing_window(traj.times, TRAILING_FRAC)
+    p = traj.values[rows]
+    k1_terms, k2_terms = np.zeros_like(traj.values), np.zeros_like(traj.values)
+    k1_terms[rows] = p ** 7 / 7.0 - 0.4 * p ** 5 + p ** 3 / 3.0
+    k2_terms[rows] = np.asarray(model.sigma(p), dtype=float) * p - p ** 2
+    K1, K1_spread = trailing_stats(traj.times, k1_terms @ traj.weights, TRAILING_FRAC)
+    K2, K2_spread = trailing_stats(traj.times, k2_terms @ traj.weights, TRAILING_FRAC)
 
     B = 8.0 / 3.0 + 4.0 * K2
     C = 8.0 / 3.0 * mu - 35.0 * K1

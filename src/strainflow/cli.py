@@ -38,6 +38,7 @@ from .state import SimpleState, Trajectory, write_csv, write_json
 from .stress_models import POSITIVE, StressModel, make_model
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 400
+MASS_RTOL = 1e-12  # relative drift of the held mean from mu the mass check allows
 
 
 def _out_dir(name: str) -> str:
@@ -214,12 +215,18 @@ def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
             state, _ = approximate_initial_data(samples * (cfg.mu / mean), cfg.n)
     except (OSError, ValueError, TypeError, DegenerateDataError) as exc:
         raise ConfigError(f"cannot build initial data: {exc}") from exc
-    # the held flow needs strains above 0; the traction-free flow also
-    # starts samples at exactly 0
-    low = float(state.values.min())
-    if model.domain == POSITIVE and (low < 0.0 or (low == 0.0 and cfg.bc == "displacement")):
+    # the traction-free flow takes strains >= 0; the held flow needs them above
+    # 0 on a positive-only law, and keeps the data's mean, which it checks as mu
+    low, mean = float(state.values.min()), float(state.values @ state.weights)
+    if cfg.bc == "mixed" and low < 0.0:
+        raise ConfigError(f"initial strain {low} is negative: "
+                          "the traction-free flow needs strains >= 0")
+    if cfg.bc == "displacement" and model.domain == POSITIVE and low <= 0.0:
         raise ConfigError(f"initial strain {low} is outside the domain of model "
                           f"{model.name!r}, which needs positive strains")
+    drift = abs(mean - cfg.mu) > MASS_RTOL * max(1.0, abs(cfg.mu))
+    if cfg.bc == "displacement" and kind == "explicit" and drift:
+        raise ConfigError(f"explicit values have mean {mean}, but mu is {cfg.mu}")
     return state
 
 
@@ -240,7 +247,7 @@ def _run_checks(cfg, model, traj: Trajectory, profile) -> dict[str, bool]:
     else:
         mu = cfg.mu
         checks["mass_conservation"] = bool(
-            np.max(np.abs(traj.mass() - mu)) <= 1e-12 * max(1.0, abs(mu))
+            np.max(np.abs(traj.mass() - mu)) <= MASS_RTOL * max(1.0, abs(mu))
         )
         order0 = np.argsort(traj.values[0], kind="stable")
         ordered = traj.values[:, order0]
@@ -428,6 +435,9 @@ def command_mixed(args) -> int:
             samples = np.full(args.n, float(args.p0))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read --p0 {args.p0!r}: {exc}") from exc
+    if not np.all((samples >= 0.0) & (samples < np.inf)):  # NaN fails both
+        raise ConfigError(f"--p0 {args.p0!r} gives strains outside [0, inf): "
+                          "the traction-free flow needs finite strains >= 0")
     grid = np.linspace(0.0, args.t_final, args.records)
     traj, limit = solve_field(model, samples, grid)
     rows = np.column_stack([traj.times, traj.values, traj.energy])

@@ -383,12 +383,15 @@ def rk45(
     return RKResult(times=t_record, states=records, aux_integral=aux, n_steps=n_steps, n_rejected=n_rejected)
 
 
-def trailing_stats(times: np.ndarray, series: np.ndarray, frac: float = 0.1) -> tuple[float, float]:
-    """Mean and spread (max - min) of a series over the last ``frac`` of time."""
+def trailing_window(times: np.ndarray, frac: float) -> np.ndarray:
+    """Mask of the records in the last ``frac`` of time (the last one if none is)."""
     times = np.asarray(times, dtype=float)
-    series = np.asarray(series, dtype=float)
-    t_cut = times[-1] - frac * (times[-1] - times[0])
-    window = series[times >= t_cut]
-    if len(window) == 0:
-        window = series[-1:]
+    window = times >= times[-1] - frac * (times[-1] - times[0])
+    window[-1] |= not window.any()
+    return window
+
+
+def trailing_stats(times: np.ndarray, series: np.ndarray, frac: float = 0.1) -> tuple[float, float]:
+    """Mean and spread (max - min) of a series over its ``trailing_window``."""
+    window = np.asarray(series, dtype=float)[trailing_window(times, frac)]
     return float(np.mean(window)), float(np.max(window) - np.min(window))

@@ -221,45 +221,49 @@ def find_branches(model: StressModel, c_interval: tuple[float, float], nc: int =
 # -- registry ----------------------------------------------------------------
 
 
-def _horner(coeffs: list[float], p):
-    """``np.polyval(coeffs, p)``, bit for bit for finite p (its 0 * p + coeffs[0] is exact)."""
-    if len(coeffs) < 2:
-        return np.full_like(p, coeffs[0] if coeffs else 0.0)
-    out = p * coeffs[0] + coeffs[1]
-    for c in coeffs[2:]:
-        out = out * p + c
-    return out
+def _poly_kernel(coeffs, term: str):
+    """``p -> np.polyval(coeffs, p) + term``, ``term`` the source of a kappa
+    term in p or "", as straight-line code fixed once, bit for bit for finite
+    p on the law's domain, signed zeros included: Horner's rule from the first
+    nonzero coefficient, without the product by a leading 1 or a sum that
+    changes no bit (a sum with -0.0 never does; one with +0.0 turns -0 into
+    +0, as a later nonzero sum or ``term`` does too). The first operation
+    makes a new array; every later one writes into it, so the input is never
+    written or returned."""
+    c = [0.0, *(float(x) for x in coeffs)]  # np.polyval's sum starts at +0.0
+    nonzero = [i for i, x in enumerate(c) if x != 0.0]
+    plus_zero = [i for i, x in enumerate(c) if x == 0.0 and not np.signbit(x)]
+    start = nonzero[0] if nonzero else plus_zero[-1]
+    last_sum = plus_zero[-1] if not term and plus_zero[-1] > max(nonzero, default=start) else -1
+    y, lines = repr(c[start]), []  # the sum so far: a constant, "p" or "out"
+    for i in range(start + 1, len(c)):
+        if y == "1.0":  # 1 * p is p
+            y = "p"
+        else:
+            lines.append("out *= p" if y == "out" else f"out = p * {y}")
+            y = "out"
+        if c[i] != 0.0 or i == last_sum:
+            lines.append(f"out += {c[i]!r}" if y == "out" else f"out = p + {c[i]!r}")
+            y = "out"
+    if y != "out":
+        lines += ([f"out = {term}", f"out += {y}"] if term else
+                  ["out = p * 1.0" if y == "p" else f"out = full_like(p, {y})"])
+    elif term:
+        lines.append(f"out += {term}")
+    scope = {"asarray": np.asarray, "full_like": np.full_like, "log": np.log}
+    exec("def kernel(p):\n    p = asarray(p, dtype=float)\n"
+         + "".join(f"    {line}\n" for line in lines) + "    return out\n", scope)
+    return scope["kernel"]
 
 
 def _poly_sigma(coeffs: np.ndarray, kappa: float):
-    coeffs = np.asarray(coeffs, dtype=float)
-    c_sig, c_der = coeffs.tolist(), np.polyder(coeffs).tolist()
-
-    def sigma(p):
-        p = np.asarray(p, dtype=float)
-        out = _horner(c_sig, p)
-        if kappa != 0.0:
-            out = out - kappa / p
-        return out
-
-    def sigma_prime(p):
-        p = np.asarray(p, dtype=float)
-        out = _horner(c_der, p)
-        if kappa != 0.0:
-            out = out + kappa / p ** 2
-        return out
-
-    anti = np.polyint(coeffs)
-    anti_at_1 = np.polyval(anti, 1.0)
-
-    def energy(p):
-        p = np.asarray(p, dtype=float)
-        out = np.polyval(anti, p) - anti_at_1
-        if kappa != 0.0:
-            out = out - kappa * np.log(p)
-        return out
-
-    return sigma, sigma_prime, energy
+    """sigma, sigma' and W of P - kappa/p; W folds -W(1) into its constant,
+    which np.polyint makes 0.0, so (sum + 0.0) - W(1) is one exact sum."""
+    kappa, anti = float(kappa), np.polyint(coeffs)
+    anti[-1] = 0.0 - np.polyval(anti, 1.0)
+    return (_poly_kernel(coeffs, f"{-kappa!r} / p" if kappa else ""),
+            _poly_kernel(np.polyder(coeffs), f"{kappa!r} / p ** 2" if kappa else ""),
+            _poly_kernel(anti, f"{-kappa!r} * log(p)" if kappa else ""))
 
 
 def _real_roots(q: np.ndarray, lo: float, hi: float) -> np.ndarray:

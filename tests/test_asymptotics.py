@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from strainflow.asymptotics import (
+    TRAILING_FRAC,
     F_functional,
     asymptotics_report,
     chi_functional,
@@ -24,7 +25,8 @@ from strainflow.errors import (
     IterationBudgetError,
     NotConvergedError,
 )
-from strainflow.state import SimpleState
+from strainflow.numerics import trailing_stats
+from strainflow.state import SimpleState, Trajectory
 from strainflow.stress_models import POSITIVE, make_model, roots_at
 
 from reference_quadrature import CumulativeAntiderivative
@@ -308,6 +310,20 @@ class TestCubicInvariants:
         rep = cubic_invariants(cubic, converged_run)
         assert rep.discriminant >= 0.0
         assert rep.residual <= 1e-3 * max(1.0, abs(rep.measured_sigma_bar))
+
+    @pytest.mark.parametrize("n_records", [201, 66, 104, 182, 198])
+    def test_trailing_terms_match_the_full_series_bit_for_bit(self, cubic, n_records):
+        # random records, whose window starts at different offsets: a BLAS
+        # product over the window's rows alone can group its sums differently
+        rng = np.random.default_rng(n_records)
+        p, w = rng.uniform(0.2, 1.5, (n_records, 64)), np.full(64, 1.0 / 64)
+        flat = np.zeros(n_records)
+        traj = Trajectory(times=np.linspace(0.0, 50.0, n_records), values=p, weights=w,
+                          stress_mean=flat, energy=flat, dissipation=flat, dissipation_cum=flat)
+        rep = cubic_invariants(cubic, traj)
+        k1 = trailing_stats(traj.times, (p ** 7 / 7.0 - 0.4 * p ** 5 + p ** 3 / 3.0) @ w, TRAILING_FRAC)
+        k2 = trailing_stats(traj.times, (cubic.sigma(p) * p - p ** 2) @ w, TRAILING_FRAC)
+        assert (rep.K1, rep.K1_spread, rep.K2, rep.K2_spread) == (*k1, *k2)
 
     def test_zero_mean_rejected(self, cubic):
         state = SimpleState(values=np.array([-1.0, 1.0]), weights=np.array([0.5, 0.5]))

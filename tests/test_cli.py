@@ -256,6 +256,19 @@ class TestRunCommand:
         assert traj.weights.tolist() == [0.5, 0.25, 0.25]
         assert abs(traj.mass()[0] - 0.5) <= 1e-12
 
+    @pytest.mark.parametrize("values, code", [("[0.5,1.5]", 2), ("[0.25,0.75]", 0)])
+    def test_explicit_values_must_have_mean_mu(self, out_env, capsys, values, code):
+        # a held run keeps the data's mean; mu (0.5 by default) must be that mean
+        argv = ["run", "--set", 'initial.kind="explicit"', "--set", f"initial.values={values}",
+                "--t-final", "1", "--out", "means"]
+        assert main(argv) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "config error" in err and "mean 1.0" in err and "mu is 0.5" in err
+        else:
+            report = json.loads((out_env / "means" / "report.json").read_text())
+            assert report["checks"]["mass_conservation"] is True
+
     def test_mixed_bc_run(self, out_env, tmp_path):
         cfg_path = write_config(
             tmp_path / "c.json",
@@ -525,6 +538,13 @@ class TestInputErrors:
         ["run", "--model", "singular-cubic", "--set", 'initial.kind="explicit"',
          "--set", "initial.values=[-0.5,1.5]"],
         ["run", "--model", "singular-cubic", "--mu", "-0.5"],
+        # strains outside [0, inf), which the traction-free flow does not take
+        ["mixed", "--p0", "-1"],
+        ["mixed", "--p0", "step:-1,2"],
+        ["run", "--set", 'bc="mixed"', "--set", 'initial.kind="explicit"',
+         "--set", "initial.values=[-0.5,1.5]"],
+        ["mixed", "--p0", "nan"],
+        ["mixed", "--p0", "inf"],
     ])
     def test_bad_model_or_p0_exits_2(self, out_env, capsys, argv):
         (out_env / "garbled.txt").write_text("0.5 abc\n")

@@ -434,23 +434,54 @@ def _poly_laws():
     return laws
 
 
-@pytest.mark.parametrize("name, coeffs, kappa", _poly_laws())
+# the shapes the stress kernel's plan special-cases: a unit leading
+# coefficient, interior zeros, a zero constant, an all-zero tail, signed zero
+# coefficients, degree 0, and degree 1 with a zero constant
+_KERNEL_SHAPES = [("poly", coeffs, kappa) for coeffs in (
+    [1.0, 0.0, -2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [-0.5, 0.0, 1.0, 0.0, 0.0],
+    [1.0, 0.0, -0.0], [1.0, -0.0], [2.5], [0.0], [1.0, 0.0], [-1.5, 0.0],
+) for kappa in (0.0, 0.7)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name, coeffs, kappa", _poly_laws() + _KERNEL_SHAPES)
 def test_horner_matches_polyval_bit_for_bit(name, coeffs, kappa):
+    """sigma, sigma' and W equal np.polyval (with the kappa term) bit for bit,
+    signed zeros included, on 1-d and 2-d arrays and on scalars; a scalar
+    gives an np.float64, or a 0-d array for a constant polynomial without
+    kappa. The input is never written and never returned."""
     model = make_model(name, **({} if name != "poly" else {"coeffs": coeffs, "kappa": kappa}))
     rng = np.random.default_rng(3)
     grid = np.concatenate([rng.uniform(-4.0, 4.0, 2000), np.geomspace(1e-300, 1e100, 400),
                            -np.geomspace(1e-300, 1e100, 400), [0.0, -0.0, 1.0, -1.0]])
     if kappa:
         grid = np.abs(grid[grid != 0.0])
-    d_coeffs = np.polyder(np.asarray(coeffs, dtype=float))
+    c = np.asarray(coeffs, dtype=float)
+    anti = np.polyint(c)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sig = np.polyval(coeffs, grid) - (kappa / grid if kappa else 0.0)
-        sig_p = np.polyval(d_coeffs, grid) + (kappa / grid ** 2 if kappa else 0.0)
-        got, got_p = model.sigma(grid), model.sigma_prime(grid)
-        scalar = model.sigma(grid[7])
-    assert np.array_equal(got.view(np.int64), np.asarray(sig).view(np.int64))
-    assert np.array_equal(got_p.view(np.int64), np.asarray(sig_p).view(np.int64))
-    assert scalar == sig[7]
+        want = [np.polyval(c, grid), np.polyval(np.polyder(c), grid),
+                np.polyval(anti, grid) - np.polyval(anti, 1.0)]
+        if kappa:  # added only when present: a sum with 0.0 would turn -0 into +0
+            want = [want[0] - kappa / grid, want[1] + kappa / grid ** 2,
+                    want[2] - kappa * np.log(grid)]
+        kernels = (model.sigma, model.sigma_prime, model.closed_form_energy)
+        for fn, expected, poly in zip(kernels, want, (c, np.polyder(c), anti)):
+            for p in (grid, grid[:1200].reshape(300, 4)):  # 1-d, and records x members
+                before = p.copy()
+                got = fn(p)
+                assert got is not p and not np.shares_memory(got, p)
+                assert np.array_equal(_bits(p), _bits(before))
+                assert np.array_equal(_bits(got), _bits(expected[:p.size].reshape(p.shape)))
+            # a constant law without kappa fills an array, as np.full_like does
+            constant = len(np.trim_zeros(poly, "f")) <= 1
+            scalar_type = np.ndarray if constant and not kappa else np.float64
+            for x in (float(grid[7]), np.array(grid[7])):
+                got = fn(x)
+                assert type(got) is scalar_type and np.ndim(got) == 0
+                assert _bits(got) == _bits(expected[7])
 
 
 # -- exact structure against the sampled reference ----------------------------
