@@ -39,6 +39,8 @@ from .stress_models import POSITIVE, StressModel, make_model
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 400
 MASS_RTOL = 1e-12  # relative drift of the held mean from mu the mass check allows
+# solver counters a trajectory's metadata may carry, copied to report["stats"]
+RUN_STATS = ("n_steps", "n_rejected", "newton_iters", "max_residual")
 
 
 def _out_dir(name: str) -> str:
@@ -355,6 +357,7 @@ def command_run(cfg: ExperimentConfig) -> int:
             print(f"integration failure: {exc}", file=sys.stderr)
             return finish(4, str(exc))
     traj.metadata["seed"] = cfg.initial["seed"]
+    report["stats"] = {key: traj.metadata[key] for key in RUN_STATS if key in traj.metadata}
     prefix = os.path.join(out_dir, "trajectory")
     csv_path, json_path = traj.save(prefix)
     files.extend([os.path.basename(csv_path), os.path.basename(json_path)])

@@ -64,7 +64,7 @@ def simulate_ensemble(r0, theta0, z0, t_final: float, n_records: int = 401,
     if np.any(y0[:, 0] < 0):
         raise ValueError("radius must be nonnegative")
     t_rec = np.linspace(0.0, t_final, n_records)
-    guard = lambda y_old, y_new: y_new[:, 0].min() >= 0.0
+    guard = lambda y_old, y_new: np.minimum.reduce(y_new[:, 0]) >= 0.0
     res = rk45(_field, y0, t_rec, rtol=rtol, atol=atol, accept_state=guard)
     return [CylTrajectory(t_rec, *res.states[:, i].T) for i in range(len(y0))]
 

@@ -64,8 +64,8 @@ def _order_permutation(values: np.ndarray) -> np.ndarray:
 
 def _ordering_ok(perm: np.ndarray, values: np.ndarray) -> bool:
     v = values[perm]
-    drop = float((v[1:] - v[:-1]).min(initial=np.inf))  # the scale only matters below 0
-    return drop >= 0.0 or drop >= -ORDER_SLACK * max(1.0, float(np.abs(v).max()))
+    drop = float(np.minimum.reduce(v[1:] - v[:-1], initial=np.inf))  # the scale only matters below 0
+    return drop >= 0.0 or drop >= -ORDER_SLACK * max(1.0, float(np.maximum.reduce(np.abs(v))))
 
 
 # -- proximal (implicit Euler) stepper ----------------------------------------
@@ -196,16 +196,13 @@ def _record_grid(t_final: float, record_every: float | None, n_records: int | No
     return np.linspace(0.0, t_final, n)
 
 
-def _diagnostics(model: StressModel, times, values, weights, diss_cum, metadata,
-                 n_steps=None) -> Trajectory:
+def _diagnostics(model: StressModel, times, values, weights, diss_cum, metadata) -> Trajectory:
     sig = np.asarray(model.sigma(values), dtype=float)
     c = sig @ weights
     vel = -sig + c[:, None]
     with np.errstate(over="ignore"):  # inf near a singular stress, its float value
         diss_rate = (vel ** 2) @ weights
     energy = np.asarray(eval_W(model, values.ravel()), dtype=float).reshape(sig.shape) @ weights
-    if n_steps is not None:
-        metadata = dict(metadata, n_steps=n_steps)
     return Trajectory(
         times=np.asarray(times, dtype=float),
         values=values,
@@ -256,13 +253,16 @@ def integrate(
         perm = _order_permutation(state0.values)
 
         def accept(y_old, y_new):
-            if model.domain == POSITIVE and not y_new.min() > 0.0:
+            if model.domain == POSITIVE and not np.minimum.reduce(y_new) > 0.0:
                 return False
             return _ordering_ok(perm, y_new)
 
         def renorm(y):
-            shifted = y + (mu - float(np.dot(w, y)))
-            return y if (shifted == y).all() else shifted
+            shift = mu - float(np.dot(w, y))
+            if shift == 0.0:  # y + 0.0 == y componentwise
+                return y
+            shifted = y + shift
+            return y if np.logical_and.reduce(shifted == y) else shifted
 
         try:
             res = rk45(
@@ -273,8 +273,8 @@ def integrate(
         except StrainflowError as exc:
             res = exc.partial  # the records reached before the failure
             meta["error"] = str(exc)
-        return _diagnostics(model, res.times, res.states, w, res.aux_integral,
-                            meta, res.n_steps)
+        meta.update(n_steps=res.n_steps, n_rejected=res.n_rejected)
+        return _diagnostics(model, res.times, res.states, w, res.aux_integral, meta)
 
     if stepper == "prox":
         values = np.empty((len(grid), state0.n))
@@ -303,9 +303,8 @@ def integrate(
                     idx += 1
         except StrainflowError as exc:
             meta["error"] = str(exc)
-        meta.update(newton_iters=newton_iters, max_residual=max_residual)
-        return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta,
-                            n_steps)
+        meta.update(newton_iters=newton_iters, max_residual=max_residual, n_steps=n_steps)
+        return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta)
 
     raise ValueError(f"unknown stepper {stepper!r}")
 

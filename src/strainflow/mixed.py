@@ -63,7 +63,7 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
     f = lambda y: -np.asarray(model.sigma(y), dtype=float)
     guard = None
     if model.domain == POSITIVE:
-        guard = lambda y_old, y_new: y_new.min() > 0.0
+        guard = lambda y_old, y_new: np.minimum.reduce(y_new, None) > 0.0
     runs = []
 
     def step(y0, grid):

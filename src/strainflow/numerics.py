@@ -116,6 +116,18 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
 _BISECT_MAX_ITER = 200  # iterations per bisect_root call
 
 
+def _midpoints(lo, hi):
+    """Bisection points: the geometric midpoint sqrt(lo) sqrt(hi) of a
+    positive bracket with hi > 10 lo, so a bracket spanning decades (a level
+    set near a singular start) is cut in log steps, and (lo + hi) / 2 of
+    every other bracket."""
+    mid = 0.5 * (lo + hi)
+    wide = (lo > 0.0) & (hi > 10.0 * lo)
+    if wide.any():
+        mid[wide] = np.sqrt(lo[wide]) * np.sqrt(hi[wide])  # no under- or overflow
+    return mid
+
+
 # Named for its bisection fallback: perfbench/spans.py traces it by this name.
 def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
     """Roots of ``f`` on sign-changing brackets [lo, hi] (arrays broadcast
@@ -126,7 +138,8 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
     brackets still open and their flat indices, so a closed bracket is never
     evaluated again. Each iterate (the midpoint first) shrinks its bracket
     to the sign change; the next is the Newton step if it lands strictly
-    inside, the midpoint if not (or if the step is not finite). A bracket
+    inside, the midpoint if not (or if the step is not finite), geometric on
+    a positive bracket with hi > 10 lo (``_midpoints``). A bracket
     closes on an exact zero (which Newton reaches for a root at 0); on a
     Newton correction of at most xtol * |x|, returning x minus it even on or
     past a bracket end, which the converged iterate is; or at the midpoint
@@ -149,7 +162,7 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
     out = np.where(flo == 0.0, lo, hi)  # an exact zero at a bracket end is the root
     i = np.flatnonzero(live)
     lo, hi, lo_pos = lo[i], hi[i], lo_pos[i]
-    x = 0.5 * (lo + hi)
+    x = _midpoints(lo, hi)
     for _ in range(_BISECT_MAX_ITER):
         if i.size == 0:
             break
@@ -160,12 +173,13 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(np.isfinite(dfx), fx / dfx, np.nan)
         newton = x - step
-        mid = 0.5 * (lo + hi)
         zero = fx == 0.0
         tiny = zero | (np.abs(step) <= xtol * np.abs(x))
         narrow = hi - lo <= xtol * np.maximum(np.abs(lo), np.abs(hi))
-        out[i] = np.where(zero, x, np.where(tiny, newton, mid))
-        x = np.where((lo < newton) & (newton < hi), newton, mid)
+        # a narrow bracket is never wide: its midpoint is (lo + hi) / 2
+        out[i] = np.where(zero, x, np.where(tiny, newton, 0.5 * (lo + hi)))
+        inside = (lo < newton) & (newton < hi)
+        x = newton if inside.all() else np.where(inside, newton, _midpoints(lo, hi))
         keep = ~(tiny | narrow)
         i, lo, hi, lo_pos, x = i[keep], lo[keep], hi[keep], lo_pos[keep], x[keep]
     if i.size:
@@ -281,12 +295,18 @@ def rk45(
     maximised over members, so every accepted step passes each member's own
     error test at ``rtol``/``atol``.
 
-    ``accept_state(y_old, y_new)`` can veto a step (domain exits, ordering);
-    vetoed steps are retried with half the step size. ``postprocess(y)`` runs
-    after each accepted step (e.g. mass renormalization) and returns ``y``
-    itself when it changes nothing, which keeps FSAL. ``stage_rate(k)`` maps
-    the 7-stage stack k, shape (7,) + y0.shape, to the 7 rates whose time
-    integral is accumulated with the fifth-order weights (dissipation).
+    The pair is FSAL by construction: the seventh stage's argument is the
+    fifth-order solution y_new itself (its last weight is an exact 0), so
+    that stage is f at y_new and opens the next step. ``accept_state(y_old,
+    y_new)`` can veto a step (domain exits, ordering); vetoed steps are
+    retried with a quarter of the step size. ``postprocess(y)`` runs after
+    each accepted step (e.g. mass renormalization) and returns ``y`` itself
+    when it changes nothing, which keeps the FSAL stage and |y|. Both hooks
+    run once per step and cost their numpy calls, so they should answer
+    with ufunc reductions (``np.minimum.reduce(y) > 0``) rather than the
+    ``ndarray.min``/``all`` wrappers. ``stage_rate(k)`` maps the 7-stage
+    stack k, shape (7,) + y0.shape, to the 7 rates whose time integral is
+    accumulated with the fifth-order weights (dissipation).
 
     Raises StiffnessError when a rejection, or an accepted step that was not
     clamped to a record time, leaves a proposed step below ``_DT_MIN``. A
@@ -312,36 +332,49 @@ def rk45(
 
     k = np.empty((7,) + y.shape)
     kf = k.reshape(7, -1)  # flat views: one stage sum for every member at once
-    ys = np.empty(y.shape)
-    ys_f = ys.reshape(-1)
+    heads = [kf[:s] for s in range(7)]  # the stages each stage sum reads
+    dim = y.shape[-1]
+    ys = np.empty(y.shape)  # a stage's argument, then the scaled error
+    ys_f, err_rows = ys.reshape(-1), ys.reshape(-1, dim)
+    abs_y, abs_new, scale = np.abs(y), np.empty(y.shape), np.empty(y.shape)
     t_rec = t_record.tolist()
+    n_rec = len(t_rec)
     fsal_valid = False
     n_steps = 0
     n_rejected = 0
     idx = 1
     try:
-        while idx < len(t_rec):
+        while idx < n_rec:
             dt = min(h, t_rec[idx] - t)
             clamped = dt < h
             if not fsal_valid:
                 k[0] = f(y)
                 fsal_valid = True
-            for s in range(1, 7):
-                np.matmul(_DP_A[s], kf[:s], out=ys_f)
+            for s in range(1, 6):
+                np.dot(_DP_A[s], heads[s], out=ys_f)
                 ys *= dt
                 ys += y
                 k[s] = f(ys)
-            np.matmul(_DP_B5, kf, out=ys_f)
-            y_new = y + dt * ys
-            np.matmul(_DP_ERR, kf, out=ys_f)
+            # stage 6's argument is the fifth-order solution: _DP_A[6] is
+            # _DP_B5 without its last weight, an exact 0
+            y_new = np.dot(_DP_A[6], heads[6]).reshape(y.shape)
+            y_new *= dt
+            y_new += y
+            k[6] = f(y_new)
+            np.dot(_DP_ERR, kf, out=ys_f)
             ys *= dt
-            ys /= atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            ys /= scale
             ys *= ys
             # RMS over each member's components, max over members (taken
             # first: it commutes with the monotone division and square root)
-            err = math.sqrt(float(ys.reshape(-1, y.shape[-1]).sum(axis=1).max()) / y.shape[-1])
+            err = math.sqrt(float(np.maximum.reduce(np.add.reduce(err_rows, 1))) / dim)
 
-            bad = not err <= 1.0 or not np.isfinite(y_new).all()
+            # a NaN anywhere in y_new is a NaN maximum
+            bad = not err <= 1.0 or not math.isfinite(np.maximum.reduce(abs_new, None))
             if not bad and accept_state is not None and not accept_state(y, y_new):
                 bad = True
                 err = float("nan")
@@ -358,23 +391,25 @@ def rk45(
                 aux_total += dt * float(_DP_B5 @ stage_rate(k))
             t += dt
             n_steps += 1
-            k[0] = k[6]  # FSAL
+            k[0] = k[6]  # FSAL: f at y_new
             y = y_new
+            abs_y, abs_new = abs_new, abs_y
             if postprocess is not None:
                 y_post = postprocess(y)
                 if y_post is not y:
                     y = y_post
+                    np.abs(y, out=abs_y)
                     fsal_valid = False
             if not clamped:
                 err = max(err, 1e-12)
                 h *= min(5.0, max(0.2, _SAFETY * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)))
                 err_prev = err
-            while idx < len(t_rec) and t >= t_rec[idx] - 1e-14 * max(1.0, abs(t)):
+            while idx < n_rec and t >= t_rec[idx] - 1e-14 * max(1.0, abs(t)):
                 records[idx] = y
                 aux[idx] = aux_total
                 idx += 1
             # a step clamped to a record time leaves h as it was
-            if not clamped and h < _DT_MIN and idx < len(t_rec):
+            if not clamped and h < _DT_MIN and idx < n_rec:
                 raise StiffnessError(f"step size underflow at t={t!r} (dt={h!r})")
     except StrainflowError as exc:
         exc.partial = RKResult(times=t_record[:idx], states=records[:idx],

@@ -197,6 +197,23 @@ class TestRunCommand:
         checks = json.loads((out_env / "run_prox" / "report.json").read_text())["checks"]
         assert checks["energy_inequality"] and checks["energy_nonincreasing"]
 
+    @pytest.mark.parametrize("overrides, counters", [
+        ({}, {"n_steps", "n_rejected"}),
+        ({"stepper": {"kind": "prox", "tau": 0.01}}, {"n_steps", "newton_iters", "max_residual"}),
+        ({"model": {"name": "singular-cubic", "params": {}}, "bc": "mixed", "mu": 1.0,
+          "initial": {"kind": "seeded", "seed": 3, "lo": 0.5, "hi": 2.0}},
+         {"n_steps", "n_rejected"}),
+    ], ids=["rk45", "prox", "traction-free"])
+    def test_report_carries_solver_counters(self, out_env, tmp_path, overrides, counters):
+        cfg_path = write_config(tmp_path / "c.json", output_dir="run_stats", **overrides)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        run_dir = out_env / "run_stats"
+        stats = json.loads((run_dir / "report.json").read_text())["stats"]
+        meta = json.loads((run_dir / "trajectory.json").read_text())["metadata"]
+        assert set(stats) == counters
+        assert stats == {key: meta[key] for key in counters}
+        assert stats["n_steps"] > 0
+
     def test_overshooting_step_fails_energy_inequality(self, out_env, tmp_path, monkeypatch):
         # 2.9 explicit Euler steps per step: the energy still falls, but by
         # less than half the recorded dissipation

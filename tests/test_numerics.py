@@ -145,6 +145,17 @@ def test_bisect_root_without_usable_derivative_bisects(bad):
     assert 40 <= counts[0] - 2 <= 45  # halvings of [0, 1] down to 1e-12
 
 
+def test_bisect_root_cuts_wide_positive_brackets_in_log_steps():
+    # 50 decades, where lo * hi underflows to 0: bisection without a usable
+    # derivative closes in 49 iterations, 6 of them geometric, where
+    # arithmetic halving takes 105
+    counts = np.zeros(1, dtype=int)
+    no_slope = lambda x, i: np.full_like(x, np.nan)
+    r = bisect_root(_counting(lambda x, i: x - 3e-170, counts), no_slope, 1e-200, 1e-150)
+    assert abs(r - 3e-170) <= 1e-12 * 3e-170
+    assert counts[0] - 2 <= 50
+
+
 def test_bisect_root_accepts_a_tiny_correction_on_the_bracket_end():
     # the converged iterate is a bracket end, and its last correction, below
     # half an ulp, leaves it there: the solver must stop on it, not bisect on
@@ -278,6 +289,32 @@ def test_rk45_failure_prefix_matches_reference():
     assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
     assert len(new.times) == len(ref.times) == 20
     assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
+
+
+def _shape_field(y):
+    return np.cos(y) * (1.0 - y) - 0.5 * y * np.abs(y)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (13, 3), (64,), (257,), (4096,), (56, 1), "zeros"])
+def test_rk45_matches_reference_across_state_shapes(shape):
+    # rk45 takes stage 6's argument, a 6-term stage sum, as the fifth-order
+    # solution, a 7-term sum whose last weight is an exact 0: the two agree
+    # bit for bit on each BLAS path these sizes take
+    if shape == "zeros":
+        # spiral-like members: exact zeros of both signs stay put under
+        # -y |y| (their rates are zeros of the other sign) beside moving ones
+        y0 = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, -0.0], [-0.0, 1.5, 0.1], [0.0, -0.0, -0.5]])
+        field = lambda y: -y * np.abs(y)
+    else:
+        y0, field = np.random.default_rng(sum(shape)).uniform(-2.0, 2.0, shape), _shape_field
+    t_rec = np.linspace(0.0, 3.0, 7)
+    new, ref = (stepper(field, y0, t_rec, rtol=1e-9, atol=1e-12)
+                for stepper in (rk45, reference_rk45))
+    assert new.n_steps > 10
+    assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+    assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
+    if shape == "zeros":
+        assert np.array_equal(new.states[-1] == 0.0, y0 == 0.0)
 
 
 def test_trailing_stats_window():

@@ -411,6 +411,34 @@ def test_level_sets_take_few_iterations(monkeypatch):
     assert 0 < max(counts) <= 20
 
 
+@pytest.mark.parametrize("kappa", [0.5, 0.05])
+@pytest.mark.parametrize("p", [3e-8, 1e-6, 1e-4])
+def test_level_sets_near_a_singular_start_take_few_iterations(kappa, p, monkeypatch):
+    # the root's bracket runs from the window start, 1e-8, to 10 (kappa =
+    # 0.5) or to the first critical point near 0.25 (kappa = 0.05): 7-9
+    # decades, which geometric bisection crosses in log steps; arithmetic
+    # halving took 16-34 sigma' evaluations per root here
+    solve = stress_models.bisect_root
+    counts = []
+
+    def counting(f, fprime, lo, hi):
+        count = np.zeros(np.size(lo), dtype=int)
+
+        def slope(x, i):
+            np.add.at(count, i, 1)
+            return fprime(x, i)
+
+        out = solve(f, slope, lo, hi)
+        counts.append(count.max())
+        return out
+
+    model = make_model("singular-cubic", kappa=kappa)
+    monkeypatch.setattr(stress_models, "bisect_root", counting)
+    root = roots_at(model, float(model.sigma(p)))
+    assert root == pytest.approx([p], rel=1e-12)
+    assert counts == [counts[0]] and 0 < counts[0] <= 13
+
+
 def test_critical_value_proximity_is_relative():
     # |c| >> 1: 5e-9 from a critical value is near under the relative rule
     # (1e-9 * |c| ~ 1e-5) though not under an absolute 1e-9
