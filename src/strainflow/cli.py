@@ -146,6 +146,9 @@ class ExperimentConfig:
             raise ConfigError("file initial data needs a path string")
         if self.stepper["kind"] not in ("rk45", "prox"):
             raise ConfigError(f"unknown stepper {self.stepper['kind']!r}")
+        if self.bc == "mixed" and self.stepper["kind"] != "rk45":
+            raise ConfigError(f"stepper {self.stepper['kind']!r} cannot run bc 'mixed': "
+                              "the traction-free flow is integrated by rk45 only")
 
     def to_dict(self) -> dict:
         return copy.deepcopy(asdict(self))
@@ -235,9 +238,11 @@ def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
 # -- invariant checks -------------------------------------------------------------
 
 
-def _run_checks(cfg, model, traj: Trajectory, profile) -> dict[str, bool]:
+def _run_checks(bc: str, stepper_kind: str, mu, traj: Trajectory, profile) -> dict[str, bool]:
+    """Invariant checks of a ``bc`` trajectory (``mu`` is read when held), and
+    bound enclosure when a ``profile`` is given."""
     checks: dict[str, bool] = {}
-    if cfg.bc == "mixed":
+    if bc == "mixed":
         # each p_i(t) solves a scalar autonomous ODE, so it is monotone in t
         # and moves downhill in W
         step = np.diff(traj.values, axis=0)
@@ -247,27 +252,28 @@ def _run_checks(cfg, model, traj: Trajectory, profile) -> dict[str, bool]:
         ))
         checks["energy_nonincreasing"] = bool(np.all(np.diff(traj.energy) <= 1e-10))
     else:
-        mu = cfg.mu
         checks["mass_conservation"] = bool(
             np.max(np.abs(traj.mass() - mu)) <= MASS_RTOL * max(1.0, abs(mu))
         )
         order0 = np.argsort(traj.values[0], kind="stable")
         ordered = traj.values[:, order0]
         checks["ordering_preserved"] = bool(np.all(np.diff(ordered, axis=1) >= -1e-10))
-        if cfg.stepper["kind"] == "rk45":
-            i0 = 1 if traj.n_records > 1 else 0
-            e0, z0 = traj.energy[i0], traj.dissipation_cum[i0]
-            resid = traj.energy[i0:] - e0 + (traj.dissipation_cum[i0:] - z0)
-            checks["energy_equation"] = bool(
-                np.max(np.abs(resid)) <= 1e-6 * (1.0 + abs(e0))
-            )
-        else:
-            checks["energy_nonincreasing"] = bool(np.all(np.diff(traj.energy) <= 1e-8))
-            # each proximal step minimises W + |v - p|^2 / 2 tau and v = p is
-            # feasible, so E(t) + D(t)/2 <= E(0) with D the recorded sum
-            e0 = traj.energy[0]
-            gap = traj.energy + 0.5 * traj.dissipation_cum - e0
-            checks["energy_inequality"] = bool(np.all(gap <= 1e-10 * (1.0 + abs(e0))))
+    if stepper_kind == "rk45":
+        # E(t) + D(t) = E(t1) + D(t1), from the first record after 0 (a
+        # traction-free zero strain starts at ZERO_FLOOR)
+        i0 = 1 if traj.n_records > 1 else 0
+        e0, z0 = traj.energy[i0], traj.dissipation_cum[i0]
+        resid = traj.energy[i0:] - e0 + (traj.dissipation_cum[i0:] - z0)
+        checks["energy_equation"] = bool(
+            np.max(np.abs(resid)) <= 1e-6 * (1.0 + abs(e0))
+        )
+    else:
+        checks["energy_nonincreasing"] = bool(np.all(np.diff(traj.energy) <= 1e-8))
+        # each proximal step minimises W + |v - p|^2 / 2 tau and v = p is
+        # feasible, so E(t) + D(t)/2 <= E(0) with D the recorded sum
+        e0 = traj.energy[0]
+        gap = traj.energy + 0.5 * traj.dissipation_cum - e0
+        checks["energy_inequality"] = bool(np.all(gap <= 1e-10 * (1.0 + abs(e0))))
     if profile is not None:
         sel = traj.times > 0
         ok = True
@@ -375,7 +381,7 @@ def command_run(cfg: ExperimentConfig) -> int:
     report["converged"] = bool(traj.converged)
     report["final_stress_mean"] = float(traj.stress_mean[-1])
     if cfg.analyses["invariants"]:
-        checks.update(_run_checks(cfg, model, traj, profile))
+        checks.update(_run_checks(cfg.bc, cfg.stepper["kind"], cfg.mu, traj, profile))
     report["checks"] = checks
     report["checked"] = bool(checks)  # false: the run exits 0 with nothing checked
     report["wall_time_s"] = time.perf_counter() - t_start
@@ -443,6 +449,7 @@ def command_mixed(args) -> int:
                           "the traction-free flow needs finite strains >= 0")
     grid = np.linspace(0.0, args.t_final, args.records)
     traj, limit = solve_field(model, samples, grid)
+    checks = _run_checks("mixed", "rk45", None, traj, None)
     rows = np.column_stack([traj.times, traj.values, traj.energy])
     header = ["t"] + [f"p_{i + 1}" for i in range(traj.values.shape[1])] + ["energy"]
     path = os.path.join(out_dir, "mixed.csv")
@@ -453,10 +460,11 @@ def command_mixed(args) -> int:
             "model": model.spec,
             "limit_field": [float(x) for x in limit],
             "converged": bool(traj.converged),
+            "checks": checks,
         },
     )
     print(path)
-    return 0
+    return 0 if all(checks.values()) else 1
 
 
 def command_bounds(args) -> int:

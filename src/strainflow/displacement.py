@@ -26,7 +26,8 @@ from .numerics import rk45
 from .state import SimpleState, Trajectory, state_distance
 from .stress_models import POSITIVE, StressModel, eval_W
 
-CONVERGENCE_TOL = 1e-8   # weighted rhs norm below which a state counts as settled
+CONVERGENCE_TOL = 1e-8   # weighted velocity norm below which a state counts as settled
+ZERO_FLOOR = 1e-12       # strain a traction-free zero is evaluated at on (0, inf)
 ORDER_SLACK = 1e-12      # roundoff allowance in the ordering guard
 _PROX_MAX_ITER = 100     # Newton steps per proximal step
 _PROX_RES_TOL = 1e-14    # relative residual that ends a proximal solve
@@ -196,13 +197,18 @@ def _record_grid(t_final: float, record_every: float | None, n_records: int | No
     return np.linspace(0.0, t_final, n)
 
 
-def _diagnostics(model: StressModel, times, values, weights, diss_cum, metadata) -> Trajectory:
-    sig = np.asarray(model.sigma(values), dtype=float)
+def _diagnostics(model: StressModel, times, values, weights, diss_cum, metadata, *,
+                 held: bool) -> Trajectory:
+    """The trajectory of a flow from its records; the velocity is c - sigma,
+    c the weighted stress mean, when ``held`` and -sigma when traction-free,
+    where a zero strain on (0, inf) is evaluated at ZERO_FLOOR."""
+    floored = np.maximum(values, ZERO_FLOOR) if not held and model.domain == POSITIVE else values
+    sig = np.asarray(model.sigma(floored), dtype=float)
     c = sig @ weights
-    vel = -sig + c[:, None]
+    vel = -sig + c[:, None] if held else -sig
     with np.errstate(over="ignore"):  # inf near a singular stress, its float value
         diss_rate = (vel ** 2) @ weights
-    energy = np.asarray(eval_W(model, values.ravel()), dtype=float).reshape(sig.shape) @ weights
+    energy = np.asarray(eval_W(model, floored.ravel()), dtype=float).reshape(sig.shape) @ weights
     return Trajectory(
         times=np.asarray(times, dtype=float),
         values=values,
@@ -274,7 +280,7 @@ def integrate(
             res = exc.partial  # the records reached before the failure
             meta["error"] = str(exc)
         meta.update(n_steps=res.n_steps, n_rejected=res.n_rejected)
-        return _diagnostics(model, res.times, res.states, w, res.aux_integral, meta)
+        return _diagnostics(model, res.times, res.states, w, res.aux_integral, meta, held=True)
 
     if stepper == "prox":
         values = np.empty((len(grid), state0.n))
@@ -304,7 +310,7 @@ def integrate(
         except StrainflowError as exc:
             meta["error"] = str(exc)
         meta.update(newton_iters=newton_iters, max_residual=max_residual, n_steps=n_steps)
-        return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta)
+        return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta, held=True)
 
     raise ValueError(f"unknown stepper {stepper!r}")
 

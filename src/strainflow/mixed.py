@@ -1,14 +1,15 @@
 """Traction-free problem: the flow decouples into pointwise ODEs dp/dt = -sigma(p).
 
 Each material point evolves independently, so the field solver integrates
-every sample as one rk45 ensemble, one member per sample, and reassembles
-diagnostics; the pointwise solver is its one-sample case. Strains starting
-at exactly zero outside the domain follow the travel-time relation
-int_0^p -dz/sigma(z) = t (exact where the explicit stepper would be
-hopeless), inverted in batch, until they reach 0.999 of the smallest root
-at the hand-off time; the ensemble is split there, and one zero-strain
-member joins it for the rest of the run, its column copied to every zero
-sample.
+every sample as one rk45 ensemble, one member per sample, which also
+integrates the weighted dissipation from its stages; the held flow's
+trajectory builder turns the records into diagnostics, and the pointwise
+solver is the one-sample case. Strains starting at exactly zero outside the
+domain follow the travel-time relation int_0^p -dz/sigma(z) = t (exact where
+the explicit stepper would be hopeless), inverted in batch, until they reach
+0.999 of the smallest root at the hand-off time; the ensemble is split
+there, and one zero-strain member joins it for the rest of the run, its
+column copied to every zero sample.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import time_from_zero_curve
+from .displacement import ZERO_FLOOR, _diagnostics
 from .errors import DomainError, HypothesisError
 from .numerics import rk45
 from .state import Trajectory
@@ -40,18 +42,23 @@ class PointwiseSolution:
         return float(self.values[-1])
 
 
-def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
-          rtol: float, atol: float) -> tuple[np.ndarray, int, int]:
-    """Values (records x samples) of dp/dt = -sigma(p) from each sample, and
+def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray, weights: np.ndarray,
+          rtol: float, atol: float) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Values (records x samples) of dp/dt = -sigma(p) from each sample, the
+    weighted dissipation int_0^t sum_i w_i sigma(p_i)^2 at the records, and
     the accepted and rejected rk45 steps summed over the stepper calls.
 
     The samples share rk45 calls as an ensemble of one-dimensional members;
     the flow is decoupled, so only the step sizes couple them, and rk45's
-    per-member error norm holds each sample to ``rtol``/``atol``. Without a
-    zero strain outside the domain that is one call. With one, the others
-    run up to the hand-off time t_boot of ``_zero_start`` and then, joined by
-    one zero-strain member started at its hand-off strain, on to the end;
-    that member's column is copied to every zero sample.
+    per-member error norm holds each sample to ``rtol``/``atol``; the
+    dissipation is integrated from the stages. Without a zero strain outside
+    the domain that is one call. With one, the others run up to the hand-off
+    time t_boot of ``_zero_start`` and then, joined by one zero-strain member
+    started at its hand-off strain and weighted by the zero samples' summed
+    weight, on to the end; that member's column is copied to every zero
+    sample. Before t_boot each zero sample is a gradient flow of W alone, so
+    it has dissipated W(ZERO_FLOOR) - W(p(t)), counted from the floored
+    start its energy records.
     """
     if samples.ndim != 1 or len(samples) == 0:
         raise ValueError("p0_samples must be a non-empty 1-d array")
@@ -66,29 +73,40 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray,
         guard = lambda y_old, y_new: np.minimum.reduce(y_new, None) > 0.0
     runs = []
 
-    def step(y0, grid):
-        runs.append(rk45(f, y0[:, None], grid, rtol=rtol, atol=atol, accept_state=guard))
-        return runs[-1].states[:, :, 0]
+    def step(y0, grid, w):
+        runs.append(rk45(f, y0[:, None], grid, rtol=rtol, atol=atol, accept_state=guard,
+                         stage_rate=lambda k: (k * k).reshape(7, -1) @ w))
+        return runs[-1].states[:, :, 0], runs[-1].aux_integral
 
     boot = (samples == 0.0) & (model.domain == POSITIVE)
     if not np.any(boot):
-        values = step(samples, t_grid)
+        values, diss = step(samples, t_grid, weights)
     else:
         values = np.empty((len(t_grid), len(samples)))
         t_boot, early, p_start = _zero_start(model, t_grid)
         head, rest = t_grid <= t_boot, t_grid > t_boot
+        n_head = np.count_nonzero(head)
         values[np.ix_(head, boot)] = early[:, None]
-        members = samples[~boot]
+        w_zero = float(np.sum(weights[boot]))
+        energy = eval_W(model, np.append(np.maximum(early, ZERO_FLOOR), p_start))
+        spent = w_zero * (energy[0] - energy)  # early[0] = 0, so energy[0] = W(ZERO_FLOOR)
+        diss = np.empty(len(t_grid))
+        diss[head] = spent[:-1]
+        members, w_members = samples[~boot], weights[~boot]
         if len(members):
             # the hand-off time closes the grid once, even when it is a record
-            states = step(members, np.append(t_grid[t_grid < t_boot], t_boot))
-            values[np.ix_(head, ~boot)] = states[:np.count_nonzero(head)]
+            states, aux = step(members, np.append(t_grid[t_grid < t_boot], t_boot), w_members)
+            values[np.ix_(head, ~boot)] = states[:n_head]
+            diss[head] += aux[:n_head]
             members = states[-1]
+            spent[-1] += aux[-1]
         if np.any(rest):
-            states = step(np.append(members, p_start), np.append(t_boot, t_grid[rest]))
+            states, aux = step(np.append(members, p_start), np.append(t_boot, t_grid[rest]),
+                               np.append(w_members, w_zero))
             values[np.ix_(rest, ~boot)] = states[1:, :-1]
             values[np.ix_(rest, boot)] = states[1:, -1:]
-    return values, sum(r.n_steps for r in runs), sum(r.n_rejected for r in runs)
+            diss[rest] = spent[-1] + aux[1:]
+    return values, diss, sum(r.n_steps for r in runs), sum(r.n_rejected for r in runs)
 
 
 def _zero_start(model, t_grid) -> tuple[float, np.ndarray, float]:
@@ -131,7 +149,7 @@ def solve_pointwise(
     """Solve dp/dt = -sigma(p), p(0) = p0 >= 0, recording on ``t_grid``: the
     one-sample case of ``solve_field``."""
     t_grid = np.asarray(t_grid, dtype=float)
-    values = _flow(model, np.array([float(p0)]), t_grid, rtol, atol)[0][:, 0]
+    values = _flow(model, np.array([float(p0)]), t_grid, np.ones(1), rtol, atol)[0][:, 0]
     if p0 != 0.0:
         method = "stiff-ode"
     elif model.domain == POSITIVE:
@@ -162,33 +180,13 @@ def solve_field(
     which weight the stress mean, energy and dissipation (equal by default)."""
     samples = np.asarray(p0_samples, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    values, n_steps, n_rejected = _flow(model, samples, t_grid, rtol, atol)
     n = len(samples)
     weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-
-    # diagnostics evaluated just inside the domain when a sample sits at 0
-    floor = 1e-12 if model.domain == POSITIVE else -np.inf
-    vals_eval = np.maximum(values, floor)
-    sig = np.asarray(model.sigma(vals_eval), dtype=float)
-    c = sig @ weights
-    energy = np.asarray(eval_W(model, vals_eval.ravel()), dtype=float).reshape(sig.shape) @ weights
-    diss_rate = (sig ** 2) @ weights
-
-    traj = Trajectory(
-        times=t_grid,
-        values=values,
-        weights=weights,
-        stress_mean=c,
-        energy=energy,
-        dissipation=diss_rate,
-        dissipation_cum=np.zeros_like(t_grid),
-        metadata={"kind": "mixed", "model": model.spec,
-                  "n_steps": n_steps, "n_rejected": n_rejected},
-        converged=bool(np.max(np.abs(sig[-1])) < EQUILIBRIUM_TOL),
-    )
+    values, diss, n_steps, n_rejected = _flow(model, samples, t_grid, weights, rtol, atol)
+    meta = {"kind": "mixed", "model": model.spec, "n_steps": n_steps, "n_rejected": n_rejected}
+    traj = _diagnostics(model, t_grid, values, weights, diss, meta, held=False)
     roots = _limit_roots(model, values[-1])
-    limit = np.where(np.isnan(roots), values[-1], roots)
-    return traj, limit
+    return traj, np.where(np.isnan(roots), values[-1], roots)
 
 
 def reconstruct_y(p_values) -> np.ndarray:

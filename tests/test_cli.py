@@ -33,6 +33,25 @@ def write_config(path, **overrides):
     return path
 
 
+def _tamper_solve_field(monkeypatch, tamper):
+    """Make ``cli.solve_field`` return its trajectory damaged by ``tamper``."""
+    real = cli.solve_field
+
+    def tampered(*args, **kwargs):
+        traj, limit = real(*args, **kwargs)
+        if tamper == "reverse":    # one path turns back once
+            traj.values[5, 0] = traj.values[4, 0] - 1e-3 * (traj.values[5, 0] - traj.values[4, 0])
+        elif tamper == "energy":
+            traj.energy[-1] = traj.energy[-2] + 1e-9
+        elif tamper == "dissipation":
+            traj.dissipation_cum[:] *= 1.01
+        else:
+            traj.values[1:, 0] = 1e-9
+        return traj, limit
+
+    monkeypatch.setattr(cli, "solve_field", tampered)
+
+
 @pytest.fixture()
 def out_env(tmp_path, monkeypatch):
     monkeypatch.setenv("STRAINFLOW_OUT", str(tmp_path))
@@ -126,6 +145,14 @@ class TestRunCommand:
             initial={"kind": "explicit", "values": []},
         )
         assert main(["run", "--config", str(cfg_path)]) == 2
+
+    def test_mixed_bc_with_prox_exits_2(self, out_env, capsys):
+        # the traction-free flow has no proximal stepper; rk45 must not stand in
+        argv = ["run", "--set", 'bc="mixed"', "--model", "singular-cubic", "--stepper", "prox",
+                "--t-final", "1", "--out", "mixed_prox"]
+        assert main(argv) == 2
+        assert "rk45 only" in capsys.readouterr().err
+        assert not (out_env / "mixed_prox" / "report.json").exists()
 
     @pytest.mark.parametrize("with_config", [False, True])
     @pytest.mark.parametrize("overrides", [
@@ -299,7 +326,8 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (out_env / "run_mixed" / "trajectory.csv").exists()
         checks = json.loads((out_env / "run_mixed" / "report.json").read_text())["checks"]
-        assert set(checks) == {"monotone_paths", "energy_nonincreasing", "bound_enclosure"}
+        assert set(checks) == {"monotone_paths", "energy_nonincreasing", "energy_equation",
+                               "bound_enclosure"}
         assert all(checks.values())
 
     def test_mixed_bc_run_keeps_weights(self, out_env, tmp_path):
@@ -322,22 +350,11 @@ class TestRunCommand:
         ("reverse", "monotone_paths"),
         ("energy", "energy_nonincreasing"),
         ("below_lower", "bound_enclosure"),
+        ("dissipation", "energy_equation"),
     ])
     def test_mixed_checks_catch_tampered_trajectory(self, out_env, tmp_path, monkeypatch,
                                                    tamper, failing):
-        real = cli.solve_field
-
-        def tampered(*args, **kwargs):
-            traj, limit = real(*args, **kwargs)
-            if tamper == "reverse":    # one path turns back once
-                traj.values[5, 0] = traj.values[4, 0] - 1e-3 * (traj.values[5, 0] - traj.values[4, 0])
-            elif tamper == "energy":
-                traj.energy[-1] = traj.energy[-2] + 1e-9
-            else:
-                traj.values[1:, 0] = 1e-9
-            return traj, limit
-
-        monkeypatch.setattr(cli, "solve_field", tampered)
+        _tamper_solve_field(monkeypatch, tamper)
         cfg_path = write_config(
             tmp_path / "c.json",
             model={"name": "singular-cubic", "params": {}},
@@ -361,6 +378,28 @@ class TestOtherCommands:
         assert code == 0
         header = (out_env / "m" / "mixed.csv").read_text().splitlines()[0]
         assert header == "t,p_1,p_2,p_3,p_4,energy"
+
+    def test_mixed_command_records_checks(self, out_env):
+        argv = ["mixed", "--model", "singular-cubic", "--p0", "step:0,1.5", "--n", "6",
+                "--t-final", "5", "--records", "51", "--out", "m_checks"]
+        assert main(argv) == 0
+        checks = json.loads((out_env / "m_checks" / "mixed.json").read_text())["checks"]
+        assert checks == {"monotone_paths": True, "energy_nonincreasing": True,
+                          "energy_equation": True}
+
+    @pytest.mark.parametrize("tamper, failing", [
+        ("reverse", "monotone_paths"),
+        ("energy", "energy_nonincreasing"),
+        ("dissipation", "energy_equation"),
+    ])
+    def test_mixed_command_checks_catch_tampered_trajectory(self, out_env, monkeypatch,
+                                                            tamper, failing):
+        _tamper_solve_field(monkeypatch, tamper)
+        argv = ["mixed", "--model", "singular-cubic", "--p0", "step:0,1.5", "--n", "4",
+                "--t-final", "3", "--records", "31", "--out", "m_tampered"]
+        assert main(argv) == 1
+        checks = json.loads((out_env / "m_tampered" / "mixed.json").read_text())["checks"]
+        assert checks[failing] is False
 
     def test_bounds_command_csv_and_sidecar(self, out_env):
         code = main([

@@ -2,14 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from strainflow.bounds import mixed_lower, mixed_upper, time_from_zero_curve
+from strainflow.displacement import ZERO_FLOOR
 from strainflow.errors import DomainError
 from strainflow import mixed
 from strainflow.mixed import BOOTSTRAP_FRACTION, reconstruct_y, solve_field, solve_pointwise
 from strainflow.numerics import rk45
-from strainflow.stress_models import eval_W, make_model
+from strainflow.stress_models import POSITIVE, eval_W, make_model
 
 from reference_rk45 import reference_rk45
 
@@ -360,6 +363,85 @@ class TestZeroStartSplit:
         assert len(calls) == (1 if zeros == 0 else 2)
         assert traj.metadata["n_steps"] == sum(res.n_steps for _, _, res in calls)
         assert traj.metadata["n_rejected"] == sum(res.n_rejected for _, _, res in calls)
+
+
+def _energy_equation_error(model, traj) -> float:
+    """max over t of |D(t) - D(t1) - (E(t1) - E(t))| / (1 + |E(t1)|), t1 the
+    first record after 0, with E summed sample by sample from W at each
+    column (a zero strain on (0, inf) at ZERO_FLOOR): each sample is a
+    gradient flow of W alone, so it dissipates exactly the energy it loses."""
+    values = np.maximum(traj.values, ZERO_FLOOR) if model.domain == POSITIVE else traj.values
+    energy = sum(w * eval_W(model, values[:, i]) for i, w in enumerate(traj.weights))
+    lost = energy[1] - energy[1:]
+    spent = traj.dissipation_cum[1:] - traj.dissipation_cum[1]
+    return float(np.max(np.abs(spent - lost))) / (1.0 + abs(energy[1]))
+
+
+class TestEnergyEquation:
+    """The dissipation integrated from the rk45 stages, and before the
+    hand-off from the travel-time relation, against each sample's energy
+    loss, at 1e-8 relative (the run checks 1e-6)."""
+
+    T = TestZeroStartSplit.T
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return make_model("singular-cubic")
+
+    def test_zero_free_field_with_unequal_weights(self, model):
+        samples = _free_field_samples(2)
+        samples = samples[samples > 0.0]
+        weights = np.random.default_rng(2).uniform(0.1, 1.0, len(samples))
+        traj, _ = solve_field(model, samples, self.T, weights=weights / weights.sum())
+        assert traj.dissipation_cum[-1] > 0.0
+        assert _energy_equation_error(model, traj) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["hand-off inside", "hand-off on a record",
+                                      "before hand-off", "before hand-off, all zero",
+                                      "every sample zero"])
+    def test_zero_start_split(self, model, case):
+        t_boot = _hand_off(model)
+        t, samples = self.T, _free_field_samples(1)
+        if case == "hand-off on a record":
+            t, samples = np.union1d(self.T, [t_boot]), np.array([0.0, 0.3, 0.0, 2.5])
+        elif case.startswith("before hand-off"):
+            t = np.linspace(0.0, 0.5 * t_boot, 11)
+            samples = np.zeros(3) if case.endswith("all zero") else np.array([0.0, 0.5, 2.0])
+        elif case == "every sample zero":
+            samples = np.zeros(5)
+        traj, _ = solve_field(model, samples, t)
+        assert traj.dissipation_cum[0] == 0.0
+        assert _energy_equation_error(model, traj) <= 1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), degree=st.sampled_from([1, 3, 5]))
+def test_odd_poly_traction_free_property(data, degree):
+    """Odd-degree laws with a positive leading coefficient whose window is
+    invariant (sigma < 0 at its left end, > 0 at its right), on fields drawn
+    in its nonnegative part: paths are monotone and the samples keep their
+    order to the integration tolerance rtol = 1e-9 (around a stiff root the
+    explicit steps may overshoot within it), and the energy equation holds at
+    the run check's 1e-6.
+
+    The coefficients are multiples of 1/16: ``roots_at``, which classifies
+    the limits, exhausts its iteration budget on a root below about 1e-36
+    beside a critical point at 0 (coeffs=[1, 0, 0, 1e-110]); see CHANGES.md.
+    """
+    sixteenths = st.integers(-32, 32).map(lambda k: k / 16.0)
+    coeffs = [data.draw(st.integers(1, 32)) / 16.0] + data.draw(
+        st.lists(sixteenths, min_size=degree, max_size=degree))
+    model = make_model("poly", coeffs=coeffs)
+    lo, hi = model.eval_window
+    assume(model.sigma(np.array([lo]))[0] < 0.0 < model.sigma(np.array([hi]))[0])
+    samples = np.array(data.draw(st.lists(st.floats(0.0, hi), min_size=2, max_size=8)))
+    traj, _ = solve_field(model, samples, np.linspace(0.0, 2.0, 41))
+    slack = 1e-9 * (1.0 + np.abs(traj.values))
+    step = np.diff(traj.values, axis=0)
+    assert np.all(np.all(step >= -slack[1:], axis=0) | np.all(step <= slack[1:], axis=0))
+    order = np.argsort(samples, kind="stable")
+    assert np.all(np.diff(traj.values[:, order], axis=1) >= -slack[:, order[1:]])
+    assert _energy_equation_error(model, traj) <= 1e-6
 
 
 class TestReconstructY:
