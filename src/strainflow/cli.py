@@ -315,10 +315,16 @@ def command_run(cfg: ExperimentConfig) -> int:
         write_json(manifest_path, manifest)
         return exit_code
 
+    def fail(exc: StrainflowError, what: str) -> int:
+        hypothesis = isinstance(exc, HypothesisError)
+        print(f"{'hypothesis' if hypothesis else what} failure: {exc}", file=sys.stderr)
+        return finish(3 if hypothesis else 4, str(exc))
+
     model = _build_model(cfg.model["name"], cfg.model["params"])
     state = _initial_state(cfg, model)
 
-    # universal bound curves (hypothesis failures end the run with code 3)
+    # universal bound curves, then the integration (a failed hypothesis in
+    # either ends the run with code 3, any other failure with code 4)
     profile = None
     want_lower = cfg.analyses["bounds_lower"]
     want_upper = cfg.analyses["bounds_upper"]
@@ -334,14 +340,9 @@ def command_run(cfg: ExperimentConfig) -> int:
                 want_lower=bool(want_lower), want_upper=bool(want_upper),
             )
             report["bounds_constants"] = profile.constants
-        except HypothesisError as exc:
-            print(f"hypothesis failure: {exc}", file=sys.stderr)
-            return finish(3, str(exc))
         except StrainflowError as exc:
-            print(f"bound failure: {exc}", file=sys.stderr)
-            return finish(4, str(exc))
+            return fail(exc, "bound")
 
-    # integration
     if cfg.bc == "displacement":
         traj = integrate(
             model, state, cfg.t_final,
@@ -353,15 +354,15 @@ def command_run(cfg: ExperimentConfig) -> int:
         )
     else:
         try:
-            traj, _limit = solve_field(
+            traj, limit = solve_field(
                 model, state.values, grid,
                 rtol=cfg.stepper["rtol"],
                 atol=cfg.stepper["atol"],
                 weights=state.weights,
             )
         except StrainflowError as exc:
-            print(f"integration failure: {exc}", file=sys.stderr)
-            return finish(4, str(exc))
+            return fail(exc, "integration")
+        report["limit_field"] = limit.tolist()
     traj.metadata["seed"] = cfg.initial["seed"]
     report["stats"] = {key: traj.metadata[key] for key in RUN_STATS if key in traj.metadata}
     prefix = os.path.join(out_dir, "trajectory")
@@ -431,40 +432,33 @@ def _require_positive(**flags) -> None:
 
 
 def command_mixed(args) -> int:
-    _require_positive(n=args.n, t_final=args.t_final, records=args.records)
-    model = _build_model(args.model, _parse_params(args.param))
-    out_dir = _out_dir(args.out)
+    """``mixed``: a ``run`` of the traction-free flow from the ``--p0``
+    samples, with equal weights and ``--records`` evenly spaced records. The
+    upper envelope is off: it needs an integrable stress tail, which
+    ``linear``, ``hyperbolic`` and ``log`` lack."""
+    n = max(args.n, 0)  # an --n below 1 is reported by the config's check on n
     try:
         if args.p0.startswith("file:"):
             samples = np.loadtxt(args.p0[5:], dtype=float).ravel()
         elif args.p0.startswith("step:"):
             a, b = (float(x) for x in args.p0[5:].split(","))
-            samples = np.where(np.linspace(0, 1, args.n) < 0.5, a, b)
+            samples = np.where(np.linspace(0, 1, n) < 0.5, a, b)
         else:
-            samples = np.full(args.n, float(args.p0))
+            samples = np.full(n, float(args.p0))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read --p0 {args.p0!r}: {exc}") from exc
-    if not np.all((samples >= 0.0) & (samples < np.inf)):  # NaN fails both
-        raise ConfigError(f"--p0 {args.p0!r} gives strains outside [0, inf): "
-                          "the traction-free flow needs finite strains >= 0")
-    grid = np.linspace(0.0, args.t_final, args.records)
-    traj, limit = solve_field(model, samples, grid)
-    checks = _run_checks("mixed", "rk45", None, traj, None)
-    rows = np.column_stack([traj.times, traj.values, traj.energy])
-    header = ["t"] + [f"p_{i + 1}" for i in range(traj.values.shape[1])] + ["energy"]
-    path = os.path.join(out_dir, "mixed.csv")
-    write_csv(path, header, rows)
-    write_json(
-        os.path.join(out_dir, "mixed.json"),
-        {
-            "model": model.spec,
-            "limit_field": [float(x) for x in limit],
-            "converged": bool(traj.converged),
-            "checks": checks,
-        },
-    )
-    print(path)
-    return 0 if all(checks.values()) else 1
+    if args.records < 2:
+        raise ConfigError(f"--records must be at least 2, got {args.records}")
+    return command_run(ExperimentConfig.from_dict({
+        "model": {"name": args.model, "params": _parse_params(args.param)},
+        "bc": "mixed",
+        "n": args.n,
+        "initial": {"kind": "explicit", "values": samples.tolist()},
+        "t_final": args.t_final,
+        "record_every": args.t_final / (args.records - 1),
+        "output_dir": args.out,
+        "analyses": {"bounds_upper": False},
+    }))
 
 
 def command_bounds(args) -> int:

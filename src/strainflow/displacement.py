@@ -189,7 +189,8 @@ def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
 def _record_grid(t_final: float, record_every: float | None, n_records: int | None):
     if record_every is not None:
         grid = np.arange(0.0, t_final + 0.5 * record_every, record_every)
-        if grid[-1] < t_final:
+        # a last point short of t_final by rounding only is snapped, not doubled
+        if t_final - grid[-1] > 1e-9 * record_every:
             grid = np.append(grid, t_final)
         grid[-1] = t_final
         return grid

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from strainflow.state import Trajectory
 from strainflow.stress_models import make_model
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, **overrides):
@@ -50,6 +52,16 @@ def _tamper_solve_field(monkeypatch, tamper):
         return traj, limit
 
     monkeypatch.setattr(cli, "solve_field", tampered)
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of each ``strainflow ...`` line of README's "Command line"
+    block, less those that need a user's file (``--config cfg.json``, ``sweep``)."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+             if line.startswith("strainflow ")]
+    return [argv for argv in lines if "--config" not in argv and argv[0] != "sweep"]
 
 
 @pytest.fixture()
@@ -346,27 +358,71 @@ class TestRunCommand:
         sig = make_model("singular-cubic").sigma(traj.values)
         assert np.allclose(traj.stress_mean, sig @ np.array(weights), rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("tamper, failing", [
-        ("reverse", "monotone_paths"),
-        ("energy", "energy_nonincreasing"),
-        ("below_lower", "bound_enclosure"),
-        ("dissipation", "energy_equation"),
+    @pytest.mark.parametrize("entry, tamper, failing", [
+        pytest.param(entry, tamper, failing,
+                     id=f"{tamper}-{failing}" if entry == "run" else f"mixed-{tamper}-{failing}")
+        for entry in ("run", "mixed")
+        for tamper, failing in [
+            ("reverse", "monotone_paths"),
+            ("energy", "energy_nonincreasing"),
+            ("below_lower", "bound_enclosure"),
+            ("dissipation", "energy_equation"),
+        ]
     ])
     def test_mixed_checks_catch_tampered_trajectory(self, out_env, tmp_path, monkeypatch,
-                                                   tamper, failing):
+                                                   entry, tamper, failing):
+        # the run config and the mixed preset go through one pipeline, which
+        # must catch each damage; p_1 starts at 0 on both, so pinning it at
+        # 1e-9 puts it below the lower envelope
         _tamper_solve_field(monkeypatch, tamper)
-        cfg_path = write_config(
-            tmp_path / "c.json",
-            model={"name": "singular-cubic", "params": {}},
-            bc="mixed",
-            initial={"kind": "explicit", "values": [0.0, 0.5, 2.0]},
-            output_dir="run_tampered",
-            t_final=3.0,
-        )
-        assert main(["run", "--config", str(cfg_path)]) == 1
+        if entry == "run":
+            argv = ["run", "--config", str(write_config(
+                tmp_path / "c.json",
+                model={"name": "singular-cubic", "params": {}},
+                bc="mixed",
+                initial={"kind": "explicit", "values": [0.0, 0.5, 2.0]},
+                output_dir="run_tampered",
+                t_final=3.0,
+            ))]
+        else:
+            argv = ["mixed", "--model", "singular-cubic", "--p0", "step:0,1.5", "--n", "4",
+                    "--t-final", "3", "--records", "31", "--out", "run_tampered"]
+        assert main(argv) == 1
         manifest = json.loads((out_env / "run_tampered" / "manifest.json").read_text())
         assert manifest["checks"][failing] is False
         assert manifest["exit_code"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--set", 'bc="mixed"', "--set", 'model.name="poly"',
+         "--set", 'model.params={"coeffs": [1, 1], "domain": "positive"}',
+         "--set", 'initial.kind="explicit"', "--set", "initial.values=[0, 0, 1, 1]",
+         "--set", "analyses.bounds_lower=false", "--set", "analyses.bounds_upper=false"],
+        ["mixed", "--model", "poly", "--param", "coeffs=[1, 1]", "--param", "domain=positive",
+         "--p0", "step:0,1", "--n", "4"],
+    ], ids=["run", "mixed"])
+    def test_hypothesis_failure_in_integration_exits_3(self, out_env, capsys, argv):
+        # sigma = p + 1 has no root on (0, inf): the limit of a zero strain is
+        # a failed hypothesis of the law, not a numerical failure
+        assert main(argv + ["--out", "run_hyp"]) == 3
+        assert "hypothesis failure" in capsys.readouterr().err
+        manifest = json.loads((out_env / "run_hyp" / "manifest.json").read_text())
+        assert manifest["exit_code"] == 3
+        assert "no root of sigma" in manifest["error"]
+
+    @pytest.mark.parametrize("bc, t_final, every, n_records", [
+        ("displacement", 0.9, 0.3, 4),
+        ("displacement", 4.2, 0.7, 7),
+        ("mixed", 4.2, 0.7, 7),
+    ])
+    def test_record_grid_ends_once_at_t_final(self, out_env, bc, t_final, every, n_records):
+        # arange falls an ulp short of t_final here; that point is t_final, not
+        # a second record one ulp before it
+        argv = ["run", "--set", f'bc="{bc}"', "--model", "singular-cubic", "--mu", "1.0",
+                "--t-final", str(t_final), "--record-every", str(every), "--out", "grid"]
+        assert main(argv) == 0
+        times = Trajectory.load(out_env / "grid" / "trajectory").times
+        assert len(times) == n_records
+        assert times[-1] == t_final and np.all(np.diff(times) > 0.5 * every)
 
 
 class TestOtherCommands:
@@ -376,30 +432,23 @@ class TestOtherCommands:
             "--t-final", "2.0", "--records", "9", "--out", "m",
         ])
         assert code == 0
-        header = (out_env / "m" / "mixed.csv").read_text().splitlines()[0]
-        assert header == "t,p_1,p_2,p_3,p_4,energy"
+        header = (out_env / "m" / "trajectory.csv").read_text().splitlines()[0]
+        assert header == "t,p_1,p_2,p_3,p_4,c,energy,dissipation"
+        manifest = json.loads((out_env / "m" / "manifest.json").read_text())
+        assert manifest["files"] == ["trajectory.csv", "trajectory.json", "report.json"]
+        assert not (out_env / "m" / "mixed.csv").exists()
+        report = json.loads((out_env / "m" / "report.json").read_text())
+        assert len(report["limit_field"]) == 4
+        traj = Trajectory.load(out_env / "m" / "trajectory")
+        assert traj.times.tolist() == np.linspace(0.0, 2.0, 9).tolist()
 
     def test_mixed_command_records_checks(self, out_env):
         argv = ["mixed", "--model", "singular-cubic", "--p0", "step:0,1.5", "--n", "6",
                 "--t-final", "5", "--records", "51", "--out", "m_checks"]
         assert main(argv) == 0
-        checks = json.loads((out_env / "m_checks" / "mixed.json").read_text())["checks"]
+        checks = json.loads((out_env / "m_checks" / "report.json").read_text())["checks"]
         assert checks == {"monotone_paths": True, "energy_nonincreasing": True,
-                          "energy_equation": True}
-
-    @pytest.mark.parametrize("tamper, failing", [
-        ("reverse", "monotone_paths"),
-        ("energy", "energy_nonincreasing"),
-        ("dissipation", "energy_equation"),
-    ])
-    def test_mixed_command_checks_catch_tampered_trajectory(self, out_env, monkeypatch,
-                                                            tamper, failing):
-        _tamper_solve_field(monkeypatch, tamper)
-        argv = ["mixed", "--model", "singular-cubic", "--p0", "step:0,1.5", "--n", "4",
-                "--t-final", "3", "--records", "31", "--out", "m_tampered"]
-        assert main(argv) == 1
-        checks = json.loads((out_env / "m_tampered" / "mixed.json").read_text())["checks"]
-        assert checks[failing] is False
+                          "energy_equation": True, "bound_enclosure": True}
 
     def test_bounds_command_csv_and_sidecar(self, out_env):
         code = main([
@@ -601,6 +650,7 @@ class TestInputErrors:
          "--set", "initial.values=[-0.5,1.5]"],
         ["mixed", "--p0", "nan"],
         ["mixed", "--p0", "inf"],
+        ["mixed", "--records", "1"],  # one record cannot reach --t-final
     ])
     def test_bad_model_or_p0_exits_2(self, out_env, capsys, argv):
         (out_env / "garbled.txt").write_text("0.5 abc\n")
@@ -637,6 +687,19 @@ class TestOutsideContracts:
         assert len(sub.choices) == 8
         for name, subparser in sub.choices.items():
             assert callable(subparser.get_default("func")), name
+
+    def test_readme_command_lines_exit_0(self, out_env, monkeypatch):
+        # asympt and plotdata read the run line's trajectory by a path that is
+        # relative to the working directory
+        monkeypatch.chdir(out_env)
+        lines = _readme_command_lines()
+        assert [argv[0] for argv in lines] == ["run", "bounds", "mixed", "equilibria", "asympt",
+                                               "counterexample", "plotdata"]
+        for argv in lines:
+            assert main(argv) == 0, shlex.join(argv)
+        report = json.loads((out_env / "out_m" / "report.json").read_text())
+        assert report["checks"]["bound_enclosure"] is True
+        assert report["limit_field"] == [1.0] * 8  # the root of p - 1
 
     def test_benchmark_tracer_installs_and_uninstalls(self):
         # the benchmark's tracer replaces named functions in strainflow's
