@@ -295,13 +295,17 @@ def _run_checks(bc: str, stepper_kind: str, mu, traj: Trajectory, profile) -> di
 def command_run(cfg: ExperimentConfig) -> int:
     t_start = time.perf_counter()
     out_dir = _out_dir(cfg.output_dir)
-    manifest_path = os.path.join(out_dir, "manifest.json")
     files: list[str] = []
     checks: dict[str, bool] = {}
     report: dict = {"config": cfg.to_dict()}
 
     def finish(exit_code: int, error: str | None = None) -> int:
-        manifest = {
+        # report.json, with the error when there is one, then the manifest
+        error_entry = {"error": error} if error else {}
+        report.update(error_entry, wall_time_s=time.perf_counter() - t_start)
+        write_json(os.path.join(out_dir, "report.json"), report)
+        files.append("report.json")
+        write_json(os.path.join(out_dir, "manifest.json"), {
             "config_hash": cfg.hash(),
             "package_version": __version__,
             "files": files,
@@ -309,16 +313,15 @@ def command_run(cfg: ExperimentConfig) -> int:
             "checks": checks,
             "checked": bool(checks),
             "exit_code": exit_code,
-        }
-        if error:
-            manifest["error"] = error
-        write_json(manifest_path, manifest)
+            **error_entry,
+        })
         return exit_code
 
-    def fail(exc: StrainflowError, what: str) -> int:
-        hypothesis = isinstance(exc, HypothesisError)
-        print(f"{'hypothesis' if hypothesis else what} failure: {exc}", file=sys.stderr)
-        return finish(3 if hypothesis else 4, str(exc))
+    def save(traj: Trajectory) -> None:
+        traj.metadata["seed"] = cfg.initial["seed"]
+        report["stats"] = {key: traj.metadata[key] for key in RUN_STATS if key in traj.metadata}
+        csv_path, json_path = traj.save(os.path.join(out_dir, "trajectory"))
+        files.extend([os.path.basename(csv_path), os.path.basename(json_path)])
 
     model = _build_model(cfg.model["name"], cfg.model["params"])
     state = _initial_state(cfg, model)
@@ -333,48 +336,38 @@ def command_run(cfg: ExperimentConfig) -> int:
     if want_upper == "auto":
         want_upper = True
     grid = _record_grid(cfg.t_final, cfg.record_every, None)
-    if want_lower or want_upper:
-        try:
+    try:
+        if want_lower or want_upper:
             profile = bounds_profile(
                 model, cfg.bc, mu=cfg.mu, t_grid=grid[1:],
                 want_lower=bool(want_lower), want_upper=bool(want_upper),
             )
             report["bounds_constants"] = profile.constants
-        except StrainflowError as exc:
-            return fail(exc, "bound")
-
-    if cfg.bc == "displacement":
-        traj = integrate(
-            model, state, cfg.t_final,
-            stepper=cfg.stepper["kind"],
-            record_every=cfg.record_every,
-            rtol=cfg.stepper["rtol"],
-            atol=cfg.stepper["atol"],
-            tau=cfg.stepper["tau"],
-        )
-    else:
-        try:
+        if cfg.bc == "displacement":
+            traj = integrate(
+                model, state, cfg.t_final,
+                stepper=cfg.stepper["kind"],
+                record_every=cfg.record_every,
+                rtol=cfg.stepper["rtol"],
+                atol=cfg.stepper["atol"],
+                tau=cfg.stepper["tau"],
+            )
+        else:
             traj, limit = solve_field(
                 model, state.values, grid,
                 rtol=cfg.stepper["rtol"],
                 atol=cfg.stepper["atol"],
                 weights=state.weights,
             )
-        except StrainflowError as exc:
-            return fail(exc, "integration")
-        report["limit_field"] = limit.tolist()
-    traj.metadata["seed"] = cfg.initial["seed"]
-    report["stats"] = {key: traj.metadata[key] for key in RUN_STATS if key in traj.metadata}
-    prefix = os.path.join(out_dir, "trajectory")
-    csv_path, json_path = traj.save(prefix)
-    files.extend([os.path.basename(csv_path), os.path.basename(json_path)])
-
-    if "error" in traj.metadata:
-        print(f"integration failure: {traj.metadata['error']}", file=sys.stderr)
-        report["error"] = traj.metadata["error"]
-        write_json(os.path.join(out_dir, "report.json"), report)
-        files.append("report.json")
-        return finish(4, traj.metadata["error"])
+            report["limit_field"] = limit.tolist()
+    except StrainflowError as exc:
+        # a held run keeps the records it reached; a traction-free one, none
+        if isinstance(getattr(exc, "partial", None), Trajectory):
+            save(exc.partial)
+        hypothesis = isinstance(exc, HypothesisError)
+        print(f"{'hypothesis' if hypothesis else 'run'} failure: {exc}", file=sys.stderr)
+        return finish(3 if hypothesis else 4, str(exc))
+    save(traj)
 
     # analyses
     if cfg.analyses["asympt"] and cfg.bc == "displacement":
@@ -385,9 +378,6 @@ def command_run(cfg: ExperimentConfig) -> int:
         checks.update(_run_checks(cfg.bc, cfg.stepper["kind"], cfg.mu, traj, profile))
     report["checks"] = checks
     report["checked"] = bool(checks)  # false: the run exits 0 with nothing checked
-    report["wall_time_s"] = time.perf_counter() - t_start
-    write_json(os.path.join(out_dir, "report.json"), report)
-    files.append("report.json")
     all_pass = all(checks.values()) if checks else True
     return finish(0 if all_pass else 1)
 
@@ -452,7 +442,7 @@ def command_mixed(args) -> int:
     return command_run(ExperimentConfig.from_dict({
         "model": {"name": args.model, "params": _parse_params(args.param)},
         "bc": "mixed",
-        "n": args.n,
+        "n": len(samples) or args.n,  # with no samples, the config's checks say why
         "initial": {"kind": "explicit", "values": samples.tolist()},
         "t_final": args.t_final,
         "record_every": args.t_final / (args.records - 1),
@@ -643,6 +633,8 @@ def _sweep_member(payload) -> dict:
         with open(os.path.join(_out_dir(cfg.output_dir), "report.json")) as fh:
             report = json.load(fh)
         row["checks"] = report.get("checks", {})
+        if "error" in report:
+            row["error"] = report["error"]
         asym = report.get("asymptotics") or {}
         row["sigma_bar_residual"] = asym.get("sigma_bar_residual")
     except Exception as exc:  # member failures recorded, sweep continues

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IterationBudgetError, StiffnessError, StrainflowError
+from .errors import DegenerateDataError, DomainError, IterationBudgetError, StrainflowError
 from .numerics import rk45
 from .state import SimpleState, Trajectory, state_distance
 from .stress_models import POSITIVE, StressModel, eval_W
@@ -236,8 +236,8 @@ def integrate(
 ) -> Trajectory:
     """Advance the nonlocal flow to ``t_final`` recording on a uniform grid.
 
-    Stepper failures mid-run do not raise: the records the failed run reached
-    are returned with the failure recorded under ``metadata["error"]``.
+    A StrainflowError from the stepper propagates; its ``exc.partial`` is the
+    Trajectory of the records reached, with the solver counters.
     """
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
@@ -271,6 +271,10 @@ def integrate(
             shifted = y + shift
             return y if np.logical_and.reduce(shifted == y) else shifted
 
+        def trajectory(res):
+            meta.update(n_steps=res.n_steps, n_rejected=res.n_rejected)
+            return _diagnostics(model, res.times, res.states, w, res.aux_integral, meta, held=True)
+
         try:
             res = rk45(
                 lambda v: _velocity(model, w, v), state0.values, grid,
@@ -278,10 +282,9 @@ def integrate(
                 stage_rate=lambda k: (k * k) @ w,
             )
         except StrainflowError as exc:
-            res = exc.partial  # the records reached before the failure
-            meta["error"] = str(exc)
-        meta.update(n_steps=res.n_steps, n_rejected=res.n_rejected)
-        return _diagnostics(model, res.times, res.states, w, res.aux_integral, meta, held=True)
+            exc.partial = trajectory(exc.partial)  # rk45's records reached
+            raise
+        return trajectory(res)
 
     if stepper == "prox":
         values = np.empty((len(grid), state0.n))
@@ -293,6 +296,11 @@ def integrate(
         idx = 1
         n_steps = newton_iters = 0
         max_residual = 0.0
+
+        def trajectory():  # of the records reached
+            meta.update(newton_iters=newton_iters, max_residual=max_residual, n_steps=n_steps)
+            return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta, held=True)
+
         try:
             while idx < len(grid):
                 dt = min(tau, grid[idx] - t)
@@ -309,9 +317,9 @@ def integrate(
                     diss_cum[idx] = total
                     idx += 1
         except StrainflowError as exc:
-            meta["error"] = str(exc)
-        meta.update(newton_iters=newton_iters, max_residual=max_residual, n_steps=n_steps)
-        return _diagnostics(model, grid[:idx], values[:idx], w, diss_cum[:idx], meta, held=True)
+            exc.partial = trajectory()
+            raise
+        return trajectory()
 
     raise ValueError(f"unknown stepper {stepper!r}")
 
@@ -327,8 +335,6 @@ def approximate_initial_data(p0_samples, n_values: int) -> tuple[SimpleState, np
     rescales (q + 1/N) to carry exactly the sample mean. Returns the state and
     the block assignment of every original sample, for reconstructing fields.
     """
-    from .errors import DegenerateDataError
-
     samples = np.asarray(p0_samples, dtype=float)
     if samples.ndim != 1 or len(samples) == 0:
         raise ValueError("p0_samples must be a non-empty 1-d array")
@@ -346,23 +352,13 @@ def approximate_initial_data(p0_samples, n_values: int) -> tuple[SimpleState, np
     sorted_vals = samples[order]
     edges = np.round(np.linspace(0, m, n + 1)).astype(int)
     edges = np.unique(edges)
-    q_levels = np.array([sorted_vals[a] for a in edges[:-1]])  # block minima
-    counts = np.diff(edges)
+    q_levels = sorted_vals[edges[:-1]]  # block minima
 
-    # merge duplicate levels (a constant field quantizes to one value)
-    levels: list[float] = []
-    weights: list[float] = []
-    block_of = np.empty(len(q_levels), dtype=int)
-    for i, (q, cnt) in enumerate(zip(q_levels, counts)):
-        if levels and q == levels[-1]:
-            weights[-1] += cnt / m
-        else:
-            levels.append(float(q))
-            weights.append(cnt / m)
-        block_of[i] = len(levels) - 1
-
-    q = np.array(levels)
-    wts = np.array(weights)
+    # merge equal neighbouring minima (a constant field quantizes to one value)
+    first = np.append(True, q_levels[1:] != q_levels[:-1])
+    block_of = np.cumsum(first) - 1
+    q = q_levels[first]
+    wts = np.bincount(block_of, weights=np.diff(edges) / m)
     qbar = float(np.dot(wts, q))
     nn = float(n)
     vals = mu * (q + 1.0 / nn) / (qbar + 1.0 / nn)
@@ -422,16 +418,15 @@ def gronwall_check(
     n_records: int = 41,
 ) -> GronwallReport:
     """Ratio of squared distances ||A(t)-B(t)||^2 / (e^{2 lambda t} ||A0-B0||^2)
-    along two runs; PASS when it never exceeds 1 + 1e-6."""
+    along two runs; PASS when it never exceeds 1 + 1e-6. A failed run raises
+    the StrainflowError of ``integrate``, whose ``exc.partial`` is that run's
+    Trajectory."""
     if not np.allclose(state_a.weights, state_b.weights, rtol=0, atol=1e-15):
         raise ValueError("both states must carry the same weights")
     lam = model.lambda_
     d0 = state_distance(state_a, state_b)
     ta = integrate(model, state_a, t_final, n_records=n_records, rtol=rtol, atol=atol)
     tb = integrate(model, state_b, t_final, n_records=n_records, rtol=rtol, atol=atol)
-    for tr in (ta, tb):
-        if "error" in tr.metadata:
-            raise StiffnessError(f"member run failed: {tr.metadata['error']}")
     w = state_a.weights
     d2 = ((ta.values - tb.values) ** 2) @ w
     if d0 == 0.0:

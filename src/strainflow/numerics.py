@@ -311,7 +311,8 @@ def rk45(
     Raises StiffnessError when a rejection, or an accepted step that was not
     clamped to a record time, leaves a proposed step below ``_DT_MIN``. A
     StrainflowError raised while stepping carries the records reached so far
-    as ``exc.partial``, an RKResult.
+    as ``exc.partial``, an RKResult; ``displacement.integrate`` replaces it by
+    the Trajectory of those records, and ``mixed.solve_field`` lets it through.
     """
     t_record = np.asarray(t_record, dtype=float)
     if t_record.ndim != 1 or len(t_record) == 0:

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strainflow import cli, displacement
+from strainflow import cli, displacement, mixed
 from strainflow.cli import ExperimentConfig, load_config, main
-from strainflow.errors import ConfigError
+from strainflow.errors import ConfigError, StiffnessError
 from strainflow.state import Trajectory
 from strainflow.stress_models import make_model
 
@@ -141,6 +141,8 @@ class TestRunCommand:
         manifest = json.loads((out_env / "run3" / "manifest.json").read_text())
         assert manifest["exit_code"] == 3
         assert error in manifest["error"]
+        report = json.loads((out_env / "run3" / "report.json").read_text())
+        assert report["error"] == manifest["error"]
 
     def test_bound_budget_failure_exits_4_with_manifest(self, out_env, tmp_path, monkeypatch):
         # one root-finder iteration cannot invert the cubic's upper-bound curve
@@ -150,6 +152,8 @@ class TestRunCommand:
         manifest = json.loads((out_env / "run_budget" / "manifest.json").read_text())
         assert manifest["exit_code"] == 4
         assert "after 1 iterations" in manifest["error"]
+        report = json.loads((out_env / "run_budget" / "report.json").read_text())
+        assert report["error"] == manifest["error"]
 
     def test_empty_initial_values_exit_2(self, out_env, tmp_path):
         cfg_path = write_config(
@@ -228,6 +232,27 @@ class TestRunCommand:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["exit_code"] == 4
         assert (run_dir / "trajectory.csv").exists()
+
+    def test_traction_free_integration_failure_exits_4_with_report(self, out_env, monkeypatch):
+        # the stepper fails as rk45 does, with its records so far as
+        # exc.partial; a failure inside the traction-free ensemble keeps none
+        real = mixed.rk45
+
+        def failing(f, y0, t_record, **kwargs):
+            exc = StiffnessError("step size underflow in a replaced stepper")
+            exc.partial = real(f, y0, t_record[:2], **kwargs)
+            raise exc
+
+        monkeypatch.setattr(mixed, "rk45", failing)
+        argv = ["mixed", "--model", "singular-cubic", "--p0", "1.0", "--out", "free_fail"]
+        assert main(argv) == 4
+        run_dir = out_env / "free_fail"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        report = json.loads((run_dir / "report.json").read_text())
+        assert manifest["exit_code"] == 4
+        assert report["error"] == manifest["error"] == "step size underflow in a replaced stepper"
+        assert manifest["files"] == ["report.json"]
+        assert not (run_dir / "trajectory.csv").exists()
 
     def test_prox_run_checks_energy_inequality(self, out_env, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", stepper={"kind": "prox", "tau": 0.01},
@@ -450,6 +475,16 @@ class TestOtherCommands:
         assert checks == {"monotone_paths": True, "energy_nonincreasing": True,
                           "energy_equation": True, "bound_enclosure": True}
 
+    def test_mixed_command_config_n_is_the_field_size(self, out_env, tmp_path):
+        # explicit data has as many levels as values; --n (default 8) is not read
+        path = tmp_path / "p.txt"
+        path.write_text("0.5\n1.0\n2.0\n")
+        argv = ["mixed", "--p0", f"file:{path}", "--t-final", "1", "--records", "5",
+                "--out", "m_n"]
+        assert main(argv) == 0
+        config = json.loads((out_env / "m_n" / "report.json").read_text())["config"]
+        assert config["n"] == len(config["initial"]["values"]) == 3
+
     def test_bounds_command_csv_and_sidecar(self, out_env):
         code = main([
             "bounds", "--model", "singular-cubic", "--kind", "displacement",
@@ -614,6 +649,19 @@ class TestOtherCommands:
         agg = json.loads((out_env / "sw_fail" / "sweep.json").read_text())
         assert agg["n_members"] == 2 and agg["n_pass"] == 1
         assert sorted(m["exit_code"] for m in agg["members"]) == [-1, 0]
+
+    def test_sweep_row_keeps_a_failed_members_exit_code_and_error(self, out_env, tmp_path):
+        # the linear law has no integrable stress tail: its upper envelope is
+        # a failed hypothesis, exit 3, and the row says so
+        cfg_path = write_config(tmp_path / "c.json", model={"name": "linear", "params": {}},
+                                analyses={"bounds_upper": True})
+        grid = json.dumps({"initial.seed": [0]})
+        code = main(["sweep", "--config", str(cfg_path), "--grid", grid,
+                     "--workers", "1", "--out", "sw_hyp"])
+        assert code == 1
+        (row,) = json.loads((out_env / "sw_hyp" / "sweep.json").read_text())["members"]
+        assert row["exit_code"] == 3
+        assert "diverges" in row["error"]
 
 
 class TestInputErrors:

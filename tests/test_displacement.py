@@ -26,6 +26,7 @@ from strainflow.errors import (
 from strainflow.state import SimpleState, state_distance
 from strainflow.stress_models import POSITIVE, eval_W, make_model
 
+from reference_quantize import loop_initial_data
 from reference_rk45 import reference_rk45
 
 
@@ -154,16 +155,18 @@ class TestIntegrate:
             calls[0] += 1
             return model.sigma(p)
 
-        traj = integrate(dataclasses.replace(model, sigma=counted), state, 5.0, record_every=0.1)
-        assert "error" in traj.metadata
+        with pytest.raises(StrainflowError):
+            integrate(dataclasses.replace(model, sigma=counted), state, 5.0, record_every=0.1)
         assert calls[0] < 5000
 
     def test_failure_returns_the_runs_own_prefix(self, blow_up):
         # the first step does not depend on the horizon, so both runs take
         # the same steps to t_last
         model, state = blow_up
-        failed = integrate(model, state, 5.0, record_every=0.1)
-        assert failed.metadata["error"]
+        with pytest.raises(StrainflowError) as info:
+            integrate(model, state, 5.0, record_every=0.1)
+        failed = info.value.partial
+        assert str(info.value)
         assert failed.n_records >= 2
         assert np.all(np.abs(failed.mass() - state.mu) <= 1e-12)
         assert isinstance(failed.metadata["n_steps"], int)
@@ -582,8 +585,10 @@ class TestProxNewton:
         state = seeded_state(singular, 8, 1.0, seed=1)
         with pytest.raises(IterationBudgetError):
             prox_step(singular, state, 0.01)
-        traj = integrate(singular, state, 0.5, stepper="prox", tau=0.01, n_records=6)
-        assert "proximal Newton" in traj.metadata["error"]
+        with pytest.raises(IterationBudgetError) as info:
+            integrate(singular, state, 0.5, stepper="prox", tau=0.01, n_records=6)
+        assert "proximal Newton" in str(info.value)
+        traj = info.value.partial
         assert traj.n_records == 1
         assert np.array_equal(traj.values[0], state.values)
 
@@ -640,6 +645,32 @@ class TestInitialData:
         expected = mu * (q + 1.0 / n) / (qbar + 1.0 / n)
         assert state.n == 4
         assert np.allclose(state.values, expected + (mu - np.mean(expected)), atol=1e-12)
+
+    def test_ties_across_block_edges_merge_levels(self):
+        # sorted: 0 0 | 0 1 | 1 1 | 1 2, so the block minima 0 0 1 1 merge
+        # into two levels of weight 1/2; mu = 0.75 and N = 4 give the values
+        # 0.75 (q + 1/4) / (1/2 + 1/4)
+        samples = np.array([1.0, 0.0, 2.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        state, assign = approximate_initial_data(samples, 4)
+        assert state.weights.tolist() == [0.5, 0.5]
+        assert state.values.tolist() == [0.25, 1.25]
+        assert assign.tolist() == [0, 0, 1, 1, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_loop_reference_bit_for_bit(self, seed):
+        # uniform, rounded and four-level samples: few, some and many ties
+        rng = np.random.default_rng(seed)
+        for case in range(100):
+            m, n = int(rng.integers(1, 401)), int(rng.integers(1, 81))
+            samples = [rng.uniform(0.0, 3.0, m), np.round(rng.uniform(0.0, 3.0, m), 1),
+                       rng.choice([0.0, 0.5, 1.0, 2.0], m)][case % 3]
+            if samples.mean() <= 0.0:
+                continue
+            state, assign = approximate_initial_data(samples, n)
+            ref, ref_assign = loop_initial_data(samples, n)
+            assert state.values.tobytes() == ref.values.tobytes()
+            assert state.weights.tobytes() == ref.weights.tobytes()
+            assert np.array_equal(assign, ref_assign)
 
     def test_l2_distance_decreases_with_refinement(self):
         x = np.linspace(0.0, 1.0, 256, endpoint=False) + 1.0 / 512
