@@ -258,35 +258,45 @@ class FractionsHistory:
 
 
 def volume_fractions(model: StressModel, traj: Trajectory) -> FractionsHistory:
-    """Mass fractions near each stress branch at the running stress mean.
+    """Mass fractions near each stress branch at the running stress mean,
+    record by record (see ``_level_fractions``)."""
+    fractions, residual = _level_fractions(model, traj.stress_mean, traj.values, traj.weights)
+    return FractionsHistory(times=traj.times, fractions=fractions,
+                            residual=residual, n_slots=fractions.shape[1])
+
+
+def _level_fractions(model: StressModel, levels: np.ndarray, values: np.ndarray,
+                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions (levels x branch slots) of the mass of each row of
+    ``values`` near each root of sigma = that row's level, and their
+    residuals 1 - sum.
 
     The band is a quarter of the smallest gap between adjacent branch values,
-    so bands never overlap. Records whose stress mean sits within
-    tolerance of a critical value get NaN rows (branch identity is ambiguous
-    there) and a warning.
+    so bands never overlap. Levels within tolerance of a critical value get
+    NaN rows (branch identity is ambiguous there) and a warning.
     """
     zs, _ = model.critical_data
     n_slots = len(zs) + 1
-    near = near_critical_value(model, traj.stress_mean)
+    near = near_critical_value(model, levels)
     if np.any(near):
         warnings.warn(
             "stress mean touches a critical value; branch fractions "
             "are ambiguous at some records",
             RuntimeWarning,
         )
-    roots = roots_at(model, traj.stress_mean)  # column j is branch slot j
+    roots = roots_at(model, levels)  # column j is branch slot j
     roots[near] = np.nan
     # rows are nondecreasing, so the running max is the previous root
     gaps = roots[:, 1:] - np.fmax.accumulate(roots, axis=1)[:, :-1]
     eps = 0.25 * np.fmin.reduce(gaps, axis=1, initial=np.inf)
-    fractions = np.empty((traj.n_records, n_slots))
+    fractions = np.empty((len(levels), n_slots))
     for j in range(n_slots):
-        sel = np.abs(traj.values - roots[:, j, None]) < eps[:, None]
-        fractions[:, j] = sel @ traj.weights
+        sel = np.abs(values - roots[:, j, None]) < eps[:, None]
+        # a row sum, not a BLAS product, whose rounding depends on the row's
+        # place in the matrix: a level's fractions do not depend on the others
+        fractions[:, j] = np.add.reduce(np.where(sel, weights, 0.0), axis=1)
     fractions[np.all(np.isnan(roots), axis=1)] = np.nan
-    residual = 1.0 - fractions.sum(axis=1)
-    return FractionsHistory(times=traj.times, fractions=fractions,
-                            residual=residual, n_slots=n_slots)
+    return fractions, 1.0 - fractions.sum(axis=1)
 
 
 # -- nondegeneracy checks ---------------------------------------------------------
@@ -410,11 +420,11 @@ def asymptotics_report(model: StressModel, traj: Trajectory) -> AsymptoticsRepor
     except (ValueError, DegenerateDataError, NotConvergedError):
         pass
     if len(zs):
-        fr = volume_fractions(model, traj)
-        last = fr.fractions[-1]
+        last, residual = _level_fractions(model, traj.stress_mean[-1:], traj.values[-1:],
+                                          traj.weights)
         if np.all(np.isfinite(last)):
-            report.fractions_final = [float(x) for x in last]
-            report.fractions_residual_final = float(fr.residual[-1])
+            report.fractions_final = [float(x) for x in last[0]]
+            report.fractions_residual_final = float(residual[0])
     band = None
     if len(zs) == 2:
         try:

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -194,6 +195,15 @@ def _build_model(name, params) -> StressModel:
         raise ConfigError(f"cannot build model: {exc}") from exc
 
 
+def _read_samples(path) -> np.ndarray:
+    """The numbers of a whitespace-separated text file, flattened. A file
+    with none gives an empty array, which its caller reports as a config
+    error, without numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, dtype=float).ravel()
+
+
 def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
     """The state ``cfg.initial`` describes; data that builds none (say, weights
     not summing to one, an empty ramp or lo above hi) or strains outside a
@@ -213,7 +223,7 @@ def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
             x = (np.arange(m) + 0.5) / m
             state, _ = approximate_initial_data(2.0 * cfg.mu * x, cfg.n)
         else:  # kind == "file", the last one validate() admits
-            samples = np.loadtxt(spec["path"], dtype=float).ravel()
+            samples = _read_samples(spec["path"])
             mean = samples.mean() if len(samples) else 0.0
             if mean <= 0:
                 raise ConfigError("file data carries no positive mass")
@@ -429,7 +439,7 @@ def command_mixed(args) -> int:
     n = max(args.n, 0)  # an --n below 1 is reported by the config's check on n
     try:
         if args.p0.startswith("file:"):
-            samples = np.loadtxt(args.p0[5:], dtype=float).ravel()
+            samples = _read_samples(args.p0[5:])
         elif args.p0.startswith("step:"):
             a, b = (float(x) for x in args.p0[5:].split(","))
             samples = np.where(np.linspace(0, 1, n) < 0.5, a, b)

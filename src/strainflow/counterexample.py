@@ -41,10 +41,13 @@ class CylTrajectory:
         return self.r ** 2 + self.z ** 2
 
 
-def _field(y: np.ndarray) -> np.ndarray:
-    """Velocity of one state (3,) or of an ensemble (members, 3)."""
+def _field(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Velocity of one state (3,) or of an ensemble (members, 3), written
+    into ``out`` (a new array without it)."""
     r, z = y[..., 0], y[..., 2]
-    az, r_1, out = np.abs(z), r - 1.0, np.empty_like(y)  # r_1 * r_1 is (1 - r)^2, bit for bit
+    if out is None:
+        out = np.empty_like(y)
+    az, r_1 = np.abs(z), r - 1.0  # r_1 * r_1 is (1 - r)^2, bit for bit
     np.multiply(-r, r_1 * r_1 + az, out=out[..., 0])
     np.multiply(r, r_1, out=out[..., 1])
     np.multiply(-z, az, out=out[..., 2])

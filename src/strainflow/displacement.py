@@ -40,9 +40,12 @@ def _require_strict_domain(model: StressModel, values: np.ndarray) -> None:
         raise DomainError("the mean-constrained flow needs strictly positive strains")
 
 
-def _velocity(model: StressModel, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _velocity(model: StressModel, weights: np.ndarray, values: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """c - sigma(values), c the weighted mean stress, written into ``out``
+    (a new array when it is None)."""
     sig = np.asarray(model.sigma(values), dtype=float)
-    return float(np.dot(weights, sig)) - sig
+    return np.subtract(float(np.dot(weights, sig)), sig, out=out)
 
 
 def rhs(model: StressModel, state: SimpleState) -> np.ndarray:
@@ -277,7 +280,7 @@ def integrate(
 
         try:
             res = rk45(
-                lambda v: _velocity(model, w, v), state0.values, grid,
+                lambda v, out: _velocity(model, w, v, out), state0.values, grid,
                 rtol=rtol, atol=atol, accept_state=accept, postprocess=renorm,
                 stage_rate=lambda k: (k * k) @ w,
             )

@@ -67,7 +67,7 @@ def _flow(model: StressModel, samples: np.ndarray, t_grid: np.ndarray, weights: 
     if t_grid[0] != 0.0:
         raise ValueError("the record grid must start at t = 0")
 
-    f = lambda y: -np.asarray(model.sigma(y), dtype=float)
+    f = lambda y, out: np.negative(model.sigma(y), out=out)
     guard = None
     if model.domain == POSITIVE:
         guard = lambda y_old, y_new: np.minimum.reduce(y_new, None) > 0.0

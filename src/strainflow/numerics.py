@@ -290,10 +290,13 @@ def rk45(
 
     ``y0`` is one state (dim,) or an ensemble (members, dim) sharing the
     steps; ``f``, ``accept_state`` and ``postprocess`` see the state's shape
-    and the records come back as (records,) + y0.shape. The step's error
-    norm is the RMS of the scaled errors over each member's components,
-    maximised over members, so every accepted step passes each member's own
-    error test at ``rtol``/``atol``.
+    and the records come back as (records,) + y0.shape. ``f(y, out)``
+    writes the derivative at ``y`` into all of ``out``, the stage's slot in
+    the 7-stage stack, and keeps neither array: both are buffers that rk45
+    reuses, and its return value is ignored. The step's error norm is the
+    RMS of the scaled errors over each member's components, maximised over
+    members, so every accepted step passes each member's own error test at
+    ``rtol``/``atol``.
 
     The pair is FSAL by construction: the seventh stage's argument is the
     fifth-order solution y_new itself (its last weight is an exact 0), so
@@ -301,7 +304,8 @@ def rk45(
     y_new)`` can veto a step (domain exits, ordering); vetoed steps are
     retried with a quarter of the step size. ``postprocess(y)`` runs after
     each accepted step (e.g. mass renormalization) and returns ``y`` itself
-    when it changes nothing, which keeps the FSAL stage and |y|. Both hooks
+    when it changes nothing, which keeps the FSAL stage and |y|, and a new
+    array otherwise (never a view of ``y``, which rk45 reuses). Both hooks
     run once per step and cost their numpy calls, so they should answer
     with ufunc reductions (``np.minimum.reduce(y) > 0``) rather than the
     ``ndarray.min``/``all`` wrappers. ``stage_rate(k)`` maps the 7-stage
@@ -334,9 +338,12 @@ def rk45(
     k = np.empty((7,) + y.shape)
     kf = k.reshape(7, -1)  # flat views: one stage sum for every member at once
     heads = [kf[:s] for s in range(7)]  # the stages each stage sum reads
+    stage = list(k)  # the slot each stage's f call writes
     dim = y.shape[-1]
     ys = np.empty(y.shape)  # a stage's argument, then the scaled error
     ys_f, err_rows = ys.reshape(-1), ys.reshape(-1, dim)
+    # y_new goes to whichever of the two does not hold y
+    y_bufs = [(b, b.reshape(-1)) for b in (np.empty(y.shape), np.empty(y.shape))]
     abs_y, abs_new, scale = np.abs(y), np.empty(y.shape), np.empty(y.shape)
     t_rec = t_record.tolist()
     n_rec = len(t_rec)
@@ -349,19 +356,20 @@ def rk45(
             dt = min(h, t_rec[idx] - t)
             clamped = dt < h
             if not fsal_valid:
-                k[0] = f(y)
+                f(y, stage[0])
                 fsal_valid = True
             for s in range(1, 6):
                 np.dot(_DP_A[s], heads[s], out=ys_f)
                 ys *= dt
                 ys += y
-                k[s] = f(ys)
+                f(ys, stage[s])
             # stage 6's argument is the fifth-order solution: _DP_A[6] is
             # _DP_B5 without its last weight, an exact 0
-            y_new = np.dot(_DP_A[6], heads[6]).reshape(y.shape)
+            y_new, y_new_f = y_bufs[y is y_bufs[0][0]]
+            np.dot(_DP_A[6], heads[6], out=y_new_f)
             y_new *= dt
             y_new += y
-            k[6] = f(y_new)
+            f(y_new, stage[6])
             np.dot(_DP_ERR, kf, out=ys_f)
             ys *= dt
             np.abs(y_new, out=abs_new)

@@ -499,6 +499,21 @@ class TestReport:
         d = rep.to_dict()
         assert isinstance(d["predicted_sigma_bar"], list)
 
+    def test_report_fractions_need_only_the_last_record(self, cubic, monkeypatch):
+        # with weights that are not dyadic, the last record's fractions
+        # alone equal the history's last row bit for bit
+        import strainflow.asymptotics as asymptotics
+
+        state = seeded_state(cubic, 24, 0.5, seed=1)
+        w = np.random.default_rng(1).uniform(0.5, 1.0, 24)
+        state = SimpleState(values=state.values, weights=w / w.sum())
+        traj = integrate(cubic, state, 30.0, n_records=61)
+        fr = volume_fractions(cubic, traj)
+        monkeypatch.setattr(asymptotics, "volume_fractions", None)
+        rep = asymptotics_report(cubic, traj)
+        assert rep.fractions_final == fr.fractions[-1].tolist()
+        assert rep.fractions_residual_final == fr.residual[-1]
+
     def test_report_on_monotone_run(self):
         hyp = make_model("hyperbolic")
         state = seeded_state(hyp, 8, 1.0, seed=2)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -705,6 +706,20 @@ class TestInputErrors:
         argv = [a.format(root=out_env) for a in argv]
         assert main(argv + ["--out", "bad"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mixed", "--p0", "file:{root}/empty.txt"],
+        ["run", "--set", 'initial.kind="file"', "--set", 'initial.path="{root}/empty.txt"'],
+    ])
+    def test_empty_sample_file_gives_only_the_config_error(self, out_env, capsys, argv):
+        (out_env / "empty.txt").write_text("")
+        argv = [a.format(root=out_env) for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", "bad"]) == 2
+        assert [str(w.message) for w in caught] == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
 
     @pytest.mark.parametrize("grid", ['{"mu": 0.5}', "[1]"])
     def test_malformed_sweep_grid_exits_2(self, out_env, tmp_path, capsys, grid):

@@ -214,10 +214,11 @@ class TestVectorFieldSolve:
         # the free-field ensemble call: same steps and records, bit for bit
         samples = _free_field_samples(seed)
         y0 = samples[samples > 0.0, None]
-        f = lambda y: -np.asarray(model.sigma(y), dtype=float)
+        f = lambda y, out: np.negative(model.sigma(y), out=out)
         guard = lambda y_old, y_new: bool(np.all(y_new > 0.0))
         new = rk45(f, y0, self.T, rtol=1e-9, atol=1e-12, accept_state=guard)
-        ref = reference_rk45(f, y0, self.T, rtol=1e-9, atol=1e-12, accept_state=guard)
+        ref = reference_rk45(lambda y: f(y, np.empty_like(y)), y0, self.T, rtol=1e-9,
+                             atol=1e-12, accept_state=guard)
         assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
         assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
 
@@ -350,7 +351,7 @@ class TestZeroStartSplit:
         samples = samples[samples > 0.0]
         traj, _ = solve_field(model, samples, self.T)
         assert len(calls) == 1 and calls[0][0] == (56, 1)
-        f = lambda y: -np.asarray(model.sigma(y), dtype=float)
+        f = lambda y, out: np.negative(model.sigma(y), out=out)
         guard = lambda y_old, y_new: y_new.min() > 0.0
         direct = rk45(f, samples[:, None], self.T, rtol=1e-9, atol=1e-12, accept_state=guard)
         assert np.array_equal(traj.values, direct.states[:, :, 0])

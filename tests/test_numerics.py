@@ -242,7 +242,8 @@ def test_cumulative_curve_invert_budget_raises(monkeypatch):
 
 def test_rk45_linear_decay_accuracy():
     t_rec = np.linspace(0.0, 20.0, 41)
-    res = rk45(lambda y: -(y - 1.0), np.array([3.0]), t_rec, rtol=1e-11, atol=1e-13)
+    res = rk45(lambda y, out: np.negative(y - 1.0, out=out), np.array([3.0]), t_rec,
+               rtol=1e-11, atol=1e-13)
     exact = 1.0 + 2.0 * np.exp(-t_rec)
     assert np.max(np.abs(res.states[:, 0] - exact)) < 1e-9
 
@@ -251,7 +252,7 @@ def test_rk45_aux_integral_is_dissipation():
     # dy/dt = -y, rate = y'^2 = y^2 e^{... }; int_0^T y^2 dt = (1 - e^{-2T})/2
     t_rec = np.linspace(0.0, 5.0, 11)
     res = rk45(
-        lambda y: -y,
+        lambda y, out: np.negative(y, out=out),
         np.array([1.0]),
         t_rec,
         rtol=1e-11,
@@ -260,6 +261,35 @@ def test_rk45_aux_integral_is_dissipation():
     )
     exact = 0.5 * (1.0 - np.exp(-2.0 * t_rec))
     assert np.max(np.abs(res.aux_integral - exact)) < 1e-9
+
+
+def test_rk45_field_writes_into_its_stage_slot():
+    # f(y, out) gets a slot of the stage stack (the array stage_rate sees),
+    # never memory of the state or of the y it is evaluated at; a field that
+    # only writes out and returns None integrates dy/dt = -y
+    calls, stacks, states = [], [], []
+
+    def field(y, out):
+        calls.append((y, out))
+        np.negative(y, out=out)
+
+    def accept(y_old, y_new):
+        states.extend((y_old, y_new))
+        return True
+
+    y0 = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    t_rec = np.linspace(0.0, 2.0, 9)
+    res = rk45(field, y0, t_rec, rtol=1e-10, atol=1e-13, accept_state=accept,
+               stage_rate=lambda k: stacks.append(k) or np.zeros(7))
+    assert np.max(np.abs(res.states - np.exp(-t_rec)[:, None, None] * y0)) < 1e-9
+    stack = stacks[0]
+    assert stack.shape == (7,) + y0.shape and all(k is stack for k in stacks)
+    assert len(calls) == 6 * (res.n_steps + res.n_rejected) + 1
+    for y, out in calls:
+        assert out.shape == y0.shape and np.shares_memory(out, stack)
+        assert not np.shares_memory(out, y)
+        assert not any(np.shares_memory(out, state) for state in states)
+    assert not any(np.shares_memory(y, stack) for y, _ in calls)
 
 
 def test_rk45_accept_hook_rejects_domain_exit():
@@ -272,7 +302,8 @@ def test_rk45_accept_hook_rejects_domain_exit():
         return ok
 
     t_rec = np.linspace(0.0, 1.0, 5)
-    res = rk45(lambda y: -0.5 * y, np.array([1.0]), t_rec, accept_state=guard)
+    res = rk45(lambda y, out: np.multiply(-0.5, y, out=out), np.array([1.0]), t_rec,
+               accept_state=guard)
     assert np.all(res.states > 0.0)
 
 
@@ -280,10 +311,11 @@ def test_rk45_failure_prefix_matches_reference():
     # dy/dt = y^2 blows up at t = 1: both steppers fail at the same step and
     # hand back the same records
     t_rec = np.linspace(0.0, 2.0, 41)
+    field = lambda y, out: np.multiply(y, y, out=out)
     runs = []
-    for stepper in (rk45, reference_rk45):
+    for stepper, f in ((rk45, field), (reference_rk45, _allocating(field))):
         with pytest.raises(StiffnessError) as info:
-            stepper(lambda y: y * y, np.array([1.0, 0.5]), t_rec, rtol=1e-9, atol=1e-12)
+            stepper(f, np.array([1.0, 0.5]), t_rec, rtol=1e-9, atol=1e-12)
         runs.append(info.value.partial)
     new, ref = runs
     assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
@@ -291,8 +323,13 @@ def test_rk45_failure_prefix_matches_reference():
     assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
 
 
-def _shape_field(y):
-    return np.cos(y) * (1.0 - y) - 0.5 * y * np.abs(y)
+def _allocating(field):
+    """The one-argument field the reference stepper calls, from an (y, out) one."""
+    return lambda y: field(y, np.empty_like(y))
+
+
+def _shape_field(y, out):
+    return np.subtract(np.cos(y) * (1.0 - y), 0.5 * y * np.abs(y), out=out)
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (13, 3), (64,), (257,), (4096,), (56, 1), "zeros"])
@@ -304,12 +341,12 @@ def test_rk45_matches_reference_across_state_shapes(shape):
         # spiral-like members: exact zeros of both signs stay put under
         # -y |y| (their rates are zeros of the other sign) beside moving ones
         y0 = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, -0.0], [-0.0, 1.5, 0.1], [0.0, -0.0, -0.5]])
-        field = lambda y: -y * np.abs(y)
+        field = lambda y, out: np.multiply(-y, np.abs(y), out=out)
     else:
         y0, field = np.random.default_rng(sum(shape)).uniform(-2.0, 2.0, shape), _shape_field
     t_rec = np.linspace(0.0, 3.0, 7)
-    new, ref = (stepper(field, y0, t_rec, rtol=1e-9, atol=1e-12)
-                for stepper in (rk45, reference_rk45))
+    new = rk45(field, y0, t_rec, rtol=1e-9, atol=1e-12)
+    ref = reference_rk45(_allocating(field), y0, t_rec, rtol=1e-9, atol=1e-12)
     assert new.n_steps > 10
     assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
     assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
