@@ -85,26 +85,7 @@ class ProxState(SimpleState):
     residual: float
 
 
-def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
-    """Implicit Euler with a mass multiplier: one minimising-movement step.
-
-    Minimises sum_i w_i [W(v_i) + (v_i - p_i)^2 / 2 tau] under sum_i w_i v_i =
-    mu, strictly convex for tau < 1/lambda, by damped Newton on its KKT system
-    from v = p. With g = sigma(v) + (v - p)/tau and d = sigma'(v) + 1/tau > 0,
-    the multiplier is c = sum w g/d / sum w/d and the step (c - g)/d keeps the
-    mass. Steps are halved until the point is in the domain and the residual
-    res = sum_i w_i (g_i - gbar)^2, gbar = sum_j w_j g_j, falls (Armijo), so W
-    is never evaluated.
-
-    A point is accepted on its residual: the solve returns once the relative
-    residual sqrt(res) / max(1, |gbar|) <= ``_PROX_RES_TOL``. Its roundoff
-    stops (a Newton correction at roundoff, a full step too short for Armijo)
-    accept a point only if its relative stationarity spread (max g - min g) /
-    max(1, max |g|) is at most ``_PROX_SPREAD_TOL``, and raise StrainflowError
-    otherwise, as when sigma' overflows near a singular stress. Raises
-    IterationBudgetError after ``_PROX_MAX_ITER`` steps, and StrainflowError
-    when no step length lowers a residual off roundoff.
-    """
+def _check_tau(model: StressModel, tau: float) -> None:
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     lam = model.lambda_
@@ -113,10 +94,48 @@ def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
             f"tau = {tau} >= 1/lambda = {1.0 / lam}; the proximal map loses "
             "monotonicity"
         )
-    p = state.values
+
+
+def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
+    """Implicit Euler with a mass multiplier: one minimising-movement step.
+
+    Minimises sum_i w_i [W(v_i) + (v_i - p_i)^2 / 2 tau] under sum_i w_i v_i =
+    mu, strictly convex for tau < 1/lambda, by damped Newton on its KKT system
+    from v = p (``_prox_solve``). Raises ValueError for tau <= 0,
+    StrainflowError for tau >= 1/lambda and DomainError for a strain off the
+    law's domain.
+    """
+    _check_tau(model, tau)
+    _require_strict_domain(model, state.values)
     w = state.weights
-    mu = state.mu
-    _require_strict_domain(model, p)
+    v, k, relative = _prox_solve(model, state.values, w, state.mu, tau, state.values)
+    return ProxState.sharing_weights(w, v, newton_iters=k, residual=relative)
+
+
+def _prox_solve(model: StressModel, p: np.ndarray, w: np.ndarray, mu: float, tau: float,
+                start: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The proximal point of ``p`` (weights ``w``, mass ``mu``, step ``tau``,
+    all checked by the caller) as ``(v, newton_iters, residual)``: the point,
+    its sigma' evaluations and the relative residual it was accepted at.
+
+    Damped Newton starts from ``start``, where on (0, inf) each component at
+    or below half of p's is replaced by p's: Newton needs more steps the
+    further below p a strain starts. With g = sigma(v) + (v - p)/tau and
+    d = sigma'(v) + 1/tau > 0, the multiplier is c = sum w g/d / sum w/d and
+    the step (c - g)/d keeps the mass. Steps are halved until the point is in
+    the domain and the residual res = sum_i w_i (g_i - gbar)^2, gbar =
+    sum_j w_j g_j, falls (Armijo), so W is never evaluated.
+
+    A point is accepted on its residual: the solve returns once the relative
+    residual sqrt(res) / max(1, |gbar|) <= ``_PROX_RES_TOL``. Its roundoff
+    stops (a Newton correction at roundoff, a full step too short for Armijo)
+    accept a point only if its relative stationarity spread (max g - min g) /
+    max(1, max |g|) is at most ``_PROX_SPREAD_TOL``, and raise StrainflowError
+    otherwise, as when sigma' overflows near a singular stress. Raises
+    IterationBudgetError after ``_PROX_MAX_ITER`` steps, and StrainflowError
+    when no step length lowers a residual off roundoff. The accepted point's
+    mass is shifted to ``mu`` exactly.
+    """
     sigma, sigma_prime, rate = model.sigma, model.sigma_prime, 1.0 / tau
     positive = model.domain == POSITIVE
 
@@ -132,11 +151,11 @@ def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
         res = float(np.dot(w, r * r))
         return res, math.sqrt(res) / max(1.0, abs(gbar))
 
+    v = np.where(start > 0.5 * p, start, p) if positive else start
     # near a singular stress sigma' and the residual overflow; the spread test
     # below turns that into an error, so no warning is due. A non-finite
     # trial gives a NaN residual, which Armijo rejects.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        v = p
         g = gradient(v)
         res, relative = residual(g)
         for k in range(1, _PROX_MAX_ITER + 1):
@@ -183,7 +202,7 @@ def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
                     f"with relative stationarity spread {spread:.3g} > {_PROX_SPREAD_TOL:g}"
                 )
     v = v + (mu - float(np.dot(w, v)))  # exact mass
-    return ProxState.sharing_weights(w, v, newton_iters=k, residual=relative)
+    return v, k, relative
 
 
 # -- trajectory driver --------------------------------------------------------
@@ -239,6 +258,11 @@ def integrate(
 ) -> Trajectory:
     """Advance the nonlocal flow to ``t_final`` recording on a uniform grid.
 
+    The proximal stepper takes steps min(tau, time to the next record), each
+    checked as ``prox_step`` checks its own, on the run's mass. Each Newton
+    solve but the first starts from the linear extrapolation
+    p + (dt / dt_prev) (p - p_prev) of the last two points (``_prox_solve``).
+
     A StrainflowError from the stepper propagates; its ``exc.partial`` is the
     Trajectory of the records reached, with the solver counters.
     """
@@ -292,8 +316,8 @@ def integrate(
     if stepper == "prox":
         values = np.empty((len(grid), state0.n))
         diss_cum = np.zeros(len(grid))
-        values[0] = state0.values
-        state = state0
+        values[0] = p = state0.values
+        p_prev = None
         total = 0.0
         t = 0.0
         idx = 1
@@ -307,16 +331,18 @@ def integrate(
         try:
             while idx < len(grid):
                 dt = min(tau, grid[idx] - t)
-                new_state = prox_step(model, state, dt)
-                total += float(np.dot(w, (new_state.values - state.values) ** 2)) / dt
+                _check_tau(model, dt)
+                _require_strict_domain(model, p)
+                start = p if p_prev is None else p + (dt / dt_prev) * (p - p_prev)
+                v, iters, relative = _prox_solve(model, p, w, mu, dt, start)
+                total += float(np.dot(w, (v - p) ** 2)) / dt
                 n_steps += 1
-                if isinstance(new_state, ProxState):  # a replaced stepper may carry none
-                    newton_iters += new_state.newton_iters
-                    max_residual = max(max_residual, new_state.residual)
-                state = new_state
+                newton_iters += iters
+                max_residual = max(max_residual, relative)
+                p_prev, p, dt_prev = p, v, dt
                 t += dt
                 while idx < len(grid) and t >= grid[idx] - 1e-12 * max(1.0, t):
-                    values[idx] = state.values
+                    values[idx] = p
                     diss_cum[idx] = total
                     idx += 1
         except StrainflowError as exc:

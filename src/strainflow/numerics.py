@@ -140,7 +140,9 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
     to the sign change; the next is the Newton step if it lands strictly
     inside, the midpoint if not (or if the step is not finite), geometric on
     a positive bracket with hi > 10 lo (``_midpoints``). A bracket
-    closes on an exact zero (which Newton reaches for a root at 0); on a
+    closes on an exact zero: at an iterate, or at 0 for a bracket with
+    lo < 0 < hi, whose first call evaluates 0 too (Newton nears a root of
+    multiplicity 3 or more at 0 too slowly for the width stop); on a
     Newton correction of at most xtol * |x|, returning x minus it even on or
     past a bracket end, which the converged iterate is; or at the midpoint
     once hi - lo <= xtol * max(|lo|, |hi|). Signs are compared directly:
@@ -150,9 +152,12 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
     """
     shape = np.broadcast(lo, hi).shape
     lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
-    i = np.arange(lo.size)
-    f_ends = np.asarray(f(np.concatenate([lo, hi]), np.concatenate([i, i])), dtype=float)
-    flo, fhi = f_ends[:lo.size], f_ends[lo.size:]
+    n = lo.size
+    i = np.arange(n)
+    across = np.flatnonzero((lo < 0.0) & (0.0 < hi))  # 0 is evaluated once for these
+    f_first = np.asarray(f(np.concatenate([lo, hi, np.zeros(across.size)]),
+                           np.concatenate([i, i, across])), dtype=float)
+    flo, fhi = f_first[:n], f_first[n:2 * n]
     lo_pos = flo > 0.0  # every later lo keeps this sign
     live = (flo != 0.0) & (fhi != 0.0)
     bad = live & (lo_pos == (fhi > 0.0))
@@ -160,6 +165,9 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
         i = np.flatnonzero(bad)[0]
         raise BracketError(f"no sign change on [{lo[i]!r}, {hi[i]!r}]")
     out = np.where(flo == 0.0, lo, hi)  # an exact zero at a bracket end is the root
+    at_zero = across[(f_first[2 * n:] == 0.0) & live[across]]
+    out[at_zero] = 0.0
+    live[at_zero] = False
     i = np.flatnonzero(live)
     lo, hi, lo_pos = lo[i], hi[i], lo_pos[i]
     x = _midpoints(lo, hi)

@@ -282,11 +282,10 @@ class TestRunCommand:
     def test_overshooting_step_fails_energy_inequality(self, out_env, tmp_path, monkeypatch):
         # 2.9 explicit Euler steps per step: the energy still falls, but by
         # less than half the recorded dissipation
-        def overshoot(model, state, tau):
-            velocity = displacement._velocity(model, state.weights, state.values)
-            return state.with_values(state.values + 2.9 * tau * velocity)
+        def overshoot(model, p, w, mu, tau, start):
+            return p + 2.9 * tau * displacement._velocity(model, w, p), 1, 0.0
 
-        monkeypatch.setattr(displacement, "prox_step", overshoot)
+        monkeypatch.setattr(displacement, "_prox_solve", overshoot)
         cfg_path = write_config(tmp_path / "c.json", stepper={"kind": "prox", "tau": 0.01},
                                 output_dir="run_overshoot")
         assert main(["run", "--config", str(cfg_path)]) == 1

@@ -568,10 +568,41 @@ class TestProxNewton:
             yield traj, calls[0]
 
     def test_held_prox_sigma_prime_calls_per_step(self):
-        # a point is accepted on its residual; confirming every point with
-        # one more Newton correction at roundoff costs 3.22-3.36 per step
+        # a point is accepted on its residual, and Newton starts on the line
+        # through the last two points: from v = p it takes 2.36-2.45 per step
         per_step = [n / 200 for _, n in self._held_prox_runs((1, 7, 31, 4242, 123456))]
-        assert np.mean(per_step) <= 2.6, per_step
+        assert np.mean(per_step) <= 2.2, per_step
+
+    @pytest.mark.parametrize("name", ["singular-cubic", "cubic"])
+    def test_prox_run_matches_a_loop_of_prox_steps(self, name):
+        # the driver's solves start from the extrapolated path and use the
+        # run's mass; public steps start from v = p on each state's own mass
+        model = make_model(name)
+        state = seeded_state(model, 16, 1.0 if model.domain == POSITIVE else 0.25, seed=31)
+        tau = 0.01 if model.domain == POSITIVE else 0.2 / model.lambda_
+        traj = integrate(model, state, 2.0, stepper="prox", tau=tau, record_every=0.25)
+        assert traj.n_records == 9 and traj.times[-1] == 2.0
+        t, n_steps = 0.0, 0
+        for t_next, record in zip(traj.times[1:], traj.values[1:]):
+            while t < t_next - 1e-12 * max(1.0, t):
+                dt = min(tau, t_next - t)
+                state = prox_step(model, state, dt)
+                t += dt
+                n_steps += 1
+            rel = np.abs(record - state.values) / np.maximum(1.0, np.abs(state.values))
+            assert rel.max() <= 1e-12, (t, rel.max())
+        assert traj.metadata["n_steps"] == n_steps
+
+    @pytest.mark.parametrize("start", ["off the domain", "at half", "below half"])
+    def test_rejected_start_solves_from_p(self, singular, start):
+        state = seeded_state(singular, 16, 1.0, seed=7)
+        p, w = state.values, state.weights
+        bad = {"off the domain": -p, "at half": 0.5 * p,
+               "below half": np.where(np.arange(16) % 2, -1.0, 0.25 * p)}[start]
+        v, iters, relative = displacement._prox_solve(singular, p, w, state.mu, 0.01, bad)
+        ref = prox_step(singular, state, 0.01)
+        assert v.tobytes() == ref.values.tobytes()
+        assert (iters, relative) == (ref.newton_iters, ref.residual)
 
     def test_prox_run_records_its_counters(self):
         for traj, n_calls in self._held_prox_runs((3, 31)):

@@ -174,6 +174,29 @@ def test_bisect_root_reaches_a_root_at_zero():
     assert roots_at(make_model("cubic"), 0.0).tolist() == [-1.0, 0.0, 1.0]
 
 
+def test_bisect_root_closes_on_a_triple_root_at_zero():
+    # sigma = p^3 (p + 1)^2 / 16 has a triple root at 0 inside a monotone
+    # piece: Newton nears it by a factor 2/3 per step and never meets the
+    # relative stops, so the first call evaluates 0 for brackets across it
+    model = make_model("poly", coeffs=[1 / 16, 1 / 8, 1 / 16, 0, 0, 0])
+    assert 0.0 in model.roots_of_sigma.tolist()
+    calls = []
+
+    def f(x, i):
+        calls.append((x.copy(), i.copy()))
+        return x ** 3 - np.array([0.0, 8.0, 0.125])[i]
+
+    r = bisect_root(f, lambda x, i: 3.0 * x * x, np.array([-1.0, 1.0, 0.25]),
+                    np.array([2.0, 3.0, 1.0]))
+    assert r[0] == 0.0 and np.abs(r[1:] - [2.0, 0.5]).max() <= 1e-15
+    # 0 only for the bracket across it; the others see their ends alone
+    assert calls[0][0].tolist() == [-1.0, 1.0, 0.25, 2.0, 3.0, 1.0, 0.0]
+    assert calls[0][1].tolist() == [0, 1, 2, 0, 1, 2, 0]
+    assert all(0 not in i for _, i in calls[1:])
+    with pytest.raises(BracketError):  # a zero at 0 is no sign change
+        bisect_root(lambda x, i: x * x, lambda x, i: 2.0 * x, -1.0, 1.0)
+
+
 def test_bisect_root_budget_exhaustion_raises(monkeypatch):
     # three halvings cannot shrink [0, 1] to 1e-12: the bracket stays open
     no_slope = lambda x, i: np.full_like(x, np.nan)
