@@ -33,7 +33,6 @@ from .displacement import (
     prox_step,
     rearrange,
     rhs,
-    rhs_norm,
     seeded_state,
 )
 from .mixed import PointwiseSolution, reconstruct_y, solve_field, solve_pointwise

@@ -392,23 +392,18 @@ def command_run(cfg: ExperimentConfig) -> int:
     return finish(0 if all_pass else 1)
 
 
+# run's shorthand flags: argparse dest -> the config key each one overrides
+_RUN_FLAGS = {"model": "model.name", "mu": "mu", "n": "n", "seed": "initial.seed",
+              "t_final": "t_final", "stepper": "stepper.kind", "tau": "stepper.tau",
+              "record_every": "record_every", "output_dir": "output_dir"}
+
+
 def _command_run_args(args) -> int:
     """``run``: the config file with the --set overrides, then each given
     shorthand flag, applied as overrides."""
-    flags = {
-        "model.name": args.model,
-        "mu": args.mu,
-        "n": args.n,
-        "initial.seed": args.seed,
-        "t_final": args.t_final,
-        "stepper.kind": args.stepper,
-        "stepper.tau": args.tau,
-        "record_every": args.record_every,
-        "output_dir": args.output_dir,
-    }
-    overrides = args.overrides + [f"{key}={json.dumps(val)}"
-                                  for key, val in flags.items() if val is not None]
-    return command_run(load_config(args.config, overrides))
+    given = {key: getattr(args, dest) for dest, key in _RUN_FLAGS.items()}
+    overrides = [f"{key}={json.dumps(val)}" for key, val in given.items() if val is not None]
+    return command_run(load_config(args.config, args.overrides + overrides))
 
 
 # -- smaller subcommands -------------------------------------------------------------
@@ -521,6 +516,8 @@ def command_asympt(args) -> int:
 
 def command_counterexample(args) -> int:
     _require_positive(t_final=args.t_final, records=args.records)
+    if args.r0 < 0 and not args.demo:
+        raise ConfigError(f"--r0 must be at least 0, got {args.r0}")
     out_dir = _out_dir(args.out)
     if args.demo:
         z0s = DEMO_Z0
@@ -709,89 +706,76 @@ def _parse_params(items: list[str] | None) -> dict:
     return dict(map(_parse_assignment, items or []))
 
 
+def _model_flags(default: str) -> list:
+    """The --model/--param pair, with ``default`` as the model."""
+    return [("--model", {"default": default}), ("--param", {"action": "append", "default": []})]
+
+
+# subcommand -> (help, handler, [(flag, add_argument keywords), ...]); every parser
+# shares the [] defaults, which argparse copies before it appends to them
+_SUBCOMMANDS = {
+    "run": ("run one configured experiment", _command_run_args, [
+        ("--config", {"help": "JSON config file; omitted means all defaults"}),
+        ("--set", {"dest": "overrides", "action": "append", "default": [],
+                   "help": "override a config entry, e.g. --set stepper.tau=0.01"}),
+        ("--model", {"help": "model name shorthand"}),
+        ("--mu", {"type": float}), ("--n", {"type": int}), ("--seed", {"type": int}),
+        ("--t-final", {"type": float}), ("--stepper", {"choices": ["rk45", "prox"]}),
+        ("--tau", {"type": float}), ("--record-every", {"type": float}),
+        ("--out", {"dest": "output_dir"})]),
+    "mixed": ("decoupled traction-free flow", command_mixed, [
+        *_model_flags("singular-cubic"),
+        ("--p0", {"default": "1.0", "help": "constant | step:a,b | file:PATH"}),
+        ("--n", {"type": int, "default": 8}), ("--t-final", {"type": float, "default": 20.0}),
+        ("--records", {"type": int, "default": 201}), ("--out", {"default": "out_mixed"})]),
+    "bounds": ("universal bound curves", command_bounds, [
+        *_model_flags("singular-cubic"),
+        ("--kind", {"choices": ["mixed", "displacement"], "default": "displacement"}),
+        ("--mu", {"type": float, "default": 1.0}), ("--out", {"default": "out_bounds"})]),
+    "equilibria": ("uniqueness of the equilibrium state", command_equilibria, [
+        *_model_flags("cubic"),
+        ("--mu", {"type": float, "required": True}), ("--out", {"default": ""})]),
+    "asympt": ("long-time diagnostics of a saved trajectory", command_asympt, [
+        ("--trajectory", {"required": True, "help": "path prefix of trajectory.{csv,json}"}),
+        ("--out", {"default": "out_asympt"})]),
+    "counterexample": ("spiral ODE ensemble", command_counterexample, [
+        ("--demo", {"action": "store_true"}), ("--r0", {"type": float, "default": 2.0}),
+        ("--theta0", {"type": float, "default": 0.0}), ("--z0", {"type": float, "default": 0.0}),
+        ("--t-final", {"type": float, "default": 1e3}),
+        ("--records", {"type": int, "default": 401}),
+        ("--out", {"default": "out_counterexample"})]),
+    "plotdata": ("plot-ready CSV/SVG from a trajectory", command_plotdata, [
+        ("--trajectory", {"required": True}),
+        ("--kind", {"required": True, "choices": ["fan", "c", "energy", "fractions"]}),
+        ("--out", {"default": "out_plots"})]),
+    "sweep": ("concurrent grid of runs", command_sweep, [
+        ("--config", {"required": True}),
+        ("--grid", {"required": True,
+                    "help": "JSON object mapping dotted config keys to value lists"}),
+        ("--workers", {"type": int}), ("--out", {"default": "out_sweep"})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strainflow",
         description="numerical laboratory for a nonlocal strain gradient flow",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one configured experiment")
-    p_run.add_argument("--config", default=None,
-                       help="JSON config file; omitted means all defaults")
-    p_run.add_argument("--set", dest="overrides", action="append", default=[],
-                       help="override a config entry, e.g. --set stepper.tau=0.01")
-    p_run.add_argument("--model", default=None, help="model name shorthand")
-    p_run.add_argument("--mu", type=float, default=None)
-    p_run.add_argument("--n", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--t-final", type=float, default=None)
-    p_run.add_argument("--stepper", choices=["rk45", "prox"], default=None)
-    p_run.add_argument("--tau", type=float, default=None)
-    p_run.add_argument("--record-every", type=float, default=None)
-    p_run.add_argument("--out", dest="output_dir", default=None)
-    p_run.set_defaults(func=_command_run_args)
-
-    p_mixed = sub.add_parser("mixed", help="decoupled traction-free flow")
-    p_mixed.add_argument("--model", default="singular-cubic")
-    p_mixed.add_argument("--param", action="append", default=[])
-    p_mixed.add_argument("--p0", default="1.0", help="constant | step:a,b | file:PATH")
-    p_mixed.add_argument("--n", type=int, default=8)
-    p_mixed.add_argument("--t-final", type=float, default=20.0)
-    p_mixed.add_argument("--records", type=int, default=201)
-    p_mixed.add_argument("--out", default="out_mixed")
-    p_mixed.set_defaults(func=command_mixed)
-
-    p_bounds = sub.add_parser("bounds", help="universal bound curves")
-    p_bounds.add_argument("--model", default="singular-cubic")
-    p_bounds.add_argument("--param", action="append", default=[])
-    p_bounds.add_argument("--kind", choices=["mixed", "displacement"], default="displacement")
-    p_bounds.add_argument("--mu", type=float, default=1.0)
-    p_bounds.add_argument("--out", default="out_bounds")
-    p_bounds.set_defaults(func=command_bounds)
-
-    p_eq = sub.add_parser("equilibria", help="uniqueness of the equilibrium state")
-    p_eq.add_argument("--model", default="cubic")
-    p_eq.add_argument("--param", action="append", default=[])
-    p_eq.add_argument("--mu", type=float, required=True)
-    p_eq.add_argument("--out", default="")
-    p_eq.set_defaults(func=command_equilibria)
-
-    p_as = sub.add_parser("asympt", help="long-time diagnostics of a saved trajectory")
-    p_as.add_argument("--trajectory", required=True, help="path prefix of trajectory.{csv,json}")
-    p_as.add_argument("--out", default="out_asympt")
-    p_as.set_defaults(func=command_asympt)
-
-    p_cx = sub.add_parser("counterexample", help="spiral ODE ensemble")
-    p_cx.add_argument("--demo", action="store_true")
-    p_cx.add_argument("--r0", type=float, default=2.0)
-    p_cx.add_argument("--theta0", type=float, default=0.0)
-    p_cx.add_argument("--z0", type=float, default=0.0)
-    p_cx.add_argument("--t-final", type=float, default=1e3)
-    p_cx.add_argument("--records", type=int, default=401)
-    p_cx.add_argument("--out", default="out_counterexample")
-    p_cx.set_defaults(func=command_counterexample)
-
-    p_plot = sub.add_parser("plotdata", help="plot-ready CSV/SVG from a trajectory")
-    p_plot.add_argument("--trajectory", required=True)
-    p_plot.add_argument("--kind", required=True, choices=["fan", "c", "energy", "fractions"])
-    p_plot.add_argument("--out", default="out_plots")
-    p_plot.set_defaults(func=command_plotdata)
-
-    p_sweep = sub.add_parser("sweep", help="concurrent grid of runs")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--grid", required=True,
-                         help="JSON object mapping dotted config keys to value lists")
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument("--out", default="out_sweep")
-    p_sweep.set_defaults(func=command_sweep)
-
+    for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            subparser.add_argument(flag, **keywords)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

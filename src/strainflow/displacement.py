@@ -54,11 +54,6 @@ def rhs(model: StressModel, state: SimpleState) -> np.ndarray:
     return _velocity(model, state.weights, state.values)
 
 
-def rhs_norm(model: StressModel, state: SimpleState) -> float:
-    v = rhs(model, state)
-    return float(np.sqrt(np.dot(state.weights, v * v)))
-
-
 # -- explicit stepper ---------------------------------------------------------
 
 
@@ -75,16 +70,6 @@ def _ordering_ok(perm: np.ndarray, values: np.ndarray) -> bool:
 # -- proximal (implicit Euler) stepper ----------------------------------------
 
 
-class ProxState(SimpleState):
-    """A proximal step's new state, with its Newton iterations (sigma'
-    evaluations) and the relative residual it was accepted at, as
-    ``prox_step`` builds it through ``sharing_weights``. A plain subclass: a
-    dataclass costs about 1 ms at import."""
-
-    newton_iters: int
-    residual: float
-
-
 def _check_tau(model: StressModel, tau: float) -> None:
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -96,7 +81,7 @@ def _check_tau(model: StressModel, tau: float) -> None:
         )
 
 
-def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
+def prox_step(model: StressModel, state: SimpleState, tau: float) -> SimpleState:
     """Implicit Euler with a mass multiplier: one minimising-movement step.
 
     Minimises sum_i w_i [W(v_i) + (v_i - p_i)^2 / 2 tau] under sum_i w_i v_i =
@@ -107,9 +92,8 @@ def prox_step(model: StressModel, state: SimpleState, tau: float) -> ProxState:
     """
     _check_tau(model, tau)
     _require_strict_domain(model, state.values)
-    w = state.weights
-    v, k, relative = _prox_solve(model, state.values, w, state.mu, tau, state.values)
-    return ProxState.sharing_weights(w, v, newton_iters=k, residual=relative)
+    v, _, _ = _prox_solve(model, state.values, state.weights, state.mu, tau, state.values)
+    return state.with_values(v)
 
 
 def _prox_solve(model: StressModel, p: np.ndarray, w: np.ndarray, mu: float, tau: float,

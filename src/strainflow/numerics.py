@@ -329,8 +329,8 @@ def rk45(
     t_record = np.asarray(t_record, dtype=float)
     if t_record.ndim != 1 or len(t_record) == 0:
         raise ValueError("t_record must be a non-empty 1-d array")
-    if np.any(np.diff(t_record) <= 0):
-        raise ValueError("t_record must be strictly increasing")
+    if not (np.isfinite(t_record).all() and np.all(np.diff(t_record) > 0)):
+        raise ValueError("t_record must be finite and strictly increasing")
 
     y = np.array(y0, dtype=float)
     t = float(t_record[0])

@@ -53,25 +53,20 @@ class SimpleState:
         """Mean strain, the conserved mass of the displacement flow."""
         return float(np.dot(self.weights, self.values))
 
-    @classmethod
-    def sharing_weights(cls, weights: np.ndarray, values, **fields) -> "SimpleState":
-        """``cls(values, weights, **fields)`` checking only the values (1-d,
-        matching, finite): ``weights`` must be an existing state's read-only,
-        validated array, which the new state shares."""
+    def with_values(self, values) -> "SimpleState":
+        """This state's weights, shared, carrying new ``values``; only the
+        values are checked (1-d, matching, finite), as the weights were
+        checked when this state was built."""
         values = np.array(values, dtype=float)
-        if values.shape != weights.shape:
+        if values.shape != self.weights.shape:
             raise ValueError("values and weights must be matching 1-d arrays")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         values.setflags(write=False)
-        new = object.__new__(cls)
-        for name, value in (("values", values), ("weights", weights), *fields.items()):
-            object.__setattr__(new, name, value)
+        new = object.__new__(SimpleState)
+        object.__setattr__(new, "values", values)
+        object.__setattr__(new, "weights", self.weights)
         return new
-
-    def with_values(self, values) -> "SimpleState":
-        """This state's weights carrying new ``values``, which are checked."""
-        return SimpleState.sharing_weights(self.weights, values)
 
 
 def state_distance(a: SimpleState, b: SimpleState) -> float:

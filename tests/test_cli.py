@@ -699,6 +699,15 @@ class TestInputErrors:
         ["mixed", "--p0", "nan"],
         ["mixed", "--p0", "inf"],
         ["mixed", "--records", "1"],  # one record cannot reach --t-final
+        # numeric flags that are not finite, and a negative radius
+        ["counterexample", "--t-final", "inf"],
+        ["counterexample", "--r0", "nan"],
+        ["counterexample", "--theta0", "nan"],
+        ["counterexample", "--z0", "inf"],
+        ["counterexample", "--r0", "-1"],
+        ["equilibria", "--mu", "nan"],
+        ["equilibria", "--mu", "inf"],
+        ["bounds", "--mu", "nan"],
     ])
     def test_bad_model_or_p0_exits_2(self, out_env, capsys, argv):
         (out_env / "garbled.txt").write_text("0.5 abc\n")
@@ -749,6 +758,37 @@ class TestOutsideContracts:
         assert len(sub.choices) == 8
         for name, subparser in sub.choices.items():
             assert callable(subparser.get_default("func")), name
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["run"], {"config": None, "overrides": [], "model": None, "mu": None, "n": None,
+                   "seed": None, "t_final": None, "stepper": None, "tau": None,
+                   "record_every": None, "output_dir": None}),
+        (["mixed"], {"model": "singular-cubic", "param": [], "p0": "1.0", "n": 8,
+                     "t_final": 20.0, "records": 201, "out": "out_mixed"}),
+        (["bounds"], {"model": "singular-cubic", "param": [], "kind": "displacement",
+                      "mu": 1.0, "out": "out_bounds"}),
+        (["equilibria", "--mu", "0.5"], {"model": "cubic", "param": [], "mu": 0.5, "out": ""}),
+        (["asympt", "--trajectory", "t"], {"trajectory": "t", "out": "out_asympt"}),
+        (["counterexample"], {"demo": False, "r0": 2.0, "theta0": 0.0, "z0": 0.0,
+                              "t_final": 1000.0, "records": 401, "out": "out_counterexample"}),
+        (["plotdata", "--trajectory", "t", "--kind", "c"],
+         {"trajectory": "t", "kind": "c", "out": "out_plots"}),
+        (["sweep", "--config", "c.json", "--grid", "{}"],
+         {"config": "c.json", "grid": "{}", "workers": None, "out": "out_sweep"}),
+    ])
+    def test_every_subcommand_parses_to_its_defaults(self, argv, expected):
+        args = vars(cli.build_parser().parse_args(argv))
+        assert callable(args.pop("func"))
+        assert args == {"command": argv[0], **expected}
+
+    @pytest.mark.parametrize("argv", [["run", "--stepper", "euler"],
+                                      ["bounds", "--kind", "both"],
+                                      ["plotdata", "--trajectory", "t", "--kind", "fan2"]])
+    def test_choice_flags_refuse_other_values(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_readme_command_lines_exit_0(self, out_env, monkeypatch):
         # asympt and plotdata read the run line's trajectory by a path that is

@@ -315,6 +315,14 @@ def test_rk45_field_writes_into_its_stage_slot():
     assert not any(np.shares_memory(y, stack) for y, _ in calls)
 
 
+@pytest.mark.parametrize("t_rec", [[0.0, np.nan, 1.0], [0.0, np.inf]])
+def test_rk45_rejects_record_times_not_finite(t_rec):
+    # a NaN gap or an infinite end would leave the stepper short of its next
+    # record for ever
+    with pytest.raises(ValueError):
+        rk45(lambda y, out: np.negative(y, out=out), np.array([1.0]), np.array(t_rec))
+
+
 def test_rk45_accept_hook_rejects_domain_exit():
     # flow pushing through zero; the hook forbids nonpositive states
     calls = []
