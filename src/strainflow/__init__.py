@@ -8,7 +8,6 @@ from .asymptotics import (
     AsymptoticsReport,
     F_functional,
     asymptotics_report,
-    chi_functional,
     convergence_monitor,
     cubic_invariants,
     equilibria_enumerate,
@@ -32,10 +31,9 @@ from .displacement import (
     integrate,
     prox_step,
     rearrange,
-    rhs,
     seeded_state,
 )
-from .mixed import PointwiseSolution, reconstruct_y, solve_field, solve_pointwise
+from .mixed import PointwiseSolution, solve_field, solve_pointwise
 from .state import SimpleState, Trajectory, state_distance
 from .stress_models import (
     BranchSet,

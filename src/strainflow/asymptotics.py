@@ -23,7 +23,6 @@ from .errors import (
 from .numerics import CumulativeCurve, trailing_stats, trailing_window
 from .state import Trajectory
 from .stress_models import (
-    POSITIVE,
     StressModel,
     find_branches,
     near_critical_value,
@@ -138,37 +137,6 @@ def F_functional(model: StressModel, traj: Trajectory, F, F_prime=None) -> Funct
         monotone_expected=monotone_expected,
         monotone_ok=monotone_ok,
     )
-
-
-def chi_functional(model: StressModel, traj: Trajectory, a: float, b: float):
-    """Series t -> sum_i w_i meas{z in [z_floor, p_i(t)] : sigma(z) in [a, b]}
-    via decomposition of sigma^{-1}([a, b]) into intervals, plus its trailing
-    limit. The floor is 0 for positive-only models, 1 for full-line ones."""
-    if b < a:
-        raise ValueError("need a <= b")
-    zs, _ = model.critical_data
-    if np.any(near_critical_value(model, [a, b])):
-        warnings.warn(
-            "band endpoint sits on a critical value of the stress; "
-            "the interval decomposition is ill-conditioned",
-            RuntimeWarning,
-        )
-    z_floor = 0.0 if model.domain == POSITIVE else 1.0
-    lo, hi = model.eval_window
-    edges = roots_at(model, np.array([a, b], dtype=float))
-    points = np.unique(np.concatenate([
-        edges[~np.isnan(edges)], zs, [max(lo, 1e-12) if model.domain == POSITIVE else lo, hi],
-    ]))
-    # the gaps between consecutive breakpoints whose midpoint stress is in
-    # the band, each floored at z_floor; a record's measure is its overlap
-    mids = np.asarray(model.sigma(0.5 * (points[:-1] + points[1:])), dtype=float)
-    inside = (a <= mids) & (mids <= b)
-    starts = np.maximum(points[:-1][inside], z_floor)
-    ends = np.maximum(points[1:][inside], z_floor)
-    measure = (np.clip(traj.values[..., None], starts, ends) - starts).sum(axis=-1)
-    series = measure @ traj.weights
-    limit, spread = trailing_stats(traj.times, series, TRAILING_FRAC)
-    return series, limit, spread
 
 
 # -- cubic stabilization identities ---------------------------------------------

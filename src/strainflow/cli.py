@@ -13,7 +13,6 @@ Exit codes: 0 all enabled checks pass, 1 a check failed, 2 config error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import hashlib
 import itertools
@@ -672,6 +671,8 @@ def command_sweep(args) -> int:
     ]
     rows: list[dict] = []
     if members:
+        import concurrent.futures  # only sweep uses it; the other commands skip its import
+
         workers = args.workers or os.cpu_count() or 1
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_member, members))

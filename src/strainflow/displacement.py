@@ -33,6 +33,7 @@ _PROX_MAX_ITER = 100     # Newton steps per proximal step
 _PROX_RES_TOL = 1e-14    # relative residual that ends a proximal solve
 _PROX_SPREAD_TOL = 1e-10  # relative stationarity spread a roundoff stop must meet
 _PROX_MIN_STEP = 2.0 ** -40  # shortest damped Newton step tried
+_GRONWALL_RUN = {"rtol": 1e-10, "atol": 1e-13, "n_records": 41}  # integrate settings of both runs
 
 
 def _require_strict_domain(model: StressModel, values: np.ndarray) -> None:
@@ -46,12 +47,6 @@ def _velocity(model: StressModel, weights: np.ndarray, values: np.ndarray,
     (a new array when it is None)."""
     sig = np.asarray(model.sigma(values), dtype=float)
     return np.subtract(float(np.dot(weights, sig)), sig, out=out)
-
-
-def rhs(model: StressModel, state: SimpleState) -> np.ndarray:
-    """Velocity of the flow; a single vectorized stress evaluation."""
-    _require_strict_domain(model, state.values)
-    return _velocity(model, state.weights, state.values)
 
 
 # -- explicit stepper ---------------------------------------------------------
@@ -421,15 +416,8 @@ class GronwallReport:
     ratios: np.ndarray
 
 
-def gronwall_check(
-    model: StressModel,
-    state_a: SimpleState,
-    state_b: SimpleState,
-    t_final: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-    n_records: int = 41,
-) -> GronwallReport:
+def gronwall_check(model: StressModel, state_a: SimpleState, state_b: SimpleState,
+                   t_final: float) -> GronwallReport:
     """Ratio of squared distances ||A(t)-B(t)||^2 / (e^{2 lambda t} ||A0-B0||^2)
     along two runs; PASS when it never exceeds 1 + 1e-6. A failed run raises
     the StrainflowError of ``integrate``, whose ``exc.partial`` is that run's
@@ -438,8 +426,8 @@ def gronwall_check(
         raise ValueError("both states must carry the same weights")
     lam = model.lambda_
     d0 = state_distance(state_a, state_b)
-    ta = integrate(model, state_a, t_final, n_records=n_records, rtol=rtol, atol=atol)
-    tb = integrate(model, state_b, t_final, n_records=n_records, rtol=rtol, atol=atol)
+    ta = integrate(model, state_a, t_final, **_GRONWALL_RUN)
+    tb = integrate(model, state_b, t_final, **_GRONWALL_RUN)
     w = state_a.weights
     d2 = ((ta.values - tb.values) ** 2) @ w
     if d0 == 0.0:

@@ -21,7 +21,7 @@ class IntegrabilityError(HypothesisError):
     """An improper integral required to be finite diverges numerically."""
 
 
-class CertificationError(StrainflowError):
+class CertificationError(HypothesisError):
     """A constant that a bound construction must certify could not be found."""
 
 

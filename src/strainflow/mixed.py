@@ -187,16 +187,3 @@ def solve_field(
     traj = _diagnostics(model, t_grid, values, weights, diss, meta, held=False)
     roots = _limit_roots(model, values[-1])
     return traj, np.where(np.isnan(roots), values[-1], roots)
-
-
-def reconstruct_y(p_values) -> np.ndarray:
-    """Deformation from a strain field sampled on a uniform grid over [0, 1]:
-    cumulative trapezoid with y(0) = 0."""
-    p = np.asarray(p_values, dtype=float)
-    if p.ndim != 1 or len(p) < 2:
-        raise ValueError("need at least two samples on the unit interval")
-    dx = 1.0 / (len(p) - 1)
-    y = np.empty_like(p)
-    y[0] = 0.0
-    np.cumsum(0.5 * dx * (p[1:] + p[:-1]), out=y[1:])
-    return y

@@ -54,19 +54,8 @@ class SimpleState:
         return float(np.dot(self.weights, self.values))
 
     def with_values(self, values) -> "SimpleState":
-        """This state's weights, shared, carrying new ``values``; only the
-        values are checked (1-d, matching, finite), as the weights were
-        checked when this state was built."""
-        values = np.array(values, dtype=float)
-        if values.shape != self.weights.shape:
-            raise ValueError("values and weights must be matching 1-d arrays")
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        values.setflags(write=False)
-        new = object.__new__(SimpleState)
-        object.__setattr__(new, "values", values)
-        object.__setattr__(new, "weights", self.weights)
-        return new
+        """A state with this state's weights carrying new ``values``."""
+        return SimpleState(values=values, weights=self.weights)
 
 
 def state_distance(a: SimpleState, b: SimpleState) -> float:
@@ -92,8 +81,8 @@ class Trajectory:
     converged: bool = False
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("record times must be strictly increasing")
+        if not (np.isfinite(self.times).all() and np.all(np.diff(self.times) > 0)):
+            raise ValueError("record times must be finite and strictly increasing")
         rows = len(self.times)
         for name in ("values", "stress_mean", "energy", "dissipation", "dissipation_cum"):
             if len(getattr(self, name)) != rows:
@@ -102,13 +91,6 @@ class Trajectory:
     @property
     def n_records(self) -> int:
         return len(self.times)
-
-    def state_at(self, i: int) -> SimpleState:
-        return SimpleState(values=self.values[i].copy(), weights=self.weights.copy())
-
-    @property
-    def final_state(self) -> SimpleState:
-        return self.state_at(self.n_records - 1)
 
     def mass(self) -> np.ndarray:
         return self.values @ self.weights

@@ -73,15 +73,6 @@ class StressModel:
     def roots_of_sigma(self) -> np.ndarray:
         return roots_at(self, 0.0)
 
-    def grid(self, n: int) -> np.ndarray:
-        """Sample grid over the evaluation window (log-spaced near 0 when
-        the domain is positive-only, so singular behaviour is visible)."""
-        lo, hi = self.eval_window
-        if self.domain == POSITIVE:
-            lo = max(lo, 1e-300)
-            return np.geomspace(lo, hi, n)
-        return np.linspace(lo, hi, n)
-
 
 # -- stored energy ----------------------------------------------------------
 
@@ -103,7 +94,7 @@ def stress_range(model: StressModel) -> tuple[float, float]:
     """Least and greatest value of sigma on the window: sigma is monotone
     between critical points, so both are taken at a window end or at a
     critical point."""
-    ends = np.asarray(model.sigma(model.grid(2)), dtype=float)
+    ends = np.asarray(model.sigma(np.array(model.eval_window)), dtype=float)
     vals = np.concatenate([ends, model.critical_data[1]])
     return float(np.min(vals)), float(np.max(vals))
 

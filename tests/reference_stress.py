@@ -6,7 +6,8 @@ grid, refined in one batched bisection. Both can miss features narrower than
 their grids; the exact structure must agree with them wherever they see one.
 The batched bisection that refines them is kept verbatim as well, as
 ``numerics.bisect_root`` was before it took Newton steps, so that this
-reference does not move with the solver.
+reference does not move with the solver, and so is the window grid they
+sample (``window_grid``, once ``StressModel.grid``).
 """
 
 from __future__ import annotations
@@ -116,8 +117,18 @@ def estimate_lambda(model: StressModel) -> float:
     return max(0.0, -mins[-1]) * LAMBDA_SAFETY if mins[-1] < 0 else 0.0
 
 
+def window_grid(model: StressModel, n: int) -> np.ndarray:
+    """Sample grid over the evaluation window (log-spaced near 0 when
+    the domain is positive-only, so singular behaviour is visible)."""
+    lo, hi = model.eval_window
+    if model.domain == POSITIVE:
+        lo = max(lo, 1e-300)
+        return np.geomspace(lo, hi, n)
+    return np.linspace(lo, hi, n)
+
+
 def _critical_points_impl(model: StressModel) -> tuple[np.ndarray, np.ndarray]:
-    grid = model.grid(CRITICAL_GRID)
+    grid = window_grid(model, CRITICAL_GRID)
     dvals = np.asarray(model.sigma_prime(grid), dtype=float)
     a, b = dvals[:-1], dvals[1:]
     finite = np.isfinite(a) & np.isfinite(b)

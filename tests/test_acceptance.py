@@ -191,7 +191,7 @@ def test_criterion_10_refinement_cauchy_bound(cubic):
     for n in (8, 16, 32, 64, 128):
         state, assign = approximate_initial_data(samples, n)
         traj = integrate(cubic, state, t_final, n_records=11)
-        results[n] = (state, assign, traj.final_state)
+        results[n] = (state, assign, SimpleState(values=traj.values[-1], weights=traj.weights))
     worst = -np.inf
     for n in (8, 16, 32, 64):
         s1, a1, f1 = results[n]

@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from strainflow.asymptotics import (
     TRAILING_FRAC,
     F_functional,
     asymptotics_report,
-    chi_functional,
     convergence_monitor,
     cubic_invariants,
     equilibria_enumerate,
@@ -27,7 +25,7 @@ from strainflow.errors import (
 )
 from strainflow.numerics import trailing_stats
 from strainflow.state import SimpleState, Trajectory
-from strainflow.stress_models import POSITIVE, make_model, roots_at
+from strainflow.stress_models import make_model, roots_at
 
 from reference_quadrature import CumulativeAntiderivative
 
@@ -167,121 +165,6 @@ class TestFFunctional:
         rough = lambda s: 1.0 + 0.5 * np.sign(np.sin(1e12 * s)) * (np.abs(s - s1) < 1e-3)
         with pytest.raises(IterationBudgetError):
             F_functional(cubic, converged_run, rough)
-
-
-def _chi_reference(model, traj, a, b):
-    """The interval-merging chi series that the broadcast measure replaced:
-    in-band gaps merged where they touch, then a cumulative-length lookup."""
-    zs, _ = model.critical_data
-    z_floor = 0.0 if model.domain == POSITIVE else 1.0
-    lo, hi = model.eval_window
-    ends = roots_at(model, np.array([a, b], dtype=float))
-    points = np.unique(np.concatenate([
-        ends[~np.isnan(ends)], zs, [max(lo, 1e-12) if model.domain == POSITIVE else lo, hi],
-    ]))
-    vals = np.asarray(model.sigma(0.5 * (points[:-1] + points[1:])), dtype=float)
-    inside = (a <= vals) & (vals <= b)
-    in_band = []
-    for s, e in zip(points[:-1][inside].tolist(), points[1:][inside].tolist()):
-        if in_band and abs(in_band[-1][1] - s) < 1e-12 * max(1.0, abs(s)):
-            in_band[-1] = (in_band[-1][0], e)
-        else:
-            in_band.append((s, e))
-    if not in_band:
-        return np.zeros_like(traj.times)
-    starts = np.array([max(s, z_floor) for s, _ in in_band])
-    ends = np.array([max(e, z_floor) for _, e in in_band])
-    lens = np.maximum(ends - starts, 0.0)
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    p = traj.values
-    j = np.clip(np.searchsorted(ends, p, side="left"), 0, len(lens) - 1)
-    out = np.where(p <= starts[0], 0.0, cum[j] + np.clip(p - starts[j], 0.0, lens[j]))
-    return np.where(p >= ends[-1], cum[-1], out) @ traj.weights
-
-
-class TestChiFunctional:
-    @pytest.mark.parametrize("name, a, b", [
-        ("cubic", -0.1, 0.1),
-        ("cubic", -1.0, 1.0),
-        ("cubic", 50.0, 60.0),
-        ("cubic", -0.3, 5.0),
-        ("hyperbolic", -0.5, 0.5),
-        ("singular-cubic", -2.0, 3.0),
-        ("shifted-cubic", -0.1, 0.1),
-    ])
-    def test_matches_merged_interval_reference(self, converged_run, name, a, b):
-        # the broadcast sums the gap overlaps in another order than the
-        # cumulative table, so the two agree to a few ulps of the measure
-        model = make_model(name)
-        series, _, _ = chi_functional(model, converged_run, a, b)
-        assert np.max(np.abs(series - _chi_reference(model, converged_run, a, b))) <= 1e-14
-
-    def test_band_outside_stress_range_is_zero(self, cubic, converged_run):
-        series, limit, spread = chi_functional(cubic, converged_run, 50.0, 60.0)
-        assert np.allclose(series, 0.0)
-        assert limit == 0.0
-
-    def test_monotone_law_single_interval(self):
-        hyp = make_model("hyperbolic")
-        state = seeded_state(hyp, 6, 1.2, seed=4)
-        traj = integrate(hyp, state, 5.0, n_records=11)
-        a, b = -0.5, 0.5
-        series, _, _ = chi_functional(hyp, traj, a, b)
-        # single branch: measure is the overlap of [root(a), root(b)] with [0, p]
-        ra = 0.5 * (a + np.sqrt(a * a + 4.0))
-        rb = 0.5 * (b + np.sqrt(b * b + 4.0))
-        expected = np.clip(traj.values, ra, rb) - ra
-        assert np.max(np.abs(series - expected @ traj.weights)) < 1e-9
-
-    def test_band_touching_critical_value_warns(self, cubic, converged_run):
-        c_plus = 2.0 / (3.0 * np.sqrt(3.0))
-        with pytest.warns(RuntimeWarning):
-            chi_functional(cubic, converged_run, -0.1, c_plus)
-
-    def test_band_near_large_critical_value_warns(self, converged_run):
-        # |c| >> 1: an endpoint 5e-9 from the critical value is within the
-        # relative tolerance 1e-9 * |c| that volume_fractions and
-        # equilibria_enumerate use, so the band check must agree with them
-        model = make_model("shifted-cubic", d=1e4)
-        c_plus = float(model.critical_data[1][0])
-        with pytest.warns(RuntimeWarning):
-            chi_functional(model, converged_run, c_plus - 0.2, c_plus + 5e-9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            chi_functional(model, converged_run, c_plus - 0.2, c_plus - 2e-5)
-
-    def test_band_across_both_critical_values_is_one_interval(self, cubic, converged_run):
-        # sigma^{-1}([-1, 1]) is one interval through both critical points,
-        # split into several gaps by the breakpoints; above the full-line
-        # floor z = 1 it is [1, root of p^3 - p - 1]
-        series, _, _ = chi_functional(cubic, converged_run, -1.0, 1.0)
-        r1 = max(np.roots([1, 0, -1, -1]).real)
-        expected = (np.clip(converged_run.values, 1.0, r1) - 1.0) @ converged_run.weights
-        assert np.max(np.abs(series - expected)) < 1e-10
-
-    def test_cubic_band_is_three_intervals(self, cubic, converged_run):
-        series, limit, spread = chi_functional(cubic, converged_run, -0.1, 0.1)
-        # oracle at the final record: decompose sigma^{-1}([a,b]) by polynomial roots
-        roots_a = np.sort(np.roots([1, 0, -1, 0.1]).real)   # sigma = -0.1
-        roots_b = np.sort(np.roots([1, 0, -1, -0.1]).real)  # sigma = +0.1
-        # intervals around -1, 0, +1 (full-line floor is z = 1)
-        intervals = [
-            (roots_a[0], roots_b[0]),
-            (roots_b[1], roots_a[1]),
-            (roots_a[2], roots_b[2]),
-        ]
-        p_final = converged_run.values[-1]
-
-        def measure(p):
-            tot = 0.0
-            for s, e in intervals:
-                lo, hi = max(s, 1.0), max(e, 1.0)
-                tot += np.clip(p, lo, hi) - lo
-            return tot
-
-        oracle = np.array([measure(p) for p in p_final]) @ converged_run.weights
-        assert series[-1] == pytest.approx(oracle, abs=1e-9)
-        assert spread <= 1e-4
 
 
 class TestCubicInvariants:

@@ -251,6 +251,37 @@ class TestDisplacementLower:
         assert C <= oracle_inf  # the certified constant keeps a safety margin
         assert C >= oracle_inf / 1.2
 
+    @pytest.mark.parametrize("law", [
+        # sigma falls below sigma(eps0) beyond eps0 until eps0 = 1/64
+        dict(name="singular-cubic", kappa=0.01),
+        # a bump of sigma at 0.05 above its dip at 0.1 gives negative
+        # quotients from eps0 = 0.25 and 0.125, then the first case's halving
+        dict(name="poly", coeffs=[1.0, -0.225, 0.015, 0.0], domain="positive", theta=0.5),
+    ])
+    def test_halved_eps0_constants_match_dense_oracle(self, law):
+        model, mu = make_model(**law), 1.0
+        C, eps0, t0 = certify_lower_constants(model, mu)
+        assert eps0 == 0.5 * min(model.theta, mu) / 16 and C > 0
+        assert t0 == pytest.approx(np.log(mu / (mu - eps0)) / C, rel=1e-15)
+        # oracle: every difference quotient with one foot below eps0 on a
+        # denser grid, in row blocks; equal feet are masked before dividing
+        p, d = np.geomspace(1e-8, 10.0, 20_000), np.geomspace(1e-8, eps0, 3_000)
+        sig_p, sig_d = model.sigma(p), model.sigma(d)
+        assert np.all(sig_p[p > eps0] > model.sigma(np.array([eps0]))[0])
+        oracle_inf = np.inf
+        for rows in np.array_split(np.arange(len(p)), 20):
+            dp = p[rows, None] - d[None, :]
+            keep = dp != 0.0
+            quot = (sig_p[rows, None] - sig_d[None, :])[keep] / dp[keep]
+            oracle_inf = min(oracle_inf, float(np.min(quot)))
+        assert oracle_inf / 1.2 <= C <= oracle_inf
+
+    def test_no_eps0_certifies_raises(self):
+        # p^3 - p on (0, inf) falls below sigma(eps0) beyond every eps0 tried
+        model = make_model("poly", coeffs=[1.0, 0.0, -1.0, 0.0], domain="positive", theta=0.5)
+        with pytest.raises(CertificationError, match="no eps0"):
+            certify_lower_constants(model, 1.0)
+
     def test_curve_shape(self, singular):
         mu = 1.0
         t = np.linspace(0.0, 2.0, 400)[1:]

@@ -434,6 +434,19 @@ class TestRunCommand:
         assert manifest["exit_code"] == 3
         assert "no root of sigma" in manifest["error"]
 
+    @pytest.mark.parametrize("argv, message", [
+        # the default cubic's upper envelope needs a positive mean strain
+        (["run", "--mu", "-0.5", "--t-final", "1"], "the upper bound needs a positive mean"),
+        (["bounds", "--model", "cubic", "--mu", "-0.5"], "the lower bound needs a positive mean"),
+        # sigma = p^3 - p on (0, inf) falls below sigma(eps0) for every eps0 tried
+        (["bounds", "--model", "poly", "--param", "coeffs=[1,0,-1,0]", "--param", "domain=positive",
+          "--param", "theta=0.5", "--mu", "1"], "no eps0 with a positive certified"),
+    ], ids=["run", "bounds-mu", "bounds-eps0"])
+    def test_failed_certificate_exits_3(self, out_env, capsys, argv, message):
+        assert main(argv + ["--out", "cert"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("hypothesis failure: ") and message in line
+
     @pytest.mark.parametrize("bc, t_final, every, n_records", [
         ("displacement", 0.9, 0.3, 4),
         ("displacement", 4.2, 0.7, 7),
@@ -736,19 +749,28 @@ class TestInputErrors:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["asympt"], ["plotdata", "--kind", "c"]])
-    @pytest.mark.parametrize("damage", ["missing", "garbled", "unknown_model"])
+    @pytest.mark.parametrize("damage", ["missing", "garbled", "unknown_model", "nan_time"])
     def test_unusable_trajectory_exits_2(self, out_env, capsys, command, damage):
         prefix = out_env / "traj"
         if damage != "missing":
             Trajectory(
                 times=np.array([0.0, 1.0]), values=np.ones((2, 2)), weights=np.full(2, 0.5),
                 stress_mean=np.zeros(2), energy=np.zeros(2), dissipation=np.zeros(2),
-                dissipation_cum=np.zeros(2), metadata={"model": {"name": "nope", "params": {}}},
+                dissipation_cum=np.zeros(2),
+                metadata={"model": {"name": "cubic" if damage == "nan_time" else "nope",
+                                    "params": {}}},
             ).save(prefix)
         if damage == "garbled":
             (out_env / "traj.json").write_text("{")
+        if damage == "nan_time":  # a valid model, the second record time edited to nan
+            csv = out_env / "traj.csv"
+            header, first, second = csv.read_text().splitlines()
+            csv.write_text("\n".join([header, first, "nan" + second[second.index(","):]]) + "\n")
         assert main(command + ["--trajectory", str(prefix), "--out", "bad"]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if damage == "nan_time":
+            assert "cannot read trajectory" in err
 
 
 class TestOutsideContracts:

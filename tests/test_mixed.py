@@ -10,7 +10,7 @@ from strainflow.bounds import mixed_lower, mixed_upper, time_from_zero_curve
 from strainflow.displacement import ZERO_FLOOR
 from strainflow.errors import DomainError
 from strainflow import mixed
-from strainflow.mixed import BOOTSTRAP_FRACTION, reconstruct_y, solve_field, solve_pointwise
+from strainflow.mixed import BOOTSTRAP_FRACTION, solve_field, solve_pointwise
 from strainflow.numerics import rk45
 from strainflow.stress_models import POSITIVE, eval_W, make_model
 
@@ -443,25 +443,3 @@ def test_odd_poly_traction_free_property(data, degree):
     order = np.argsort(samples, kind="stable")
     assert np.all(np.diff(traj.values[:, order], axis=1) >= -slack[:, order[1:]])
     assert _energy_equation_error(model, traj) <= 1e-6
-
-
-class TestReconstructY:
-    def test_constant_field(self):
-        mu = 0.7
-        p = np.full(11, mu)
-        y = reconstruct_y(p)
-        assert np.allclose(y, mu * np.linspace(0, 1, 11), atol=1e-15)
-
-    def test_zero_field(self):
-        assert np.allclose(reconstruct_y(np.zeros(5)), 0.0)
-
-    def test_step_field_matches_trapezoid_oracle(self):
-        p = np.where(np.linspace(0, 1, 21) < 0.5, 0.4, 1.6)
-        y = reconstruct_y(p)
-        dx = 1.0 / 20
-        oracle = np.concatenate([[0.0], np.cumsum(0.5 * dx * (p[1:] + p[:-1]))])
-        assert np.allclose(y, oracle, atol=1e-15)
-        # away from the jump cell the slopes equal the two field values
-        slopes = np.diff(y) / dx
-        assert np.allclose(slopes[:9], 0.4, atol=1e-12)
-        assert np.allclose(slopes[-9:], 1.6, atol=1e-12)

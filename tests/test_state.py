@@ -31,7 +31,7 @@ class TestSimpleState:
         state = SimpleState(values=np.array([1.0, 2.0]), weights=np.array([0.25, 0.75]))
         new = state.with_values([3.0, 4.0])
         assert type(new) is SimpleState
-        assert new.weights is state.weights
+        assert np.array_equal(new.weights, state.weights)
         assert np.array_equal(new.values, [3.0, 4.0]) and not new.values.flags.writeable
         for bad in ([1.0], [[1.0, 2.0]], [1.0, np.nan], [np.inf, 1.0]):
             with pytest.raises(ValueError):
@@ -117,6 +117,15 @@ class TestTrajectory:
                 energy=np.zeros(1),  # wrong length
                 dissipation=np.zeros(2),
                 dissipation_cum=np.zeros(2),
+            )
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [0.0, 1.0, 1.0]])
+    def test_times_must_be_finite_and_increasing(self, times):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Trajectory(
+                times=np.array(times), values=np.zeros((3, 1)), weights=np.ones(1),
+                stress_mean=np.zeros(3), energy=np.zeros(3), dissipation=np.zeros(3),
+                dissipation_cum=np.zeros(3),
             )
 
 

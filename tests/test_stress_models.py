@@ -96,7 +96,7 @@ class TestRegistry:
     ])
     def test_preset_is_its_poly_spelling(self, name, params, poly):
         model, ref = make_model(name, **params), make_model("poly", **poly)
-        p = ref.grid(4096)
+        p = reference_stress.window_grid(ref, 4096)
         assert np.array_equal(model.sigma(p), ref.sigma(p))
         assert (model.domain, model.eval_window, model.theta) == (ref.domain, ref.eval_window, ref.theta)
         assert model.spec == {"name": name, "params": params}
@@ -309,7 +309,7 @@ def _special_levels(model):
     lo, hi = model.eval_window
     ends = [lo, hi] + ([lo + 1e-13 * max(1.0, lo)] if model.domain == POSITIVE else [])
     at_ends = model.sigma(np.array(ends, dtype=float))
-    span = np.max(np.abs(model.sigma(model.grid(257))))
+    span = np.max(np.abs(model.sigma(reference_stress.window_grid(model, 257))))
     return np.concatenate([cs, at_ends, [-2.0 * span - 1.0, 2.0 * span + 1.0, 0.0]])
 
 
@@ -593,7 +593,7 @@ def test_exact_structure_property(degree, lead, rest, kappa):
     coeffs = [lead, *rest[:degree]]
     model = make_model("poly", coeffs=coeffs, kappa=kappa)
     zs, _ = model.critical_data
-    grid = model.grid(4001)
+    grid = reference_stress.window_grid(model, 4001)
     d = np.asarray(model.sigma_prime(grid), dtype=float)
     # a sign is decided where sigma' exceeds its evaluation roundoff, away
     # from the critical points
