@@ -458,7 +458,8 @@ def command_mixed(args) -> int:
 def command_bounds(args) -> int:
     model = _build_model(args.model, _parse_params(args.param))
     out_dir = _out_dir(args.out)
-    profile = bounds_profile(model, args.kind, mu=args.mu)
+    profile = bounds_profile(model, args.kind, mu=args.mu,
+                             want_lower=args.kind == "mixed" or model.domain == POSITIVE)
     nan = np.full_like(profile.t_grid, np.nan)
     lower = profile.lower if profile.lower is not None else nan
     upper = profile.upper if profile.upper is not None else nan
@@ -757,13 +758,18 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the subcommand ``argv`` starts with alone, else of all."""
     parser = argparse.ArgumentParser(
         prog="strainflow",
         description="numerical laboratory for a nonlocal strain gradient flow",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
+    names = _SUBCOMMANDS
+    if argv and argv[0] in _SUBCOMMANDS:  # usage and errors still name all of them
+        sub.metavar, names = "{%s}" % ",".join(_SUBCOMMANDS), argv[:1]
+    for name in names:
+        help_text, handler, flags = _SUBCOMMANDS[name]
         subparser = sub.add_parser(name, help=help_text)
         for flag, keywords in flags:
             subparser.add_argument(flag, **keywords)
@@ -772,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         for dest, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):

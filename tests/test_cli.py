@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from strainflow import cli, displacement, mixed
+from strainflow.bounds import bounds_profile
 from strainflow.cli import ExperimentConfig, load_config, main
 from strainflow.errors import ConfigError, StiffnessError
 from strainflow.state import Trajectory
@@ -437,7 +438,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("argv, message", [
         # the default cubic's upper envelope needs a positive mean strain
         (["run", "--mu", "-0.5", "--t-final", "1"], "the upper bound needs a positive mean"),
-        (["bounds", "--model", "cubic", "--mu", "-0.5"], "the lower bound needs a positive mean"),
+        (["bounds", "--model", "cubic", "--mu", "-0.5"], "the upper bound needs a positive mean"),
         # sigma = p^3 - p on (0, inf) falls below sigma(eps0) for every eps0 tried
         (["bounds", "--model", "poly", "--param", "coeffs=[1,0,-1,0]", "--param", "domain=positive",
           "--param", "theta=0.5", "--mu", "1"], "no eps0 with a positive certified"),
@@ -509,6 +510,17 @@ class TestOtherCommands:
         constants = json.loads((out_env / "b" / "bounds.json").read_text())["constants"]
         for key in ("C", "eps0", "t0_lower", "M", "t0_upper"):
             assert key in constants
+
+    def test_bounds_on_a_full_line_law_writes_the_upper_envelope(self, out_env):
+        # a law on the whole line has no lower envelope (no theta), as in run
+        assert main(["bounds", "--model", "cubic", "--mu", "0.5", "--out", "b"]) == 0
+        table = np.loadtxt(out_env / "b" / "bounds.csv", delimiter=",", skiprows=1)
+        profile = bounds_profile(make_model("cubic"), "displacement", mu=0.5, want_lower=False)
+        assert np.isnan(table[:, 1]).all()
+        assert np.array_equal(table[:, 2], profile.upper, equal_nan=True)
+        assert np.isfinite(profile.upper).any()
+        constants = json.loads((out_env / "b" / "bounds.json").read_text())["constants"]
+        assert constants == json.loads(json.dumps(profile.constants))
 
     def test_equilibria_command(self, out_env, capsys):
         assert main(["equilibria", "--model", "cubic", "--mu", "0.0"]) == 0
@@ -802,6 +814,28 @@ class TestOutsideContracts:
         args = vars(cli.build_parser().parse_args(argv))
         assert callable(args.pop("func"))
         assert args == {"command": argv[0], **expected}
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--set", "n=4", "--mu", "0.5", "--stepper", "prox", "--out", "o"],
+        ["mixed", "--param", "kappa=0.1", "--n", "4"],
+        ["bounds", "--kind", "mixed"],
+        ["equilibria", "--mu", "0.5"],
+        ["asympt", "--trajectory", "t"],
+        ["counterexample", "--demo", "--records", "5"],
+        ["plotdata", "--trajectory", "t", "--kind", "fan"],
+        ["sweep", "--config", "c.json", "--grid", "{}", "--workers", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_main_parses_as_the_full_parser(self, argv, monkeypatch):
+        # main builds the invoked subcommand's parser alone; the stand-in
+        # handler keeps the namespace and returns None
+        seen = []
+        help_text, _, flags = cli._SUBCOMMANDS[argv[0]]
+        monkeypatch.setitem(cli._SUBCOMMANDS, argv[0], (help_text, seen.append, flags))
+        assert main(argv) is None
+        (sub,) = [a for a in cli.build_parser(argv)._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == argv[:1]
+        assert vars(seen[0]) == vars(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("argv", [["run", "--stepper", "euler"],
                                       ["bounds", "--kind", "both"],

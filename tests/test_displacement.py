@@ -567,10 +567,38 @@ class TestProxNewton:
             yield traj, calls[0]
 
     def test_held_prox_sigma_prime_calls_per_step(self):
-        # a point is accepted on its residual, and Newton starts on the line
-        # through the last two points: from v = p it takes 2.36-2.45 per step
+        # a point is accepted on its residual, and Newton starts on the quartic
+        # through the last five points: from v = p it takes 2.36-2.45 per step,
+        # from the line through the last two 2.03-2.08
         per_step = [n / 200 for _, n in self._held_prox_runs((1, 7, 31, 4242, 123456))]
-        assert np.mean(per_step) <= 2.2, per_step
+        assert np.mean(per_step) <= 1.3, per_step
+
+    @pytest.mark.parametrize("tau", [0.05, 0.01])
+    @pytest.mark.parametrize("name", ["singular-cubic", "cubic"])
+    def test_start_costs_no_more_than_the_linear_one(self, name, tau):
+        # records every 0.07: steps of 0.05 and 0.02 alternate, so the run
+        # keeps the linear start; steps of 0.01 take the quartic one
+        model = make_model(name)
+        calls = [0]
+
+        def counted(p):
+            calls[0] += 1
+            return model.sigma_prime(p)
+
+        state = seeded_state(model, 16, 1.0 if model.domain == POSITIVE else 0.25, seed=31)
+        traj = integrate(dataclasses.replace(model, sigma_prime=counted), state, 2.0,
+                         stepper="prox", tau=tau, record_every=0.07)
+        p, w, mu = state.values, state.weights, state.mu
+        p_prev, t, linear = None, 0.0, 0
+        for t_next in traj.times[1:]:
+            while t < t_next - 1e-12 * max(1.0, t):
+                dt = min(tau, t_next - t)
+                start = p if p_prev is None else p + (dt / dt_prev) * (p - p_prev)
+                v, iters, _ = displacement._prox_solve(model, p, w, mu, dt, start)
+                p_prev, p, dt_prev = p, v, dt
+                t += dt
+                linear += iters
+        assert calls[0] == traj.metadata["newton_iters"] <= linear
 
     @pytest.mark.parametrize("name", ["singular-cubic", "cubic"])
     def test_prox_run_matches_a_loop_of_prox_steps(self, name):

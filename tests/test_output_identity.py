@@ -12,7 +12,8 @@ A change that moves the outputs on purpose rewrites the reference with
 
     python tests/test_output_identity.py
 
-and says in CHANGES.md why they moved.
+which prints what moved in each shape against the old reference, and says
+in CHANGES.md why they moved.
 """
 
 import json
@@ -145,5 +146,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["STRAINFLOW_OUT"] = tmp
         digests = {name: run_shape(name, Path(tmp)) for name in SHAPES}
+    old = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
+    for name, digest in digests.items():
+        moved = _differences(digest, old[name]) if name in old else ["not in the old reference"]
+        print(f"{name}: {len(moved)} differences", *moved, sep="\n  ")
     REFERENCE.write_text(json.dumps(digests, sort_keys=True, separators=(",", ":")) + "\n")
     print(f"wrote {REFERENCE}")
