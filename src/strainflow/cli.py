@@ -137,6 +137,16 @@ class ExperimentConfig:
             raise ConfigError("record_every must be positive")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
+        if self.stepper["tau"] <= 0:
+            raise ConfigError("stepper.tau must be positive")
+        rtol, atol = self.stepper["rtol"], self.stepper["atol"]
+        if rtol < 0 or atol < 0 or rtol == atol == 0:
+            raise ConfigError("stepper.rtol and stepper.atol must be >= 0, not both 0")
+        for key, value in self.analyses.items():
+            auto = key.startswith("bounds_")
+            if not (isinstance(value, bool) or auto and value == "auto"):
+                kinds = 'a boolean or "auto"' if auto else "a boolean"
+                raise ConfigError(f"analyses.{key} must be {kinds}, got {value!r}")
         kind = self.initial["kind"]
         if kind not in ("seeded", "explicit", "ramp", "file"):
             raise ConfigError(f"unknown initial data kind {kind!r}")
@@ -349,7 +359,7 @@ def command_run(cfg: ExperimentConfig) -> int:
         if want_lower or want_upper:
             profile = bounds_profile(
                 model, cfg.bc, mu=cfg.mu, t_grid=grid[1:],
-                want_lower=bool(want_lower), want_upper=bool(want_upper),
+                want_lower=want_lower, want_upper=want_upper,
             )
             report["bounds_constants"] = profile.constants
         if cfg.bc == "displacement":
@@ -651,6 +661,8 @@ def _sweep_member(payload) -> dict:
 
 
 def command_sweep(args) -> int:
+    if args.workers is not None:
+        _require_positive(workers=args.workers)
     try:
         with open(args.config) as fh:
             base_config = json.load(fh)
@@ -674,7 +686,8 @@ def command_sweep(args) -> int:
     if members:
         import concurrent.futures  # only sweep uses it; the other commands skip its import
 
-        workers = args.workers or os.cpu_count() or 1
+        # the pool starts all its workers at the first submit: no more than members
+        workers = min(args.workers or os.cpu_count() or 1, len(members))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_member, members))
     n_pass = sum(1 for r in rows if r.get("exit_code") == 0)

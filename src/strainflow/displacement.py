@@ -2,16 +2,16 @@
 
 Two steppers with independent mechanics cross-validate each other:
 
-* an explicit embedded Runge-Kutta 5(4) pair with PI step control, step
-  rejection on domain exit or ordering violation, and a scalar mass
-  renormalization after every accepted step;
+* an explicit embedded Runge-Kutta 5(4) pair with PI step control and step
+  rejection on domain exit or ordering violation;
 * a proximal (implicit Euler) step that solves the stationarity system
   sigma(v_i) + (v_i - p_i)/tau = c under the mass constraint by damped
   Newton on its KKT system, whose diagonal-plus-rank-one matrix gives each
   step and the multiplier c in closed form.
 
-The flow conserves the mean strain exactly and dissipates the stored energy;
-both facts are enforced (renormalization) or measured (diagnostics) here.
+The flow conserves the mean strain exactly (a linear first integral, which
+the Runge-Kutta pair keeps and each proximal solve imposes) and dissipates
+the stored energy; the diagnostics measure both facts.
 """
 
 from __future__ import annotations
@@ -274,13 +274,6 @@ def integrate(
                 return False
             return _ordering_ok(perm, y_new)
 
-        def renorm(y):
-            shift = mu - float(np.dot(w, y))
-            if shift == 0.0:  # y + 0.0 == y componentwise
-                return y
-            shifted = y + shift
-            return y if np.logical_and.reduce(shifted == y) else shifted
-
         def trajectory(res):
             meta.update(n_steps=res.n_steps, n_rejected=res.n_rejected)
             return _diagnostics(model, res.times, res.states, w, res.aux_integral, meta, held=True)
@@ -288,7 +281,7 @@ def integrate(
         try:
             res = rk45(
                 lambda v, out: _velocity(model, w, v, out), state0.values, grid,
-                rtol=rtol, atol=atol, accept_state=accept, postprocess=renorm,
+                rtol=rtol, atol=atol, accept_state=accept,
                 stage_rate=lambda k: (k * k) @ w,
             )
         except StrainflowError as exc:

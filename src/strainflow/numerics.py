@@ -291,13 +291,12 @@ def rk45(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     accept_state=None,
-    postprocess=None,
     stage_rate=None,
 ) -> RKResult:
     """Adaptive Dormand-Prince 5(4) integration recording at ``t_record``.
 
     ``y0`` is one state (dim,) or an ensemble (members, dim) sharing the
-    steps; ``f``, ``accept_state`` and ``postprocess`` see the state's shape
+    steps; ``f`` and ``accept_state`` see the state's shape
     and the records come back as (records,) + y0.shape. ``f(y, out)``
     writes the derivative at ``y`` into all of ``out``, the stage's slot in
     the 7-stage stack, and keeps neither array: both are buffers that rk45
@@ -310,13 +309,12 @@ def rk45(
     fifth-order solution y_new itself (its last weight is an exact 0), so
     that stage is f at y_new and opens the next step. ``accept_state(y_old,
     y_new)`` can veto a step (domain exits, ordering); vetoed steps are
-    retried with a quarter of the step size. ``postprocess(y)`` runs after
-    each accepted step (e.g. mass renormalization) and returns ``y`` itself
-    when it changes nothing, which keeps the FSAL stage and |y|, and a new
-    array otherwise (never a view of ``y``, which rk45 reuses). Both hooks
-    run once per step and cost their numpy calls, so they should answer
-    with ufunc reductions (``np.minimum.reduce(y) > 0``) rather than the
-    ``ndarray.min``/``all`` wrappers. ``stage_rate(k)`` maps the 7-stage
+    retried with a quarter of the step size. The hook runs once per step
+    and costs its numpy calls, so it should answer with ufunc reductions
+    (``np.minimum.reduce(y) > 0``) rather than the ``ndarray.min``/``all``
+    wrappers. Linear first integrals of ``f`` (the held flow's mass) are
+    kept by the pair itself, as by every Runge-Kutta method, so no step is
+    corrected after it is accepted. ``stage_rate(k)`` maps the 7-stage
     stack k, shape (7,) + y0.shape, to the 7 rates whose time integral is
     accumulated with the fifth-order weights (dissipation).
 
@@ -355,17 +353,14 @@ def rk45(
     abs_y, abs_new, scale = np.abs(y), np.empty(y.shape), np.empty(y.shape)
     t_rec = t_record.tolist()
     n_rec = len(t_rec)
-    fsal_valid = False
     n_steps = 0
     n_rejected = 0
     idx = 1
     try:
+        f(y, stage[0])  # from here on k[0] holds f at y (FSAL)
         while idx < n_rec:
             dt = min(h, t_rec[idx] - t)
             clamped = dt < h
-            if not fsal_valid:
-                f(y, stage[0])
-                fsal_valid = True
             for s in range(1, 6):
                 np.dot(_DP_A[s], heads[s], out=ys_f)
                 ys *= dt
@@ -399,7 +394,7 @@ def rk45(
                 n_rejected += 1
                 finite = math.isfinite(err) and err > 0
                 h *= max(0.2, _SAFETY * err ** (-1.0 / 5.0)) if finite else 0.25
-                # k[0] still holds f at the unchanged y, so FSAL stays valid
+                # k[0] still holds f at the unchanged y
                 if h < _DT_MIN:
                     raise StiffnessError(f"step size underflow at t={t!r} (dt={h!r})")
                 continue
@@ -411,12 +406,6 @@ def rk45(
             k[0] = k[6]  # FSAL: f at y_new
             y = y_new
             abs_y, abs_new = abs_new, abs_y
-            if postprocess is not None:
-                y_post = postprocess(y)
-                if y_post is not y:
-                    y = y_post
-                    np.abs(y, out=abs_y)
-                    fsal_valid = False
             if not clamped:
                 err = max(err, 1e-12)
                 h *= min(5.0, max(0.2, _SAFETY * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)))

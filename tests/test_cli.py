@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import importlib.util
 import json
 import os
@@ -194,6 +195,13 @@ class TestRunCommand:
         ["initial.lo=3", "initial.hi=1"],
         ['initial.kind="ramp"', "initial.samples=2.5"],
         ['initial.kind="ramp"', 'initial.samples="12"'],
+        # analyses switches are booleans (bounds_* also "auto"): a string is truthy
+        ["analyses.bounds_upper=off", "analyses.invariants=no"],
+        ['analyses.bounds_lower="yes"'],
+        ["analyses.bounds_upper=1"],
+        ['analyses.asympt="auto"'],
+        ["analyses.invariants=0"],
+        ["analyses.asympt=null"],
     ])
     def test_malformed_override_exits_2(self, out_env, tmp_path, capsys, with_config, overrides):
         argv = ["run", "--out", "bad"]
@@ -733,6 +741,12 @@ class TestInputErrors:
         ["equilibria", "--mu", "nan"],
         ["equilibria", "--mu", "inf"],
         ["bounds", "--mu", "nan"],
+        # stepper settings no run can take
+        ["run", "--stepper", "prox", "--tau", "0", "--t-final", "1", "--n", "4"],
+        ["run", "--stepper", "prox", "--tau", "-0.01", "--t-final", "1", "--n", "4"],
+        ["run", "--t-final", "1", "--n", "4", "--set", "stepper.rtol=0", "--set", "stepper.atol=0"],
+        ["run", "--t-final", "1", "--n", "4", "--set", "stepper.rtol=-1e-9"],
+        ["run", "--t-final", "1", "--n", "4", "--set", "stepper.atol=-1e-12"],
     ])
     def test_bad_model_or_p0_exits_2(self, out_env, capsys, argv):
         (out_env / "garbled.txt").write_text("0.5 abc\n")
@@ -753,6 +767,40 @@ class TestInputErrors:
         assert [str(w.message) for w in caught] == []
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: ")
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_workers_below_one_exit_2(self, out_env, tmp_path, capsys, workers):
+        cfg_path = write_config(tmp_path / "c.json", t_final=1.0)
+        argv = ["sweep", "--config", str(cfg_path), "--grid", '{"initial.seed": [1]}',
+                "--workers", workers, "--out", "sw"]
+        assert main(argv) == 2
+        assert "config error: --workers must be positive" in capsys.readouterr().err
+
+    def test_sweep_pool_has_at_most_one_worker_per_member(self, out_env, tmp_path, monkeypatch):
+        # the pool forks all its workers at the first submit; a recorder
+        # stands in for it and maps in this process
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        cfg_path = write_config(tmp_path / "c.json", t_final=1.0)
+        for workers, grid in (("8", [1]), ("2", [1, 2, 3]), (None, [1])):
+            argv = ["sweep", "--config", str(cfg_path), "--grid",
+                    json.dumps({"initial.seed": grid}), "--out", "sw"]
+            assert main(argv + (["--workers", workers] if workers else [])) == 0
+        assert sizes == [1, 2, 1]
 
     @pytest.mark.parametrize("grid", ['{"mu": 0.5}', "[1]"])
     def test_malformed_sweep_grid_exits_2(self, out_env, tmp_path, capsys, grid):

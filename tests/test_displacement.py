@@ -144,6 +144,24 @@ class TestIntegrate:
         traj = integrate(cubic, state, 2.0, n_records=21)
         assert np.max(np.abs(traj.mass() - mu)) <= 1e-14 * max(1.0, abs(mu))
 
+    @pytest.mark.parametrize("name, n, mu", [
+        ("cubic", 2, 0.5), ("cubic", 64, -0.3),
+        ("shifted-cubic", 2, 0.1), ("shifted-cubic", 64, 0.1),
+        ("singular-cubic", 2, 1.0), ("singular-cubic", 64, 0.3),
+        ("linear", 2, 1.0), ("linear", 64, 1.0),
+        ("hyperbolic", 2, 1.5), ("hyperbolic", 64, 1.5),
+        ("log", 2, 1.0), ("log", 64, 1.0),
+        ("poly", 2, 2.0), ("poly", 64, 2.0),
+    ])
+    def test_mass_kept_by_the_pair_on_every_law(self, name, n, mu):
+        # the mean is a linear first integral of the flow, which every
+        # Runge-Kutta method keeps; nothing shifts the accepted steps
+        params = {"coeffs": [1.0, 0.0, -2.0, 0.0, 0.5, 0.0]} if name == "poly" else {}
+        model = make_model(name, **params)
+        state = seeded_state(model, n, mu, seed=n)
+        traj = integrate(model, state, 20.0, record_every=0.5)
+        assert np.max(np.abs(traj.mass() - mu)) <= 1e-14 * max(1.0, abs(mu))
+
     def test_blow_up_fails_without_crawling(self, blow_up):
         # accepted steps that shrink below dt_min end the run: about 46
         # steps per decade of dt from 1e-3 down to 1e-14
@@ -235,9 +253,8 @@ def _reference_ordering_ok(perm, values):
 
 def _reference_held_run(model, state, grid, rtol, atol):
     """The held rk45 run with the reference stepper and the callbacks it had:
-    velocity -sigma + c, a renormalisation that always shifts, and one
-    scalar stage rate per stage."""
-    w, mu = state.weights, state.mu
+    velocity -sigma + c and one scalar stage rate per stage."""
+    w = state.weights
     perm = np.argsort(state.values, kind="stable")
 
     def velocity(v):
@@ -251,7 +268,6 @@ def _reference_held_run(model, state, grid, rtol, atol):
 
     return reference_rk45(
         velocity, state.values, grid, rtol=rtol, atol=atol, accept_state=accept,
-        postprocess=lambda y: y + (mu - float(np.dot(w, y))),
         stage_rate=lambda k: float(np.dot(w, k * k)),
     )
 
@@ -303,6 +319,32 @@ class TestStepperReference:
         assert np.array_equal(res.states.view(np.int64), ref.states.view(np.int64))
         rel = np.abs(res.aux_integral - ref.aux_integral) / np.maximum(ref.aux_integral, 1e-300)
         assert np.max(rel) <= 1e-14
+
+
+class TestFieldCalls:
+    """FSAL holds on every step: stage 0 is evaluated once, before the
+    loop, and each step, accepted or rejected, costs its six other stages."""
+
+    @pytest.mark.parametrize("seed, grid, calls", [
+        (31, {"record_every": 0.25}, 2209),
+        (2, {"n_records": 3}, 1411),
+    ])
+    def test_held_run_calls_the_field_once_per_new_stage(self, seed, grid, calls, monkeypatch):
+        model = make_model("cubic")
+        results, count = [], [0]
+        stepper = displacement.rk45
+
+        def spy(f, *args, **kwargs):
+            def counted(y, out):
+                count[0] += 1
+                return f(y, out)
+            results.append(stepper(counted, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(displacement, "rk45", spy)
+        integrate(model, seeded_state(model, 64, 0.5, seed), 50.0, **grid)
+        res = results[0]
+        assert count[0] == 1 + 6 * (res.n_steps + res.n_rejected) == calls
 
 
 class TestOrderingGuard:
