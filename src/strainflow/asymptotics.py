@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     HypothesisError,
+    ModelInconsistencyError,
     NotConvergedError,
     StrainflowError,
 )
@@ -25,14 +26,15 @@ from .state import Trajectory
 from .stress_models import (
     StressModel,
     find_branches,
+    level_breakpoints,
     near_critical_value,
     roots_at,
+    sorted_once,
     stress_range,
 )
 
 TRAILING_FRAC = 0.1
 RHS_SETTLED = 1e-8
-EQUILIBRIUM_LEVELS = 201  # stress levels equilibria_enumerate scans
 F_TOL = 1e-10  # quadrature tolerance per kept panel of F_functional
 NC3_GRID = 101  # stress levels of the branch-mean table
 NC3_MARGIN = 1e-4  # share of the bistable band left out at each critical value
@@ -52,33 +54,38 @@ class EquilibriumDescription:
 def equilibria_enumerate(model: StressModel, mu: float):
     """Decide whether the constant state is the only equilibrium with mean mu.
 
-    Scans stress levels over the window's stress range; at every level whose
-    root hull straddles mu there is a two-point equilibrium family, and a
-    sample member (outermost roots, lever-rule fractions) is returned. A
-    constant sigma has one level, whose root set is the whole window.
+    Levels whose outermost roots straddle mu form one interval between
+    breakpoints (``level_breakpoints``, sigma(mu)), a point only at sigma(mu):
+    roots_at at sigma(mu) and at each gap's midpoint decides. Critical values
+    are breakpoints (once if shared), never masked: a level near one is
+    solved. A root within 1e-9 * max(1, |mu|) of mu is mu. An example
+    (outermost pair, lever-rule fractions) off its level by over 1e-10 *
+    max(1, |c|, |p sigma'(p)|), or under 1e-9 * max(1, |p|) wide, raises
+    ModelInconsistencyError. A constant sigma's one level holds the window.
     """
     c_lo, c_hi = stress_range(model)
     if c_lo == c_hi:
         levels = np.array([c_lo])
         first, last = (np.array([end]) for end in model.eval_window)
     else:
-        levels = np.linspace(c_lo, c_hi, EQUILIBRIUM_LEVELS)
+        lo, hi = model.eval_window
+        at_mu = np.asarray(model.sigma(np.array([mu] if lo < mu < hi else [])), dtype=float)
+        breaks = sorted_once(np.concatenate([level_breakpoints(model), at_mu]))
+        levels = sorted_once(np.concatenate([0.5 * (breaks[:-1] + breaks[1:]), at_mu]))
         roots = roots_at(model, levels)
-        roots[near_critical_value(model, levels)] = np.nan
+        roots[np.abs(roots - mu) <= 1e-9 * max(1.0, abs(mu))] = np.nan
         first = np.fmin.reduce(roots, axis=1)  # outermost roots; NaN for none
         last = np.fmax.reduce(roots, axis=1)
     ok = (first < mu) & (mu < last)  # implies at least two roots
-    found: list[EquilibriumDescription] = []
-    for c, lo, hi in zip(levels[ok].tolist(), first[ok].tolist(), last[ok].tolist()):
-        s = (hi - mu) / (hi - lo)
-        found.append(
-            EquilibriumDescription(
-                stress_level=c,
-                branch_values=(lo, hi),
-                fractions=(s, 1.0 - s),
-                mean=s * lo + (1.0 - s) * hi,
-            )
-        )
+    c, pair = levels[ok], np.stack([first[ok], last[ok]])
+    scale = np.maximum(np.maximum(1.0, np.abs(c)), np.abs(pair * model.sigma_prime(pair)))
+    if np.any(np.abs(model.sigma(pair) - c) > 1e-10 * scale) or np.any(
+            pair[1] - pair[0] <= 1e-9 * np.max(np.abs(pair), axis=0, initial=1.0)):
+        raise ModelInconsistencyError(f"equilibrium pairs {pair.T.tolist()} at levels "
+                                      f"{c.tolist()} fail the residual or separation check")
+    s = (pair[1] - mu) / (pair[1] - pair[0])
+    found = [EquilibriumDescription(c_k, (p, q), (s_k, 1.0 - s_k), s_k * p + (1.0 - s_k) * q)
+             for c_k, p, q, s_k in zip(c.tolist(), *pair.tolist(), s.tolist())]
     return ("UNIQUE" if not found else "NON-UNIQUE"), found
 
 
@@ -275,7 +282,6 @@ class BranchMeanReport:
     nondegenerate: bool
     c_grid: np.ndarray
     branch_mean: np.ndarray
-    max_deviation: float
 
 
 def nc3_check(model: StressModel, mu: float) -> BranchMeanReport:
@@ -299,13 +305,7 @@ def nc3_check(model: StressModel, mu: float) -> BranchMeanReport:
             f"expected three branches at stress level {grid[i]}, found {counts[i]}"
         )
     means = np.mean(roots, axis=1)
-    max_dev = float(np.max(np.abs(means - mu)))
-    return BranchMeanReport(
-        nondegenerate=bool(max_dev > 1e-8),
-        c_grid=grid,
-        branch_mean=means,
-        max_deviation=max_dev,
-    )
+    return BranchMeanReport(bool(np.max(np.abs(means - mu)) > 1e-8), grid, means)
 
 
 @dataclass(frozen=True)

@@ -495,7 +495,7 @@ def command_equilibria(args) -> int:
                 "branch_values": list(d.branch_values),
                 "fractions": list(d.fractions),
             }
-            for d in found[:16]
+            for d in found
         ],
     }
     if args.out:

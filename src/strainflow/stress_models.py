@@ -99,6 +99,18 @@ def stress_range(model: StressModel) -> tuple[float, float]:
     return float(np.min(vals)), float(np.max(vals))
 
 
+def sorted_once(x) -> np.ndarray:
+    """The values of x ascending, each once (NaN and -inf dropped)."""
+    x = np.sort(np.asarray(x, dtype=float))
+    return x[np.diff(x, prepend=-np.inf) > 0.0]  # not np.unique, which imports numpy.ma
+
+
+def level_breakpoints(model: StressModel) -> np.ndarray:
+    """sigma at the window ends and the critical values, ascending, once each."""
+    ends = np.asarray(model.sigma(np.array(model.eval_window)), dtype=float)
+    return sorted_once(np.concatenate([ends, model.critical_data[1]]))
+
+
 def near_critical_value(model: StressModel, c) -> np.ndarray:
     """True where a stress level lies within CRITICAL_RTOL * max(1, |c|) of a
     critical value of sigma, where branches merge and their identity is
@@ -176,19 +188,18 @@ class BranchSet:
 def find_branches(model: StressModel, c_interval: tuple[float, float], nc: int = 65) -> BranchSet:
     """Tabulate the inverse branches p_i(c) on ``c_interval``.
 
-    The interval must avoid critical values of sigma (with a small margin);
-    the branch count is then constant and odd across the interval.
+    The interval must lie, with a small margin, between two consecutive
+    ``level_breakpoints``, where the branch count is constant and odd.
     """
     c_lo, c_hi = float(c_interval[0]), float(c_interval[1])
     if c_hi < c_lo:
         raise InvalidIntervalError("empty stress interval")
-    _, crit_vals = model.critical_data
+    breaks = level_breakpoints(model)
     margin = 1e-9 * max(1.0, abs(c_lo), abs(c_hi))
-    for cv in crit_vals:
-        if c_lo - margin <= cv <= c_hi + margin:
-            raise InvalidIntervalError(
-                f"interval [{c_lo}, {c_hi}] touches the critical value {cv}"
-            )
+    below = np.count_nonzero(breaks < c_lo - margin)
+    if not 0 < below == np.count_nonzero(breaks <= c_hi + margin) < len(breaks):
+        raise InvalidIntervalError(f"interval [{c_lo}, {c_hi}] is not inside one gap between "
+                                   f"the levels {breaks.tolist()}")
     c_grid = np.linspace(c_lo, c_hi, nc)
     table = roots_at(model, c_grid)
     found = ~np.isnan(table)
@@ -263,8 +274,7 @@ def _real_roots(q: np.ndarray, lo: float, hi: float) -> np.ndarray:
     repeated root, a conjugate pair within REAL_ROOT_RTOL) come back once."""
     r = np.roots(q)
     r = r.real[np.abs(r.imag) <= REAL_ROOT_RTOL * np.maximum(1.0, np.abs(r))]
-    r = np.sort(r[(lo < r) & (r < hi)])
-    return r[np.diff(r, prepend=-np.inf) > 0.0]  # not np.unique, which imports numpy.ma
+    return sorted_once(r[(lo < r) & (r < hi)])
 
 
 def _poly_structure(coeffs: np.ndarray, kappa: float, window, sigma, sigma_prime):

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strainflow import asymptotics, stress_models
 from strainflow.asymptotics import (
     TRAILING_FRAC,
     F_functional,
@@ -21,11 +24,12 @@ from strainflow.errors import (
     HypothesisError,
     InvalidIntervalError,
     IterationBudgetError,
+    ModelInconsistencyError,
     NotConvergedError,
 )
 from strainflow.numerics import trailing_stats
 from strainflow.state import SimpleState, Trajectory
-from strainflow.stress_models import make_model, roots_at
+from strainflow.stress_models import level_breakpoints, make_model, roots_at, stress_range
 
 from reference_quadrature import CumulativeAntiderivative
 
@@ -94,6 +98,118 @@ class TestEquilibria:
             traj = integrate(hyp, state, 60.0, n_records=121)
             assert traj.converged
             assert np.max(np.abs(traj.values[-1] - mu)) < 1e-6
+
+
+P3_MINUS_P = [1.0, 0.0, -1.0, 0.0]
+# two critical points 3.6e-3 apart whose values differ by 1.07e-9 of the level
+FOLD_QUINTIC = [1.0, -13.169764962113316, 48.74224032576902, -39.36479424676491,
+                207.37001133289712, 0.0]
+
+
+def _relative_residual(model, d, scale_by_slope=False):
+    """Largest |sigma(p) - c| of an example's two roots over max(1, |c|),
+    and over |p sigma'(p)| too when ``scale_by_slope``."""
+    p = np.array(d.branch_values)
+    scale = np.full(2, max(1.0, abs(d.stress_level)))
+    if scale_by_slope:
+        scale = np.maximum(scale, np.abs(p * model.sigma_prime(p)))
+    return float(np.max(np.abs(model.sigma(p) - d.stress_level) / scale))
+
+
+class TestEquilibriumBreakpoints:
+    """The verdict from the law's breakpoint levels: bistable bands that an
+    evenly spaced level grid steps over, and the work it takes."""
+
+    @pytest.mark.parametrize("window", [(-6.0, 5.0), (-12.0, 11.0)])
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.9])
+    def test_band_between_grid_levels_is_found(self, window, mu):
+        # the band (-0.385, 0.385) of p^3 - p held no level of a 201-level
+        # grid over these windows' stress ranges
+        model = make_model("poly", coeffs=P3_MINUS_P, window=window)
+        verdict, found = equilibria_enumerate(model, mu)
+        assert verdict == "NON-UNIQUE"
+        for d in found:
+            assert d.branch_values[0] < mu < d.branch_values[1]
+            assert d.mean == pytest.approx(mu, abs=1e-12)
+            assert _relative_residual(model, d) <= 1e-10
+        if mu == 0.0:
+            (d,) = [d for d in found if d.stress_level == 0.0]
+            assert d.branch_values == pytest.approx((-1.0, 1.0), abs=1e-12)
+            assert d.fractions == pytest.approx((0.5, 0.5), abs=1e-12)
+
+    def test_mean_splits_the_band(self, cubic):
+        # sigma(1) = 0 is the band's midpoint, where mu = 1 is the largest
+        # root: only levels in (0, c+) straddle it, so sigma(mu) must split
+        # the band into two gaps
+        c_plus = np.max(cubic.critical_data[1])
+        verdict, found = equilibria_enumerate(cubic, 1.0)
+        assert verdict == "NON-UNIQUE"
+        assert [0.0 < d.stress_level < c_plus for d in found] == [True]
+
+    def test_fold_quintic_band_below_critical_tolerance(self):
+        model = make_model("poly", coeffs=FOLD_QUINTIC, window=[-12.0, 12.0])
+        c_minus, c_plus = np.sort(model.critical_data[1])
+        assert (c_plus - c_minus) / c_plus < 1.1e-9
+        verdict, found = equilibria_enumerate(model, 5.268)
+        assert verdict == "NON-UNIQUE" and found
+        for d in found:
+            assert c_minus < d.stress_level < c_plus
+            assert d.branch_values[0] < 5.268 < d.branch_values[1]
+            assert _relative_residual(model, d) <= 1e-10
+
+    @pytest.mark.parametrize("spec", [
+        *({"name": name} for name in ["log", *stress_models._POLY_PRESETS]),
+        {"name": "poly", "coeffs": [1.0, 0.0, -5.0, 0.0, 4.0, 0.0]},
+        {"name": "poly", "coeffs": FOLD_QUINTIC, "window": [-12.0, 12.0]},
+    ], ids=["log", *stress_models._POLY_PRESETS, "quintic", "fold-quintic"])
+    def test_one_call_of_at_most_k_plus_3_levels(self, spec, monkeypatch):
+        model = make_model(**spec)
+        zs = model.critical_data[0]
+        sizes = []
+
+        def counted(m, c):
+            sizes.append(np.size(c))
+            return roots_at(m, c)
+
+        monkeypatch.setattr(asymptotics, "roots_at", counted)
+        lo, hi = model.eval_window
+        for mu in [lo + 0.3 * (hi - lo), 0.5 * (lo + hi), hi + 1.0, *zs]:
+            sizes.clear()
+            equilibria_enumerate(model, float(mu))
+            assert len(sizes) == 1 and sizes[0] <= len(zs) + 3
+
+    def test_failed_witness_check_raises(self, cubic, monkeypatch):
+        # roots off their level by 1e-6 are a fault, never a silent verdict
+        monkeypatch.setattr(asymptotics, "roots_at", lambda m, c: roots_at(m, c) + 1e-6)
+        with pytest.raises(ModelInconsistencyError):
+            equilibria_enumerate(cubic, 0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.sampled_from([1, 3, 5, 7]),
+       coeffs=st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7),
+       lead=st.floats(0.1, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       lo=st.floats(0.3, 6.0), hi=st.floats(0.3, 6.0), t=st.floats(-0.1, 1.1))
+def test_verdict_agrees_with_dense_level_scan(degree, coeffs, lead, sign, lo, hi, t):
+    # an odd-degree law on the window [-lo, hi]; mu from a little below it to
+    # a little above. Any straddling level of 2,001 evenly spaced ones or of
+    # the breakpoints makes the verdict NON-UNIQUE (a root within 1e-9 of mu
+    # is mu itself, which straddles nothing)
+    model = make_model("poly", coeffs=[sign * lead, *coeffs[:degree]], window=[-lo, hi])
+    mu = -lo + t * (lo + hi)
+    verdict, found = equilibria_enumerate(model, mu)
+    at_mu = model.sigma(np.array([mu])) if -lo < mu < hi else []
+    levels = np.concatenate([np.linspace(*stress_range(model), 2001),
+                             level_breakpoints(model), at_mu])
+    roots = roots_at(model, levels)
+    roots[np.abs(roots - mu) <= 1e-9 * max(1.0, abs(mu))] = np.nan
+    if np.any((np.fmin.reduce(roots, axis=1) < mu) & (mu < np.fmax.reduce(roots, axis=1))):
+        assert verdict == "NON-UNIQUE"
+    assert (verdict == "NON-UNIQUE") == bool(found)
+    for d in found:
+        lo_p, hi_p = d.branch_values
+        assert lo_p < mu < hi_p and hi_p - lo_p > 1e-9 * max(1.0, abs(lo_p), abs(hi_p))
+        assert _relative_residual(model, d, scale_by_slope=True) <= 1e-10
 
 
 class TestConvergenceMonitor:
@@ -327,6 +443,20 @@ class TestNondegeneracy:
     def test_monotone_model_rejected(self):
         with pytest.raises(HypothesisError):
             nc3_check(make_model("hyperbolic"), mu=1.0)
+
+    @pytest.mark.parametrize("params, a, b", [
+        ({"name": "cubic"}, 1.0, 0.0),
+        ({"name": "shifted-cubic", "a": 2.0, "b": -1.5, "c": -1.0, "d": 0.3}, 2.0, -1.5),
+    ])
+    def test_branch_mean_is_the_vieta_mean(self, params, a, b):
+        # the three roots of a p^3 + b p^2 + c p + d = level sum to -b/a at
+        # every level, so the branch mean is -b/(3a) across the band
+        model = make_model(**params)
+        vieta = -b / (3.0 * a)
+        for mu in (vieta, vieta + 1e-10, vieta - 1e-6, vieta + 0.5):
+            rep = nc3_check(model, mu)
+            assert np.max(np.abs(rep.branch_mean - vieta)) <= 1e-14
+            assert rep.nondegenerate == (abs(vieta - mu) > 1e-8)
 
     def test_cubic_branch_derivatives_are_dependent(self, cubic):
         # the three roots of p^3 - p = c sum to zero for every c (depressed

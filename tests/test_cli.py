@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -534,6 +536,31 @@ class TestOtherCommands:
         assert main(["equilibria", "--model", "cubic", "--mu", "0.0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "NON-UNIQUE"
+
+    def test_equilibria_finds_band_between_grid_levels(self, out_env, capsys):
+        # the bistable band (-0.385, 0.385) of p^3 - p on [-6, 5] held no
+        # level of an evenly spaced 201-level grid over its stress range
+        assert main(["equilibria", "--model", "poly", "--param", "coeffs=[1,0,-1,0]",
+                     "--param", "window=[-6,5]", "--mu", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "NON-UNIQUE"
+        (example,) = [e for e in payload["examples"] if e["stress_level"] == 0.0]
+        assert example["branch_values"] == pytest.approx([-1.0, 1.0], abs=1e-12)
+        assert example["fractions"] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    def test_held_run_and_equilibria_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma, which no command needs
+        code = ("import sys; from strainflow.cli import main; "
+                "assert main(['run', '--n', '8', '--t-final', '2', '--out', 'r']) == 0; "
+                "assert main(['equilibria', '--mu', '0.3']) == 0; "
+                "print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "STRAINFLOW_OUT": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parent.parent),
+                                              os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("coeffs", ["[2.0]", "[]"])
     def test_equilibria_constant_law_is_non_unique(self, out_env, capsys, coeffs):

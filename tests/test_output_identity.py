@@ -2,7 +2,9 @@
 committed reference, ``output_identity.json``.
 
 The shapes are the held cubic with its ``asympt`` read-back, the held
-proximal run, the traction-free field with zero strains and the spiral demo.
+proximal run, the traction-free field with zero strains, the spiral demo and
+``equilibria`` on the cubic at mu = 0 and 0.5 and on p^3 - p over [-6, 5] at
+mu = 0.
 Each run's exit codes, its file list, every 10th record of each CSV (every
 record of the held proximal run's 9) and every number in its JSON outputs
 but ``wall_time_s`` must match the reference within 1e-12 * max(1, |ref|).
@@ -68,6 +70,12 @@ SHAPES = {
         ["run", "--config", str(_free_field_config(root)), "--out", "free-field"],
     ]),
     "spiral": (10, lambda root: [["counterexample", "--demo", "--out", "spiral"]]),
+    "equilibria": (1, lambda root: [
+        ["equilibria", "--model", "cubic", "--mu", "0", "--out", "equilibria/cubic-0"],
+        ["equilibria", "--model", "cubic", "--mu", "0.5", "--out", "equilibria/cubic-0.5"],
+        ["equilibria", "--model", "poly", "--param", "coeffs=[1,0,-1,0]",
+         "--param", "window=[-6,5]", "--mu", "0", "--out", "equilibria/p3-p-0"],
+    ]),
 }
 
 

@@ -203,6 +203,14 @@ class TestCriticalPointsAndBranches:
         with pytest.raises(InvalidIntervalError):
             find_branches(cubic, (0.3, 0.5))  # c+ ~ 0.385 inside
 
+    @pytest.mark.parametrize("interval", [(20.0, 25.0), (-30.0, -20.0), (30.0, 40.0),
+                                          (-24.0, -1.0), (23.0, 24.0)])
+    def test_interval_through_window_end_value_or_outside_range_rejected(self, cubic, interval):
+        # sigma(-3) = -24 and sigma(3) = 24 bound the cubic's stress range on
+        # its window, and the root count changes there as at a critical value
+        with pytest.raises(InvalidIntervalError):
+            find_branches(cubic, interval)
+
     def test_root_counts_constant_between_critical_values(self, cubic):
         _, cs = cubic.critical_data
         lo, hi = np.min(cs), np.max(cs)
