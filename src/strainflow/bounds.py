@@ -41,6 +41,7 @@ class BoundsProfile:
     upper: np.ndarray | None
     constants: dict = field(default_factory=dict)
     mu: float | None = None
+    absent: dict = field(default_factory=dict)  # "lower"/"upper" -> why it was not built
 
     def lower_at(self, t):
         if self.lower is None:
@@ -161,6 +162,8 @@ def certify_lower_constants(model: StressModel, mu: float) -> tuple[float, float
     """Find (C, eps0, t0) such that every difference quotient of sigma with one
     foot below eps0 exceeds C > 0, scanning eps0 downward until the grid
     infimum is positive. C keeps a 5% one-sided safety margin."""
+    if model.domain != POSITIVE:
+        raise CertificationError("the lower bound needs a law on (0, inf)")
     if mu <= 0:
         raise CertificationError("the lower bound needs a positive mean strain")
     if model.theta is None:
@@ -263,6 +266,10 @@ def bounds_profile(
     want_lower: bool = True,
     want_upper: bool = True,
 ) -> BoundsProfile:
+    """The wanted envelopes of the ``kind`` flow on ``t_grid``. Each is built,
+    or left out with the HypothesisError its builder raised as the reason in
+    ``absent``: the law lacks what that envelope needs. Any other error
+    propagates."""
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     constants: dict = {}
     # builders looked up at call time, so a wrapped module attribute is seen
@@ -277,12 +284,15 @@ def bounds_profile(
         args, build_lower, build_upper = (model, mu), displacement_lower, displacement_upper
     else:
         raise ValueError(f"unknown bounds kind {kind!r}")
-    lower = upper = None
-    if want_lower:
-        lower, c = build_lower(*args, t_grid)
-        constants.update(c)
-    if want_upper:
-        upper, c = build_upper(*args, t_grid)
-        constants.update(c)
-    return BoundsProfile(kind=kind, t_grid=t_grid, lower=lower, upper=upper,
-                         constants=constants, mu=mu)
+    curves: dict = {}
+    absent: dict = {}
+    for side, wanted, build in (("lower", want_lower, build_lower),
+                                ("upper", want_upper, build_upper)):
+        try:
+            if wanted:
+                curves[side], c = build(*args, t_grid)
+                constants.update(c)
+        except HypothesisError as exc:
+            absent[side] = str(exc)
+    return BoundsProfile(kind=kind, t_grid=t_grid, lower=curves.get("lower"),
+                         upper=curves.get("upper"), constants=constants, mu=mu, absent=absent)

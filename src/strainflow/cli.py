@@ -6,7 +6,7 @@ field has a default; flag overrides via --set); outputs are CSV series with
 17-significant-digit formatting plus JSON reports, and a manifest written
 atomically at the end of every run.
 
-Exit codes: 0 all enabled checks pass, 1 a check failed, 2 config error,
+Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
 3 model hypothesis error, 4 integration failure.
 """
 
@@ -64,12 +64,6 @@ _DEFAULTS = {
     "t_final": 50.0,
     "record_every": 0.25,
     "output_dir": ".",
-    "analyses": {
-        "bounds_lower": "auto",
-        "bounds_upper": "auto",
-        "asympt": True,
-        "invariants": True,
-    },
 }
 _OPTIONAL_KEYS = {"initial": {"values", "weights", "samples", "path"}}  # beyond the defaults
 
@@ -85,7 +79,6 @@ class ExperimentConfig:
     t_final: float
     record_every: float
     output_dir: str
-    analyses: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -142,11 +135,6 @@ class ExperimentConfig:
         rtol, atol = self.stepper["rtol"], self.stepper["atol"]
         if rtol < 0 or atol < 0 or rtol == atol == 0:
             raise ConfigError("stepper.rtol and stepper.atol must be >= 0, not both 0")
-        for key, value in self.analyses.items():
-            auto = key.startswith("bounds_")
-            if not (isinstance(value, bool) or auto and value == "auto"):
-                kinds = 'a boolean or "auto"' if auto else "a boolean"
-                raise ConfigError(f"analyses.{key} must be {kinds}, got {value!r}")
         kind = self.initial["kind"]
         if kind not in ("seeded", "explicit", "ramp", "file"):
             raise ConfigError(f"unknown initial data kind {kind!r}")
@@ -259,7 +247,7 @@ def _initial_state(cfg: ExperimentConfig, model: StressModel) -> SimpleState:
 
 def _run_checks(bc: str, stepper_kind: str, mu, traj: Trajectory, profile) -> dict[str, bool]:
     """Invariant checks of a ``bc`` trajectory (``mu`` is read when held), and
-    bound enclosure when a ``profile`` is given."""
+    bound enclosure when the ``profile`` holds at least one envelope."""
     checks: dict[str, bool] = {}
     if bc == "mixed":
         # each p_i(t) solves a scalar autonomous ODE, so it is monotone in t
@@ -293,19 +281,25 @@ def _run_checks(bc: str, stepper_kind: str, mu, traj: Trajectory, profile) -> di
         e0 = traj.energy[0]
         gap = traj.energy + 0.5 * traj.dissipation_cum - e0
         checks["energy_inequality"] = bool(np.all(gap <= 1e-10 * (1.0 + abs(e0))))
-    if profile is not None:
-        sel = traj.times > 0
-        ok = True
-        if profile.lower is not None:
-            ok = ok and bool(
-                np.all(traj.values[sel].min(axis=1) >= profile.lower_at(traj.times[sel]) - 1e-12)
-            )
-        if profile.upper is not None:
-            ok = ok and bool(
-                np.all(traj.values[sel].max(axis=1) <= profile.upper_at(traj.times[sel]) + 1e-12)
-            )
-        checks["bound_enclosure"] = ok
+    sel = traj.times > 0
+    enclosed = []
+    if profile.lower is not None:
+        enclosed.append(np.all(traj.values[sel].min(axis=1)
+                               >= profile.lower_at(traj.times[sel]) - 1e-12))
+    if profile.upper is not None:
+        enclosed.append(np.all(traj.values[sel].max(axis=1)
+                               <= profile.upper_at(traj.times[sel]) + 1e-12))
+    if enclosed:  # with no envelope, enclosure would hold vacuously
+        checks["bound_enclosure"] = bool(all(enclosed))
     return checks
+
+
+def _failure(exc: StrainflowError) -> int:
+    """Report ``exc`` on stderr; exit code 3 for a failed hypothesis of the
+    law, 4 for any other failure."""
+    hypothesis = isinstance(exc, HypothesisError)
+    print(f"{'hypothesis' if hypothesis else 'run'} failure: {exc}", file=sys.stderr)
+    return 3 if hypothesis else 4
 
 
 # -- run pipeline ------------------------------------------------------------------
@@ -345,23 +339,13 @@ def command_run(cfg: ExperimentConfig) -> int:
     model = _build_model(cfg.model["name"], cfg.model["params"])
     state = _initial_state(cfg, model)
 
-    # universal bound curves, then the integration (a failed hypothesis in
-    # either ends the run with code 3, any other failure with code 4)
-    profile = None
-    want_lower = cfg.analyses["bounds_lower"]
-    want_upper = cfg.analyses["bounds_upper"]
-    if want_lower == "auto":
-        want_lower = model.domain == POSITIVE
-    if want_upper == "auto":
-        want_upper = True
+    # the envelopes the law admits, then the integration (a failed
+    # hypothesis in it ends the run with code 3, any other failure with code 4)
     grid = _record_grid(cfg.t_final, cfg.record_every, None)
     try:
-        if want_lower or want_upper:
-            profile = bounds_profile(
-                model, cfg.bc, mu=cfg.mu, t_grid=grid[1:],
-                want_lower=want_lower, want_upper=want_upper,
-            )
-            report["bounds_constants"] = profile.constants
+        profile = bounds_profile(model, cfg.bc, mu=cfg.mu, t_grid=grid[1:])
+        report["bounds_constants"] = profile.constants
+        report["bounds_absent"] = profile.absent
         if cfg.bc == "displacement":
             traj = integrate(
                 model, state, cfg.t_final,
@@ -383,22 +367,18 @@ def command_run(cfg: ExperimentConfig) -> int:
         # a held run keeps the records it reached; a traction-free one, none
         if isinstance(getattr(exc, "partial", None), Trajectory):
             save(exc.partial)
-        hypothesis = isinstance(exc, HypothesisError)
-        print(f"{'hypothesis' if hypothesis else 'run'} failure: {exc}", file=sys.stderr)
-        return finish(3 if hypothesis else 4, str(exc))
+        return finish(_failure(exc), str(exc))
     save(traj)
 
-    # analyses
-    if cfg.analyses["asympt"] and cfg.bc == "displacement":
+    # read-back and checks
+    if cfg.bc == "displacement":
         report["asymptotics"] = asymptotics_report(model, traj).to_dict()
     report["converged"] = bool(traj.converged)
     report["final_stress_mean"] = float(traj.stress_mean[-1])
-    if cfg.analyses["invariants"]:
-        checks.update(_run_checks(cfg.bc, cfg.stepper["kind"], cfg.mu, traj, profile))
+    checks.update(_run_checks(cfg.bc, cfg.stepper["kind"], cfg.mu, traj, profile))
     report["checks"] = checks
-    report["checked"] = bool(checks)  # false: the run exits 0 with nothing checked
-    all_pass = all(checks.values()) if checks else True
-    return finish(0 if all_pass else 1)
+    report["checked"] = bool(checks)  # false only in a run that failed before its checks
+    return finish(0 if all(checks.values()) else 1)
 
 
 # run's shorthand flags: argparse dest -> the config key each one overrides
@@ -437,9 +417,7 @@ def _require_positive(**flags) -> None:
 
 def command_mixed(args) -> int:
     """``mixed``: a ``run`` of the traction-free flow from the ``--p0``
-    samples, with equal weights and ``--records`` evenly spaced records. The
-    upper envelope is off: it needs an integrable stress tail, which
-    ``linear``, ``hyperbolic`` and ``log`` lack."""
+    samples, with equal weights and ``--records`` evenly spaced records."""
     n = max(args.n, 0)  # an --n below 1 is reported by the config's check on n
     try:
         if args.p0.startswith("file:"):
@@ -461,24 +439,25 @@ def command_mixed(args) -> int:
         "t_final": args.t_final,
         "record_every": args.t_final / (args.records - 1),
         "output_dir": args.out,
-        "analyses": {"bounds_upper": False},
     }))
 
 
 def command_bounds(args) -> int:
     model = _build_model(args.model, _parse_params(args.param))
     out_dir = _out_dir(args.out)
-    profile = bounds_profile(model, args.kind, mu=args.mu,
-                             want_lower=args.kind == "mixed" or model.domain == POSITIVE)
+    profile = bounds_profile(model, args.kind, mu=args.mu)
+    if len(profile.absent) == 2:
+        raise HypothesisError("no envelope can be built: " + "; ".join(
+            f"{side}: {why}" for side, why in profile.absent.items()))
     nan = np.full_like(profile.t_grid, np.nan)
     lower = profile.lower if profile.lower is not None else nan
     upper = profile.upper if profile.upper is not None else nan
     path = os.path.join(out_dir, "bounds.csv")
     write_csv(path, ["t", "lower", "upper"], np.column_stack([profile.t_grid, lower, upper]))
-    write_json(
-        os.path.join(out_dir, "bounds.json"),
-        {"kind": profile.kind, "mu": profile.mu, "constants": profile.constants},
-    )
+    write_json(os.path.join(out_dir, "bounds.json"), {
+        "kind": profile.kind, "mu": profile.mu, "constants": profile.constants,
+        "absent": profile.absent,
+    })
     print(path)
     return 0
 
@@ -600,21 +579,16 @@ def command_plotdata(args) -> int:
     base = os.path.join(_out_dir(args.out), f"plot_{args.kind}")
     # columns: every CSV column after t; series: the columns drawn in the SVG
     if args.kind == "fan":
+        # the envelopes of the trajectory's own flow; NaN where one is absent
         lower, upper = np.full(traj.n_records, np.nan), np.full(traj.n_records, np.nan)
-        mu = traj.metadata.get("mu")
-        if traj.metadata.get("kind") == "displacement" and mu is not None:
-            sel = traj.times > 0
-            try:
-                prof = bounds_profile(
-                    model, "displacement", mu=mu, t_grid=traj.times[sel],
-                    want_lower=model.domain == POSITIVE, want_upper=True,
-                )
-                if prof.lower is not None:
-                    lower[sel] = prof.lower
-                if prof.upper is not None:
-                    upper[sel] = prof.upper
-            except HypothesisError:
-                pass
+        kind, mu = traj.metadata.get("kind"), traj.metadata.get("mu")
+        if kind not in ("mixed", "displacement") or kind == "displacement" and mu is None:
+            raise ConfigError(f"trajectory {args.trajectory!r} names no flow kind and mean strain")
+        sel = traj.times > 0
+        prof = bounds_profile(model, kind, mu=mu, t_grid=traj.times[sel])
+        for column, curve in ((lower, prof.lower), (upper, prof.upper)):
+            if curve is not None:
+                column[sel] = curve
         columns = {f"p_{i + 1}": traj.values[:, i] for i in range(traj.values.shape[1])}
         series = dict(list(columns.items())[:6])
         columns.update(lower=lower, upper=upper)
@@ -801,12 +775,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except HypothesisError as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return 3
     except StrainflowError as exc:
-        print(f"run failure: {exc}", file=sys.stderr)
-        return 4
+        return _failure(exc)
 
 
 if __name__ == "__main__":

@@ -105,9 +105,20 @@ def sorted_once(x) -> np.ndarray:
     return x[np.diff(x, prepend=-np.inf) > 0.0]  # not np.unique, which imports numpy.ma
 
 
+def _solved_window(model: StressModel) -> tuple[float, float]:
+    """The window ``roots_at`` solves on: a positive-only law's start is
+    nudged inward, so a singular window edge is never evaluated exactly."""
+    lo, hi = model.eval_window
+    if model.domain == POSITIVE:
+        lo = max(lo, 1e-300)
+        lo += 1e-13 * max(1.0, lo)
+    return lo, hi
+
+
 def level_breakpoints(model: StressModel) -> np.ndarray:
-    """sigma at the window ends and the critical values, ascending, once each."""
-    ends = np.asarray(model.sigma(np.array(model.eval_window)), dtype=float)
+    """sigma at the ends of the solved window and the critical values,
+    ascending, once each."""
+    ends = np.asarray(model.sigma(np.array(_solved_window(model))), dtype=float)
     return sorted_once(np.concatenate([ends, model.critical_data[1]]))
 
 
@@ -141,14 +152,9 @@ def roots_at(model: StressModel, c) -> np.ndarray:
     if levels.ndim != 1:
         raise ValueError("levels must be a scalar or a 1-d array")
     zs, _ = model.critical_data
-    lo, hi = model.eval_window
-    if model.domain == POSITIVE:
-        lo = max(lo, 1e-300)
+    lo, hi = _solved_window(model)
     pieces = np.concatenate([[lo], zs, [hi]])
     a, b = pieces[:-1], pieces[1:]
-    if model.domain == POSITIVE:
-        # nudge inward so singular window edges are never evaluated exactly
-        a = np.where(a == lo, a + 1e-13 * np.maximum(1.0, np.abs(a)), a)
     fa = np.asarray(model.sigma(a), dtype=float) - levels[:, None]
     fb = np.asarray(model.sigma(b), dtype=float) - levels[:, None]
     finite = np.isfinite(fa) & np.isfinite(fb)

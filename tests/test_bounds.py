@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -281,6 +283,18 @@ class TestDisplacementLower:
         model = make_model("poly", coeffs=[1.0, 0.0, -1.0, 0.0], domain="positive", theta=0.5)
         with pytest.raises(CertificationError, match="no eps0"):
             certify_lower_constants(model, 1.0)
+
+    def test_full_line_law_has_no_lower_envelope(self):
+        # a law on the whole line with theta set is refused before any grid:
+        # a quotient of p^3 - p across zero is negative, so no C > 0 holds
+        model = make_model("poly", coeffs=[1.0, 0.0, -1.0, 0.0], theta=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CertificationError, match=r"needs a law on \(0, inf\)"):
+                certify_lower_constants(model, 0.5)
+            prof = bounds_profile(model, "displacement", mu=0.5)
+        assert prof.lower is None and list(prof.absent) == ["lower"]
+        assert prof.upper is not None and "C" not in prof.constants
 
     def test_curve_shape(self, singular):
         mu = 1.0

@@ -112,32 +112,33 @@ class TestRunCommand:
         assert report["checks"]["mass_conservation"]
 
     def test_unchecked_run_says_so(self, out_env, tmp_path):
-        # with the invariants off nothing is checked: the run still exits 0,
-        # and its report and manifest record that it was not checked
-        cfg_path = write_config(tmp_path / "c.json", analyses={"invariants": False},
-                                output_dir="run_unchecked")
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        run_dir = out_env / "run_unchecked"
-        for name in ("report.json", "manifest.json"):
-            payload = json.loads((run_dir / name).read_text())
-            assert payload["checks"] == {} and payload["checked"] is False
+        # a run that ends before its checks says in its manifest that nothing
+        # was checked; a run that reaches them always checks
+        cfg_path = write_config(tmp_path / "c.json", stepper={"kind": "prox", "tau": 10.0},
+                                record_every=2.0, output_dir="run_unchecked")
+        assert main(["run", "--config", str(cfg_path)]) == 4
+        manifest = json.loads((out_env / "run_unchecked" / "manifest.json").read_text())
+        assert manifest["checks"] == {} and manifest["checked"] is False
         cfg_path = write_config(tmp_path / "c.json", output_dir="run_checked")
         assert main(["run", "--config", str(cfg_path)]) == 0
         for name in ("report.json", "manifest.json"):
             assert json.loads((out_env / "run_checked" / name).read_text())["checked"] is True
 
     @pytest.mark.parametrize("model, error", [
-        ({"name": "log", "params": {}}, "diverges"),
-        # 1 - p is positive below its root: the zero-strain lower curve fails
+        # p + 1/p has no root, which the zero strain's limit needs
+        ({"name": "poly", "params": {"coeffs": [1.0, 0.0], "kappa": -1.0}}, "no root of sigma"),
+        # 1 - p is positive below its root: the zero strain cannot start
         ({"name": "poly", "params": {"coeffs": [-1.0, 1.0], "domain": "positive"}},
          "not negative between zero strain"),
     ])
     def test_hypothesis_failure_exits_3_with_manifest(self, out_env, tmp_path, model, error):
+        # both envelopes are absent for the same reason, so the integration
+        # of the zero strain is what fails
         cfg_path = write_config(
             tmp_path / "c.json",
             model=model,
             mu=1.0,
-            analyses={"bounds_upper": True},
+            initial={"kind": "explicit", "values": [0.0, 1.0, 2.0]},
             bc="mixed",
             output_dir="run3",
         )
@@ -236,7 +237,6 @@ class TestRunCommand:
             stepper={"kind": "prox", "tau": 10.0},
             record_every=2.0,
             output_dir="run4",
-            analyses={"bounds_lower": False, "bounds_upper": False},
         )
         code = main(["run", "--config", str(cfg_path)])
         assert code == 4
@@ -431,8 +431,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("argv", [
         ["run", "--set", 'bc="mixed"', "--set", 'model.name="poly"',
          "--set", 'model.params={"coeffs": [1, 1], "domain": "positive"}',
-         "--set", 'initial.kind="explicit"', "--set", "initial.values=[0, 0, 1, 1]",
-         "--set", "analyses.bounds_lower=false", "--set", "analyses.bounds_upper=false"],
+         "--set", 'initial.kind="explicit"', "--set", "initial.values=[0, 0, 1, 1]"],
         ["mixed", "--model", "poly", "--param", "coeffs=[1, 1]", "--param", "domain=positive",
          "--p0", "step:0,1", "--n", "4"],
     ], ids=["run", "mixed"])
@@ -446,17 +445,48 @@ class TestRunCommand:
         assert "no root of sigma" in manifest["error"]
 
     @pytest.mark.parametrize("argv, message", [
-        # the default cubic's upper envelope needs a positive mean strain
-        (["run", "--mu", "-0.5", "--t-final", "1"], "the upper bound needs a positive mean"),
+        # the cubic has no lower envelope, and its upper one needs a positive mean
         (["bounds", "--model", "cubic", "--mu", "-0.5"], "the upper bound needs a positive mean"),
-        # sigma = p^3 - p on (0, inf) falls below sigma(eps0) for every eps0 tried
-        (["bounds", "--model", "poly", "--param", "coeffs=[1,0,-1,0]", "--param", "domain=positive",
-          "--param", "theta=0.5", "--mu", "1"], "no eps0 with a positive certified"),
-    ], ids=["run", "bounds-mu", "bounds-eps0"])
+    ], ids=["bounds-mu"])
     def test_failed_certificate_exits_3(self, out_env, capsys, argv, message):
+        # bounds fails only when neither envelope can be built
         assert main(argv + ["--out", "cert"]) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("hypothesis failure: ") and message in line
+
+    @pytest.mark.parametrize("argv, file, absent", [
+        (["run", "--mu", "-0.5", "--t-final", "1"], "report.json",
+         {"lower": "needs a law on (0, inf)", "upper": "the upper bound needs a positive mean"}),
+        # sigma = p^3 - p on (0, inf) falls below sigma(eps0) for every eps0 tried
+        (["bounds", "--model", "poly", "--param", "coeffs=[1,0,-1,0]", "--param", "domain=positive",
+          "--param", "theta=0.5", "--mu", "1"], "bounds.json",
+         {"lower": "no eps0 with a positive certified"}),
+    ], ids=["run", "bounds-eps0"])
+    def test_failed_certificate_is_recorded_as_absent(self, out_env, argv, file, absent):
+        assert main(argv + ["--out", "cert"]) == 0
+        payload = json.loads((out_env / "cert" / file).read_text())
+        got = payload["bounds_absent"] if file == "report.json" else payload["absent"]
+        assert set(got) == set(absent)
+        assert all(message in got[side] for side, message in absent.items())
+        if file == "report.json":  # no envelope, so no vacuous enclosure check
+            assert "bound_enclosure" not in payload["checks"] and payload["checks"]
+
+    @pytest.mark.parametrize("name, absent", [
+        ("cubic", {"lower"}), ("shifted-cubic", {"lower"}), ("singular-cubic", set()),
+        ("linear", {"upper"}), ("hyperbolic", {"upper"}), ("log", {"upper"}),
+    ])
+    def test_default_run_checks_every_envelope_the_law_admits(self, out_env, name, absent):
+        # the full-line laws have no lower envelope; linear, hyperbolic and
+        # log have no integrable stress tail, so no upper one
+        assert main(["run", "--model", name, "--t-final", "1", "--out", "laws"]) == 0
+        report = json.loads((out_env / "laws" / "report.json").read_text())
+        assert set(report["bounds_absent"]) == absent
+        assert report["checks"]["bound_enclosure"] is True
+
+    def test_config_with_an_analyses_section_exits_2(self, out_env, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", analyses={"invariants": True})
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "unknown config fields: ['analyses']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bc, t_final, every, n_records", [
         ("displacement", 0.9, 0.3, 4),
@@ -531,6 +561,40 @@ class TestOtherCommands:
         assert np.isfinite(profile.upper).any()
         constants = json.loads((out_env / "b" / "bounds.json").read_text())["constants"]
         assert constants == json.loads(json.dumps(profile.constants))
+
+    @pytest.mark.parametrize("argv, finite, absent", [
+        (["--model", "linear"], "lower", "upper"),            # no integrable stress tail
+        (["--kind", "mixed", "--model", "cubic"], "upper", "lower"),  # no blow-down at 0
+    ])
+    def test_bounds_writes_the_envelope_the_law_admits(self, out_env, argv, finite, absent):
+        assert main(["bounds", *argv, "--out", "b1"]) == 0
+        table = np.loadtxt(out_env / "b1" / "bounds.csv", delimiter=",", skiprows=1)
+        columns = {"lower": table[:, 1], "upper": table[:, 2]}
+        assert np.isfinite(columns[finite]).all() and np.isnan(columns[absent]).all()
+        assert list(json.loads((out_env / "b1" / "bounds.json").read_text())["absent"]) == [absent]
+
+    def test_mixed_preset_checks_the_upper_envelope(self, out_env):
+        argv = ["mixed", "--model", "singular-cubic", "--t-final", "2", "--records", "11",
+                "--out", "m_upper"]
+        assert main(argv) == 0
+        report = json.loads((out_env / "m_upper" / "report.json").read_text())
+        assert "t_saturate_upper" in report["bounds_constants"]
+        assert report["bounds_absent"] == {} and report["checks"]["bound_enclosure"] is True
+
+    @pytest.mark.parametrize("argv, finite", [
+        (["run", "--model", "linear", "--t-final", "2"], ["lower"]),
+        (["mixed", "--model", "singular-cubic", "--t-final", "2", "--records", "11"],
+         ["lower", "upper"]),
+    ], ids=["linear", "traction-free"])
+    def test_plotdata_fan_draws_the_runs_envelopes(self, out_env, argv, finite):
+        assert main(argv + ["--out", "fan_run"]) == 0
+        assert main(["plotdata", "--trajectory", str(out_env / "fan_run" / "trajectory"),
+                     "--kind", "fan", "--out", "fan"]) == 0
+        table = np.loadtxt(out_env / "fan" / "plot_fan.csv", delimiter=",", skiprows=1)
+        later = table[:, 0] > 0
+        for j, side in ((-2, "lower"), (-1, "upper")):
+            expected = np.isfinite if side in finite else np.isnan
+            assert expected(table[later, j]).all() and np.isnan(table[~later, j]).all()
 
     def test_equilibria_command(self, out_env, capsys):
         assert main(["equilibria", "--model", "cubic", "--mu", "0.0"]) == 0
@@ -711,17 +775,18 @@ class TestOtherCommands:
         assert sorted(m["exit_code"] for m in agg["members"]) == [-1, 0]
 
     def test_sweep_row_keeps_a_failed_members_exit_code_and_error(self, out_env, tmp_path):
-        # the linear law has no integrable stress tail: its upper envelope is
-        # a failed hypothesis, exit 3, and the row says so
-        cfg_path = write_config(tmp_path / "c.json", model={"name": "linear", "params": {}},
-                                analyses={"bounds_upper": True})
+        # p + 1/p has no root, so a zero strain has no limit: a failed
+        # hypothesis in the integration, exit 3, and the row says so
+        cfg_path = write_config(tmp_path / "c.json", bc="mixed",
+                                model={"name": "poly", "params": {"coeffs": [1, 0], "kappa": -1}},
+                                initial={"kind": "explicit", "values": [0.0, 1.0]})
         grid = json.dumps({"initial.seed": [0]})
         code = main(["sweep", "--config", str(cfg_path), "--grid", grid,
                      "--workers", "1", "--out", "sw_hyp"])
         assert code == 1
         (row,) = json.loads((out_env / "sw_hyp" / "sweep.json").read_text())["members"]
         assert row["exit_code"] == 3
-        assert "diverges" in row["error"]
+        assert "no root of sigma" in row["error"]
 
 
 class TestInputErrors:
@@ -858,6 +923,20 @@ class TestInputErrors:
         assert "config error" in err
         if damage == "nan_time":
             assert "cannot read trajectory" in err
+
+    @pytest.mark.parametrize("metadata", [{}, {"kind": "displacement"}, {"kind": "held"}])
+    def test_fan_of_a_trajectory_without_its_flow_exits_2(self, out_env, capsys, metadata):
+        # the envelopes are those of the trajectory's flow, and a held one's mean
+        prefix = out_env / "traj"
+        Trajectory(
+            times=np.array([0.0, 1.0]), values=np.ones((2, 2)), weights=np.full(2, 0.5),
+            stress_mean=np.zeros(2), energy=np.zeros(2), dissipation=np.zeros(2),
+            dissipation_cum=np.zeros(2),
+            metadata={"model": {"name": "singular-cubic", "params": {}}, **metadata},
+        ).save(prefix)
+        argv = ["plotdata", "--kind", "fan", "--trajectory", str(prefix), "--out", "bad"]
+        assert main(argv) == 2
+        assert "names no flow kind and mean strain" in capsys.readouterr().err
 
 
 class TestOutsideContracts:

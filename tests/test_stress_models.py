@@ -13,6 +13,7 @@ from strainflow.stress_models import (
     StressModel,
     eval_W,
     find_branches,
+    level_breakpoints,
     make_model,
     near_critical_value,
     roots_at,
@@ -210,6 +211,15 @@ class TestCriticalPointsAndBranches:
         # its window, and the root count changes there as at a critical value
         with pytest.raises(InvalidIntervalError):
             find_branches(cubic, interval)
+
+    def test_interval_below_the_solved_window_start_rejected(self):
+        # a positive-only law is solved from just inside its window start:
+        # sigma there, not at the start itself, bounds the stress range
+        hyperbolic = make_model("hyperbolic")
+        with pytest.raises(InvalidIntervalError):
+            find_branches(hyperbolic, (-1e9 + 10, -1e9 + 20))
+        lowest = level_breakpoints(hyperbolic)[0]
+        assert len(roots_at(hyperbolic, lowest + 1e-6 * abs(lowest))) == 1
 
     def test_root_counts_constant_between_critical_values(self, cubic):
         _, cs = cubic.critical_data
