@@ -132,8 +132,8 @@ class TestRunCommand:
          "not negative between zero strain"),
     ])
     def test_hypothesis_failure_exits_3_with_manifest(self, out_env, tmp_path, model, error):
-        # both envelopes are absent for the same reason, so the integration
-        # of the zero strain is what fails
+        # neither law admits an envelope, which only leaves them absent: the
+        # integration of the zero strain is what fails
         cfg_path = write_config(
             tmp_path / "c.json",
             model=model,
