@@ -114,6 +114,8 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
 
 
 _BISECT_MAX_ITER = 200  # iterations per bisect_root call
+_DECADE_GRID = np.concatenate([-10.0 ** np.arange(308.0, -301.0, -1.0), [0.0],
+                               10.0 ** np.arange(-300.0, 309.0)])
 
 
 def _midpoints(lo, hi):
@@ -148,7 +150,8 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
     once hi - lo <= xtol * max(|lo|, |hi|). Signs are compared directly:
     products underflow for subnormal values. Raises BracketError on a
     bracket without a sign change, and IterationBudgetError on one still
-    open after _BISECT_MAX_ITER iterations.
+    open after _BISECT_MAX_ITER iterations and again after a restart from
+    the cell of the grid 0, +-10^k (k >= -300) that holds its sign change.
     """
     shape = np.broadcast(lo, hi).shape
     lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
@@ -190,10 +193,19 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
         x = newton if inside.all() else np.where(inside, newton, _midpoints(lo, hi))
         keep = ~(tiny | narrow)
         i, lo, hi, lo_pos, x = i[keep], lo[keep], hi[keep], lo_pos[keep], x[keep]
-    if i.size:
-        raise IterationBudgetError(
-            f"root finding left {i.size} bracket(s) open after {_BISECT_MAX_ITER} iterations"
-        )
+    # Newton nears a root beside a critical point at or near 0 by a constant factor
+    # per step: restart from the cell of the grid 0, +-10^k that holds the sign change
+    for j, n in enumerate(i.tolist()):
+        x = _DECADE_GRID[(lo[j] < _DECADE_GRID) & (_DECADE_GRID < hi[j])]
+        if x.size:
+            k = np.argmax(np.append((f(x, np.full(x.size, n)) > 0.0) != lo_pos[j], True))
+            x = np.concatenate([[lo[j]], x, [hi[j]]])
+            out[n] = bisect_root(lambda z, m: f(z, m * 0 + n),
+                                 lambda z, m: fprime(z, m * 0 + n), x[k], x[k + 1], xtol)
+            i[j] = -1
+    if i.size and (i >= 0).any():
+        raise IterationBudgetError(f"root finding left {np.sum(i >= 0)} bracket(s) open "
+                                   f"after {_BISECT_MAX_ITER} iterations")
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -282,6 +294,7 @@ class RKResult:
     aux_integral: np.ndarray    # cumulative integral of the aux rate at records
     n_steps: int = 0
     n_rejected: int = 0
+    n_reused: int = 0           # steps in n_steps whose field calls were skipped
 
 
 def rk45(
@@ -318,6 +331,12 @@ def rk45(
     stack k, shape (7,) + y0.shape, to the 7 rates whose time integral is
     accumulated with the fifth-order weights (dissipation).
 
+    A step clamped to a record time that leaves y unchanged bit for bit is
+    remembered; a later clamped step with its dt, or with no larger a dt when
+    every stage argument was y (rounding is monotone), provably repeats it and
+    is taken without calling ``f`` (``n_reused``). This needs ``f``,
+    ``accept_state`` and ``stage_rate`` to be functions of their arguments' values.
+
     Raises StiffnessError when a rejection, or an accepted step that was not
     clamped to a record time, leaves a proposed step below ``_DT_MIN``. A
     StrainflowError raised while stepping carries the records reached so far
@@ -353,63 +372,75 @@ def rk45(
     abs_y, abs_new, scale = np.abs(y), np.empty(y.shape), np.empty(y.shape)
     t_rec = t_record.tolist()
     n_rec = len(t_rec)
-    n_steps = 0
-    n_rejected = 0
+    n_steps = n_rejected = n_reused = 0
+    # the last computed step, if a clamped no-op: dt, aux rate, stage arguments all y
+    noop_dt, noop_rate, noop_short, rate = -1.0, 0.0, False, 0.0
     idx = 1
     try:
         f(y, stage[0])  # from here on k[0] holds f at y (FSAL)
         while idx < n_rec:
             dt = min(h, t_rec[idx] - t)
             clamped = dt < h
-            for s in range(1, 6):
-                np.dot(_DP_A[s], heads[s], out=ys_f)
+            if clamped and (dt == noop_dt or (noop_short and dt <= noop_dt)):  # the no-op again
+                aux_total += dt * noop_rate
+                n_reused += 1
+            else:
+                noop_dt = -1.0  # a computed step clears the memory
+                for s in range(1, 6):
+                    np.dot(_DP_A[s], heads[s], out=ys_f)
+                    ys *= dt
+                    ys += y
+                    f(ys, stage[s])
+                # stage 6's argument is the fifth-order solution: _DP_A[6] is
+                # _DP_B5 without its last weight, an exact 0
+                y_new, y_new_f = y_bufs[y is y_bufs[0][0]]
+                np.dot(_DP_A[6], heads[6], out=y_new_f)
+                y_new *= dt
+                y_new += y
+                f(y_new, stage[6])
+                np.dot(_DP_ERR, kf, out=ys_f)
                 ys *= dt
-                ys += y
-                f(ys, stage[s])
-            # stage 6's argument is the fifth-order solution: _DP_A[6] is
-            # _DP_B5 without its last weight, an exact 0
-            y_new, y_new_f = y_bufs[y is y_bufs[0][0]]
-            np.dot(_DP_A[6], heads[6], out=y_new_f)
-            y_new *= dt
-            y_new += y
-            f(y_new, stage[6])
-            np.dot(_DP_ERR, kf, out=ys_f)
-            ys *= dt
-            np.abs(y_new, out=abs_new)
-            np.maximum(abs_y, abs_new, out=scale)
-            scale *= rtol
-            scale += atol
-            ys /= scale
-            ys *= ys
-            # RMS over each member's components, max over members (taken
-            # first: it commutes with the monotone division and square root)
-            err = math.sqrt(float(np.maximum.reduce(np.add.reduce(err_rows, 1))) / dim)
+                np.abs(y_new, out=abs_new)
+                np.maximum(abs_y, abs_new, out=scale)
+                scale *= rtol
+                scale += atol
+                ys /= scale
+                ys *= ys
+                # RMS over each member's components, max over members (taken
+                # first: it commutes with the monotone division and square root)
+                err = math.sqrt(float(np.maximum.reduce(np.add.reduce(err_rows, 1))) / dim)
 
-            # a NaN anywhere in y_new is a NaN maximum
-            bad = not err <= 1.0 or not math.isfinite(np.maximum.reduce(abs_new, None))
-            if not bad and accept_state is not None and not accept_state(y, y_new):
-                bad = True
-                err = float("nan")
-            if bad:
-                n_rejected += 1
-                finite = math.isfinite(err) and err > 0
-                h *= max(0.2, _SAFETY * err ** (-1.0 / 5.0)) if finite else 0.25
-                # k[0] still holds f at the unchanged y
-                if h < _DT_MIN:
-                    raise StiffnessError(f"step size underflow at t={t!r} (dt={h!r})")
-                continue
+                # a NaN anywhere in y_new is a NaN maximum
+                bad = not err <= 1.0 or not math.isfinite(np.maximum.reduce(abs_new, None))
+                if not bad and accept_state is not None and not accept_state(y, y_new):
+                    bad = True
+                    err = float("nan")
+                if bad:
+                    n_rejected += 1
+                    finite = math.isfinite(err) and err > 0
+                    h *= max(0.2, _SAFETY * err ** (-1.0 / 5.0)) if finite else 0.25
+                    # k[0] still holds f at the unchanged y
+                    if h < _DT_MIN:
+                        raise StiffnessError(f"step size underflow at t={t!r} (dt={h!r})")
+                    continue
 
-            if stage_rate is not None:
-                aux_total += dt * float(_DP_B5 @ stage_rate(k))
+                if stage_rate is not None:
+                    rate = float(_DP_B5 @ stage_rate(k))
+                    aux_total += dt * rate
+                if clamped and y_new.tobytes() == (y_bytes := y.tobytes()):
+                    # a no-op record step; k is as it was, so its stage arguments recur
+                    noop_dt, noop_rate = dt, rate
+                    noop_short = all((np.dot(_DP_A[s], heads[s]) * dt + y.reshape(-1)).tobytes()
+                                     == y_bytes for s in range(1, 6))
+                k[0] = k[6]  # FSAL: f at y_new
+                y = y_new
+                abs_y, abs_new = abs_new, abs_y
+                if not clamped:
+                    err = max(err, 1e-12)
+                    h *= min(5.0, max(0.2, _SAFETY * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)))
+                    err_prev = err
             t += dt
             n_steps += 1
-            k[0] = k[6]  # FSAL: f at y_new
-            y = y_new
-            abs_y, abs_new = abs_new, abs_y
-            if not clamped:
-                err = max(err, 1e-12)
-                h *= min(5.0, max(0.2, _SAFETY * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)))
-                err_prev = err
             while idx < n_rec and t >= t_rec[idx] - 1e-14 * max(1.0, abs(t)):
                 records[idx] = y
                 aux[idx] = aux_total
@@ -418,10 +449,10 @@ def rk45(
             if not clamped and h < _DT_MIN and idx < n_rec:
                 raise StiffnessError(f"step size underflow at t={t!r} (dt={h!r})")
     except StrainflowError as exc:
-        exc.partial = RKResult(times=t_record[:idx], states=records[:idx],
-                               aux_integral=aux[:idx], n_steps=n_steps, n_rejected=n_rejected)
+        exc.partial = RKResult(t_record[:idx], records[:idx], aux[:idx],
+                               n_steps, n_rejected, n_reused)
         raise
-    return RKResult(times=t_record, states=records, aux_integral=aux, n_steps=n_steps, n_rejected=n_rejected)
+    return RKResult(t_record, records, aux, n_steps, n_rejected, n_reused)
 
 
 def trailing_window(times: np.ndarray, frac: float) -> np.ndarray:

@@ -306,7 +306,8 @@ def _poly_structure(coeffs: np.ndarray, kappa: float, window, sigma, sigma_prime
     zs, a, b = cand[turn], mids[:-1][turn], mids[1:][turn]
     dq1 = np.polyder(q1)
     for _ in range(NEWTON_POLISH):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a step that overflows is never better
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = zs - np.polyval(q1, zs) / np.polyval(dq1, zs)
             better = np.abs(np.polyval(q1, step)) < np.abs(np.polyval(q1, zs))
         zs = np.where(better & (a < step) & (step < b), step, zs)

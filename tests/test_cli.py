@@ -521,6 +521,13 @@ class TestOtherCommands:
         traj = Trajectory.load(out_env / "m" / "trajectory")
         assert traj.times.tolist() == np.linspace(0.0, 2.0, 9).tolist()
 
+    def test_mixed_command_with_a_root_beside_a_critical_point_at_zero(self, out_env):
+        # sigma = p^3 + 2.5e-163 has its one root at -6.3e-55, which the limit
+        # classification used to give up on (exit 4)
+        argv = ["mixed", "--model", "poly", "--param", "coeffs=[1,0,0,2.5e-163]", "--p0", "1.0",
+                "--out", "m_tiny_root"]
+        assert main(argv) == 0
+
     def test_mixed_command_records_checks(self, out_env):
         argv = ["mixed", "--model", "singular-cubic", "--p0", "step:0,1.5", "--n", "6",
                 "--t-final", "5", "--records", "51", "--out", "m_checks"]

@@ -311,8 +311,9 @@ class TestStepperReference:
         res = results[0]
         ref = _reference_held_run(counting(1), state, traj.times, rtol, 1e-12)
         # equal stress calls: the first stage is reused (FSAL) exactly when
-        # the reference reused it
-        assert calls[0] == calls[1] + 1  # integrate's diagnostics evaluate sigma once more
+        # the reference reused it, and a repeated no-op record step costs none;
+        # integrate's diagnostics evaluate sigma once more
+        assert calls[0] == calls[1] + 1 - 6 * res.n_reused
         assert (res.n_steps, res.n_rejected) == (ref.n_steps, ref.n_rejected)
         assert (res.n_rejected > 0) == rejected
         assert np.array_equal(res.times, ref.times)
@@ -320,13 +321,38 @@ class TestStepperReference:
         rel = np.abs(res.aux_integral - ref.aux_integral) / np.maximum(ref.aux_integral, 1e-300)
         assert np.max(rel) <= 1e-14
 
+    @pytest.mark.parametrize("seed", [1, 7, 31, 2024])
+    def test_converged_held_run_reuses_record_steps_bit_for_bit(self, seed, monkeypatch):
+        # held-cubic's shape (n = 64, mu = 0.5, records every 0.25 to t = 50):
+        # past equilibrium the record steps leave the state as it is, and the
+        # ones rk45 reuses give the reference stepper's steps and records
+        model = make_model("cubic")
+        state = seeded_state(model, 64, 0.5, seed)
+        results = []
+        stepper = displacement.rk45
+
+        def spy(*args, **kwargs):
+            results.append(stepper(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(displacement, "rk45", spy)
+        traj = integrate(model, state, 50.0, record_every=0.25)
+        res = results[0]
+        ref = _reference_held_run(model, state, traj.times, 1e-9, 1e-12)
+        assert res.n_reused > 0
+        assert (res.n_steps, res.n_rejected) == (ref.n_steps, ref.n_rejected)
+        assert np.array_equal(res.states.view(np.int64), ref.states.view(np.int64))
+        rel = np.abs(res.aux_integral - ref.aux_integral) / np.maximum(ref.aux_integral, 1e-300)
+        assert np.max(rel) <= 1e-14
+
 
 class TestFieldCalls:
     """FSAL holds on every step: stage 0 is evaluated once, before the
-    loop, and each step, accepted or rejected, costs its six other stages."""
+    loop, and each step, accepted or rejected, costs its six other stages,
+    except a record step that repeats a no-op step and costs none."""
 
     @pytest.mark.parametrize("seed, grid, calls", [
-        (31, {"record_every": 0.25}, 2209),
+        (31, {"record_every": 0.25}, 1615),
         (2, {"n_records": 3}, 1411),
     ])
     def test_held_run_calls_the_field_once_per_new_stage(self, seed, grid, calls, monkeypatch):
@@ -344,7 +370,8 @@ class TestFieldCalls:
         monkeypatch.setattr(displacement, "rk45", spy)
         integrate(model, seeded_state(model, 64, 0.5, seed), 50.0, **grid)
         res = results[0]
-        assert count[0] == 1 + 6 * (res.n_steps + res.n_rejected) == calls
+        assert count[0] == 1 + 6 * (res.n_steps + res.n_rejected - res.n_reused) == calls
+        assert res.n_reused == {31: 99, 2: 0}[seed]
 
 
 class TestOrderingGuard:

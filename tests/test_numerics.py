@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from strainflow import counterexample, mixed
+from strainflow.displacement import _record_grid
 from strainflow.errors import (
     BracketError,
     IntegrabilityError,
@@ -197,6 +199,29 @@ def test_bisect_root_closes_on_a_triple_root_at_zero():
         bisect_root(lambda x, i: x * x, lambda x, i: 2.0 * x, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("eps", [1e-110, 2.5e-163, 1e-200, 1e-300])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_roots_of_sigma_beside_a_critical_point_at_zero(eps, sign):
+    # sigma = p^3 + eps: Newton nears the root -eps^(1/3) from the far side
+    # by only 2/3 per step, and the bracket, cut at 0, ran out of iterations;
+    # it restarts from the decade that holds the root
+    (root,) = make_model("poly", coeffs=[1, 0, 0, sign * eps]).roots_of_sigma
+    assert root == pytest.approx(-sign * eps ** (1.0 / 3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    # a critical point at -6.8e-155 beside the root -1.37e-154 (and 0, which
+    # roots_at counts as the same root)
+    ([1.0, 1.0, 1.3656570954125405e-154, 0.0], [-1.0, -1.3656570954125405e-154]),
+    # a critical point at 2.1e-252 inside the bracket across 0 that holds
+    # -sqrt(6.5e-290)
+    ([1.0, 0.0, 0.0, -1.0, 4.158790846192656e-252, 6.486274908613834e-290],
+     [-np.sqrt(6.486274908613834e-290), 1.0]),
+])
+def test_roots_of_sigma_beside_a_critical_point_near_zero(coeffs, roots):
+    assert make_model("poly", coeffs=coeffs).roots_of_sigma == pytest.approx(roots, rel=1e-12)
+
+
 def test_bisect_root_budget_exhaustion_raises(monkeypatch):
     # three halvings cannot shrink [0, 1] to 1e-12: the bracket stays open
     no_slope = lambda x, i: np.full_like(x, np.nan)
@@ -383,6 +408,141 @@ def test_rk45_matches_reference_across_state_shapes(shape):
     assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
     if shape == "zeros":
         assert np.array_equal(new.states[-1] == 0.0, y0 == 0.0)
+
+
+def test_rk45_reuse_saves_six_field_calls_per_reused_step():
+    # dy/dt = 1 - y settles within an ulp of 1, where a step of the record
+    # spacing no longer moves it: each later record step repeats that no-op
+    # step and calls the field no more
+    calls = [0]
+
+    def field(y, out):
+        calls[0] += 1
+        return np.subtract(1.0, y, out=out)
+
+    t_rec = np.linspace(0.0, 60.0, 121)
+    new = rk45(field, np.array([3.0, -2.0]), t_rec)
+    assert np.abs(new.states[-1] - 1.0).max() <= 2.3e-16 and new.n_reused > 0
+    assert calls[0] == 1 + 6 * (new.n_steps + new.n_rejected - new.n_reused)
+    ref = reference_rk45(_allocating(field), np.array([3.0, -2.0]), t_rec)
+    assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+    assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
+
+
+_K = (35 / 384) / (1 - 35 / 384)  # f's value off y = 1 that makes y = 1 a fifth-order no-op
+
+
+def _no_op_off_the_stages(y, out):
+    """1 at y = 1 and -_K elsewhere: a step from y = 1 leaves it there, but its
+    stage arguments move off it, so a shorter step need not repeat it."""
+    return np.copyto(out, np.where(y == 1.0, 1.0, -_K)) or out
+
+
+def test_rk45_reuses_a_no_op_whose_stages_moved_only_at_its_own_dt():
+    # the record steps after t = 20 are clamped no-ops of dt 0.25, 0.25, 0.5
+    # and 0.25: only the second repeats a remembered step (same dt); the
+    # larger dt and, since the stage arguments left y, the smaller one after
+    # it are computed
+    calls = [0]
+
+    def field(y, out):
+        calls[0] += 1
+        return _no_op_off_the_stages(y, out)
+
+    t_rec = np.array([0.0, 20.0, 20.25, 20.5, 21.0, 21.25])
+    head = rk45(field, np.array([1.0]), t_rec[:2], rtol=0.1, atol=0.1)
+    calls[0] = 0
+    rate = lambda k: k[:, 0] ** 2  # nonzero: a reused step adds dt times it
+    new = rk45(field, np.array([1.0]), t_rec, rtol=0.1, atol=0.1, stage_rate=rate)
+    assert new.n_steps == head.n_steps + 4 and new.n_reused == 1
+    assert calls[0] == 1 + 6 * (new.n_steps + new.n_rejected - 1)
+    assert np.all(new.states == 1.0)
+    ref = reference_rk45(_allocating(_no_op_off_the_stages), np.array([1.0]), t_rec,
+                         rtol=0.1, atol=0.1, stage_rate=lambda k: k[0] ** 2)
+    assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+    rel = np.abs(new.aux_integral - ref.aux_integral) / np.maximum(ref.aux_integral, 1e-300)
+    assert np.max(rel) <= 1e-14
+
+
+def test_rk45_never_reuses_an_unclamped_no_op():
+    # every step leaves y = 1 as it is, but only the last is clamped to a
+    # record time: the step-size controller sees each of the others
+    t_rec = np.array([0.0, 50.0])
+    new = rk45(_no_op_off_the_stages, np.array([1.0]), t_rec, rtol=0.1, atol=0.1)
+    ref = reference_rk45(_allocating(_no_op_off_the_stages), np.array([1.0]), t_rec,
+                         rtol=0.1, atol=0.1)
+    assert new.n_reused == 0 and new.n_steps > 20
+    assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+
+
+def test_rk45_computes_a_longer_step_after_a_no_op():
+    # dy/dt = 1 at y near 2^60, where a step moves y only if dt > 128: the
+    # record step of 100 is a no-op whose stage arguments are all y, the one
+    # of 150 after it is not, and must be computed
+    y0 = 2.0 ** 60
+    field = lambda y, out: np.copyto(out, 1.0) or out
+    t_rec = np.array([0.0, 1000.0, 1100.0, 1250.0])
+    new = rk45(field, np.array([y0]), t_rec)
+    ref = reference_rk45(_allocating(field), np.array([y0]), t_rec)
+    assert new.n_reused == 0 and new.states[3, 0] > new.states[2, 0] == new.states[1, 0]
+    assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+    assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
+
+
+def test_rk45_forgets_a_no_op_once_a_computed_step_moves_y():
+    # y = 2^60 moves only on steps of dt > 128, after which the field jumps
+    # from 1 to 1000: the record step of 0.25 after the jump moves y, so the
+    # no-op steps of 0.25 remembered before it must not stand in for it
+    y0 = 2.0 ** 60
+
+    def field(y, out):
+        return np.copyto(out, np.where(y <= y0, 1.0, 1000.0)) or out
+
+    t_rec = np.array([0.0, 1.0, 1.25, 1001.25, 1001.5])
+    new = rk45(field, np.array([y0]), t_rec)
+    ref = reference_rk45(_allocating(field), np.array([y0]), t_rec)
+    assert new.n_reused == 1 and new.states[-1, 0] > new.states[-2, 0] > y0
+    assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+    assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_free_field_ensembles_reuse_steps_bit_for_bit(seed, monkeypatch):
+    # the free-field workload's shape: 8 zero and 56 positive samples of the
+    # singular cubic, records every 0.1 to t = 20; each rk45 call takes the
+    # reference stepper's steps and records, reused steps and all
+    rng = np.random.default_rng(seed)
+    samples = rng.permutation(np.concatenate([np.zeros(8), rng.uniform(0.05, 2.8, 56)]))
+    runs = []
+
+    def spy(f, y0, grid, **kw):
+        per_stage = lambda k: float(kw["stage_rate"](np.broadcast_to(k, (7,) + k.shape))[0])
+        ref = reference_rk45(_allocating(f), y0, grid, rtol=kw["rtol"], atol=kw["atol"],
+                             accept_state=kw["accept_state"], stage_rate=per_stage)
+        runs.append((rk45(f, y0, grid, **kw), ref))
+        return runs[-1][0]
+
+    monkeypatch.setattr(mixed, "rk45", spy)
+    mixed.solve_field(make_model("singular-cubic"), samples, _record_grid(20.0, 0.1, None))
+    assert len(runs) == 2 and runs[1][0].n_reused > 0
+    for new, ref in runs:
+        assert (new.n_steps, new.n_rejected) == (ref.n_steps, ref.n_rejected)
+        assert np.array_equal(new.states.view(np.int64), ref.states.view(np.int64))
+        rel = np.abs(new.aux_integral - ref.aux_integral) / np.maximum(ref.aux_integral, 1e-300)
+        assert np.max(rel) <= 1e-14
+
+
+def test_spiral_ensemble_reuses_no_step(monkeypatch):
+    # the spiral's members never settle to the last bit: every step is computed
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(rk45(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(counterexample, "rk45", spy)
+    counterexample.simulate_ensemble(2.0, 0.0, np.array(counterexample.DEMO_Z0), 1e3)
+    assert results[0].n_steps > 1000 and results[0].n_reused == 0
 
 
 def test_trailing_stats_window():
