@@ -1,12 +1,14 @@
 """Low-level numerical kernels.
 
-One bracketed root finder, batched Newton safeguarded by bisection, for
-every scalar level set (the stress level sets and the cumulative-curve
-inversions); one adaptive quadrature kernel, interval halving on
-interior-node Gauss panels (so integrable endpoint singularities never get
-sampled), whose tolerance bounds each kept panel and which takes scalar or
-array endpoints, so that a cumulative curve's table, its point values and
-each step of its inversion cost one ``f`` call per refinement level; and
+One bracketed root finder, batched Newton safeguarded by bisection in
+float order, which closes any finite bracket within a fixed budget, for
+every scalar level set at every scale (the stress level sets and the
+cumulative-curve inversions); one adaptive quadrature kernel, interval
+halving on interior-node Gauss panels (so integrable endpoint
+singularities never get sampled), whose tolerance bounds each kept panel
+and which takes scalar or array endpoints, so that a cumulative curve's
+table, its point values and each step of its inversion cost one ``f``
+call per refinement level; and
 an embedded Runge-Kutta 5(4) driver with PI step-size control whose state
 may be an ensemble (members x dim) integrated in one call, each member held
 to the tolerance by its own error norm, and whose cost at small dimensions
@@ -114,20 +116,17 @@ def quad_adaptive(f, a, b, tol: float = 1e-10):
 
 
 _BISECT_MAX_ITER = 200  # iterations per bisect_root call
-_DECADE_GRID = np.concatenate([-10.0 ** np.arange(308.0, -301.0, -1.0), [0.0],
-                               10.0 ** np.arange(-300.0, 309.0)])
 
 
 def _midpoints(lo, hi):
-    """Bisection points: the geometric midpoint sqrt(lo) sqrt(hi) of a
-    positive bracket with hi > 10 lo, so a bracket spanning decades (a level
-    set near a singular start) is cut in log steps, and (lo + hi) / 2 of
-    every other bracket."""
-    mid = 0.5 * (lo + hi)
-    wide = (lo > 0.0) & (hi > 10.0 * lo)
-    if wide.any():
-        mid[wide] = np.sqrt(lo[wide]) * np.sqrt(hi[wide])  # no under- or overflow
-    return mid
+    """The float halfway between lo and hi in float order, and 0 for a
+    bracket across 0. The int64 bit pattern of |x| orders the floats of one
+    sign, so a cut of a bracket on one side of 0 halves the floats left in
+    it (fewer than 2^63), and one spanning decades is cut in about log
+    steps."""
+    a, b = np.abs(lo).view(np.int64), np.abs(hi).view(np.int64)
+    size = (a + (b - a) // 2).view(np.float64)
+    return np.where(0.0 < hi, np.where(lo < 0.0, 0.0, size), -size)
 
 
 # Named for its bisection fallback: perfbench/spans.py traces it by this name.
@@ -140,27 +139,26 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
     brackets still open and their flat indices, so a closed bracket is never
     evaluated again. Each iterate (the midpoint first) shrinks its bracket
     to the sign change; the next is the Newton step if it lands strictly
-    inside, the midpoint if not (or if the step is not finite), geometric on
-    a positive bracket with hi > 10 lo (``_midpoints``). A bracket
-    closes on an exact zero: at an iterate, or at 0 for a bracket with
-    lo < 0 < hi, whose first call evaluates 0 too (Newton nears a root of
-    multiplicity 3 or more at 0 too slowly for the width stop); on a
-    Newton correction of at most xtol * |x|, returning x minus it even on or
-    past a bracket end, which the converged iterate is; or at the midpoint
-    once hi - lo <= xtol * max(|lo|, |hi|). Signs are compared directly:
-    products underflow for subnormal values. Raises BracketError on a
-    bracket without a sign change, and IterationBudgetError on one still
-    open after _BISECT_MAX_ITER iterations and again after a restart from
-    the cell of the grid 0, +-10^k (k >= -300) that holds its sign change.
+    inside and the iteration is not one of the last 64, the midpoint if not
+    (or if the step is not finite). The midpoint is the float halfway
+    between lo and hi in float order, 0 for a bracket across 0
+    (``_midpoints``), so 64 cuts leave any finite bracket two adjacent
+    floats, which meet the width stop for xtol >= 2^-52: the last 64
+    iterations, which only cut, bound the budget. A bracket closes on an
+    exact zero at an iterate; on a Newton correction of at most
+    xtol * |x|, returning x minus it even on or past a bracket end, which
+    the converged iterate is; or at (lo + hi) / 2 once hi - lo <= xtol *
+    max(|lo|, |hi|, tiny), tiny the least normal float. Signs are compared
+    directly: products underflow for subnormal values. Raises BracketError
+    on a bracket without a sign change, and IterationBudgetError on one
+    still open after _BISECT_MAX_ITER iterations.
     """
     shape = np.broadcast(lo, hi).shape
     lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     n = lo.size
     i = np.arange(n)
-    across = np.flatnonzero((lo < 0.0) & (0.0 < hi))  # 0 is evaluated once for these
-    f_first = np.asarray(f(np.concatenate([lo, hi, np.zeros(across.size)]),
-                           np.concatenate([i, i, across])), dtype=float)
-    flo, fhi = f_first[:n], f_first[n:2 * n]
+    f_ends = np.asarray(f(np.concatenate([lo, hi]), np.concatenate([i, i])), dtype=float)
+    flo, fhi = f_ends[:n], f_ends[n:]
     lo_pos = flo > 0.0  # every later lo keeps this sign
     live = (flo != 0.0) & (fhi != 0.0)
     bad = live & (lo_pos == (fhi > 0.0))
@@ -168,13 +166,11 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
         i = np.flatnonzero(bad)[0]
         raise BracketError(f"no sign change on [{lo[i]!r}, {hi[i]!r}]")
     out = np.where(flo == 0.0, lo, hi)  # an exact zero at a bracket end is the root
-    at_zero = across[(f_first[2 * n:] == 0.0) & live[across]]
-    out[at_zero] = 0.0
-    live[at_zero] = False
     i = np.flatnonzero(live)
     lo, hi, lo_pos = lo[i], hi[i], lo_pos[i]
     x = _midpoints(lo, hi)
-    for _ in range(_BISECT_MAX_ITER):
+    floor = xtol * 2.0 ** -1022  # the least normal float
+    for k in range(_BISECT_MAX_ITER):
         if i.size == 0:
             break
         fx = np.asarray(f(x, i), dtype=float)
@@ -183,28 +179,19 @@ def bisect_root(f, fprime, lo, hi, xtol: float = 1e-12):
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(np.isfinite(dfx), fx / dfx, np.nan)
-        newton = x - step
+            newton = x - step
+            width = hi - lo
         zero = fx == 0.0
         tiny = zero | (np.abs(step) <= xtol * np.abs(x))
-        narrow = hi - lo <= xtol * np.maximum(np.abs(lo), np.abs(hi))
-        # a narrow bracket is never wide: its midpoint is (lo + hi) / 2
-        out[i] = np.where(zero, x, np.where(tiny, newton, 0.5 * (lo + hi)))
-        inside = (lo < newton) & (newton < hi)
+        narrow = width <= np.maximum(xtol * np.maximum(np.abs(lo), np.abs(hi)), floor)
+        out[i] = np.where(zero, x, np.where(tiny, newton, lo + 0.5 * width))
+        # x is the next iteration's iterate: the last 64 iterations take midpoints
+        inside = (k < _BISECT_MAX_ITER - 65) & (lo < newton) & (newton < hi)
         x = newton if inside.all() else np.where(inside, newton, _midpoints(lo, hi))
         keep = ~(tiny | narrow)
         i, lo, hi, lo_pos, x = i[keep], lo[keep], hi[keep], lo_pos[keep], x[keep]
-    # Newton nears a root beside a critical point at or near 0 by a constant factor
-    # per step: restart from the cell of the grid 0, +-10^k that holds the sign change
-    for j, n in enumerate(i.tolist()):
-        x = _DECADE_GRID[(lo[j] < _DECADE_GRID) & (_DECADE_GRID < hi[j])]
-        if x.size:
-            k = np.argmax(np.append((f(x, np.full(x.size, n)) > 0.0) != lo_pos[j], True))
-            x = np.concatenate([[lo[j]], x, [hi[j]]])
-            out[n] = bisect_root(lambda z, m: f(z, m * 0 + n),
-                                 lambda z, m: fprime(z, m * 0 + n), x[k], x[k + 1], xtol)
-            i[j] = -1
-    if i.size and (i >= 0).any():
-        raise IterationBudgetError(f"root finding left {np.sum(i >= 0)} bracket(s) open "
+    if i.size:
+        raise IterationBudgetError(f"root finding left {i.size} bracket(s) open "
                                    f"after {_BISECT_MAX_ITER} iterations")
     return float(out[0]) if shape == () else out.reshape(shape)
 

@@ -740,6 +740,14 @@ class TestOtherCommands:
         assert report["config"]["mu"] == 0.6
         assert report["config"]["initial"]["seed"] == 5
 
+    def test_run_with_a_root_in_the_subnormal_range(self, out_env):
+        # sigma = 1.5 p + 5e-324 has its one root between -5e-324 and 0,
+        # where no relative stop of the root finder can close a bracket
+        # (it exited 4 on the iteration budget)
+        argv = ["run", "--model", "poly", "--set", "model.params.coeffs=[1.5, 5e-324]",
+                "--mu", "0.5", "--t-final", "1", "--out", "subnormal_root"]
+        assert main(argv) == 0
+
     def test_asympt_command(self, out_env, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", output_dir="runq", t_final=30.0)
         assert main(["run", "--config", str(cfg_path)]) == 0

@@ -425,14 +425,11 @@ def test_odd_poly_traction_free_property(data, degree):
     explicit steps may overshoot within it), and the energy equation holds at
     the run check's 1e-6.
 
-    The coefficients are floats, tiny ones included, whose roots beside a
-    critical point at or near 0 ``roots_at`` must still find; subnormal ones
-    are left out: a root in the subnormal range (coeffs=[1.5, 5e-324]) never
-    meets the solver's relative stops and exhausts its iteration budget.
+    The coefficients are floats, tiny and subnormal ones included, whose
+    roots beside a critical point at or near 0 ``roots_at`` must still find.
     """
-    normal = lambda a, b: st.floats(a, b, allow_subnormal=False)
-    coeffs = [data.draw(normal(1.0 / 16.0, 2.0))] + data.draw(
-        st.lists(normal(-2.0, 2.0), min_size=degree, max_size=degree))
+    coeffs = [data.draw(st.floats(1.0 / 16.0, 2.0))] + data.draw(
+        st.lists(st.floats(-2.0, 2.0), min_size=degree, max_size=degree))
     model = make_model("poly", coeffs=coeffs)
     lo, hi = model.eval_window
     assume(model.sigma(np.array([lo]))[0] < 0.0 < model.sigma(np.array([hi]))[0])

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from strainflow import counterexample, mixed
@@ -144,13 +146,15 @@ def test_bisect_root_without_usable_derivative_bisects(bad):
     f = lambda x, i: x ** 3 - 0.3
     r = bisect_root(_counting(f, counts), lambda x, i: np.full_like(x, bad), 0.0, 1.0)
     assert abs(r - 0.3 ** (1.0 / 3.0)) <= 1e-12
-    assert 40 <= counts[0] - 2 <= 45  # halvings of [0, 1] down to 1e-12
+    # halvings in float order of the 2^62 floats of [0, 1] down to the
+    # 1e-12 relative width, about 4,500 floats
+    assert counts[0] - 2 == 50
 
 
 def test_bisect_root_cuts_wide_positive_brackets_in_log_steps():
-    # 50 decades, where lo * hi underflows to 0: bisection without a usable
-    # derivative closes in 49 iterations, 6 of them geometric, where
-    # arithmetic halving takes 105
+    # 50 decades, where lo * hi underflows to 0: bisection in float order
+    # without a usable derivative closes in 47 iterations, where arithmetic
+    # halving takes 105
     counts = np.zeros(1, dtype=int)
     no_slope = lambda x, i: np.full_like(x, np.nan)
     r = bisect_root(_counting(lambda x, i: x - 3e-170, counts), no_slope, 1e-200, 1e-150)
@@ -160,12 +164,16 @@ def test_bisect_root_cuts_wide_positive_brackets_in_log_steps():
 
 def test_bisect_root_accepts_a_tiny_correction_on_the_bracket_end():
     # the converged iterate is a bracket end, and its last correction, below
-    # half an ulp, leaves it there: the solver must stop on it, not bisect on
-    counts = np.zeros(3, dtype=int)
-    f = _counting(lambda x, i: x * x - np.array([2.0, 3.0, 5.0])[i], counts)
-    r = bisect_root(f, lambda x, i: 2.0 * x, np.zeros(3), np.full(3, 3.0))
-    assert np.abs(r - np.sqrt([2.0, 3.0, 5.0])).max() <= 4.5e-16
-    assert (counts - 2).max() <= 8
+    # half an ulp, leaves it there: the solver must stop on it, not bisect on.
+    # A bracket from 0 first halves through the exponents (its float-order
+    # midpoint is 1e-154, where Newton jumps out), so it takes 15 calls; one
+    # off 0 takes at most 8
+    for lo, most in [(0.0, 15), (1.0, 8)]:
+        counts = np.zeros(3, dtype=int)
+        f = _counting(lambda x, i: x * x - np.array([2.0, 3.0, 5.0])[i], counts)
+        r = bisect_root(f, lambda x, i: 2.0 * x, np.full(3, lo), np.full(3, 3.0))
+        assert np.abs(r - np.sqrt([2.0, 3.0, 5.0])).max() <= 4.5e-16
+        assert (counts - 2).max() <= most
 
 
 def test_bisect_root_reaches_a_root_at_zero():
@@ -179,7 +187,7 @@ def test_bisect_root_reaches_a_root_at_zero():
 def test_bisect_root_closes_on_a_triple_root_at_zero():
     # sigma = p^3 (p + 1)^2 / 16 has a triple root at 0 inside a monotone
     # piece: Newton nears it by a factor 2/3 per step and never meets the
-    # relative stops, so the first call evaluates 0 for brackets across it
+    # relative stops, so a bracket across 0 is cut at 0 first
     model = make_model("poly", coeffs=[1 / 16, 1 / 8, 1 / 16, 0, 0, 0])
     assert 0.0 in model.roots_of_sigma.tolist()
     calls = []
@@ -191,10 +199,11 @@ def test_bisect_root_closes_on_a_triple_root_at_zero():
     r = bisect_root(f, lambda x, i: 3.0 * x * x, np.array([-1.0, 1.0, 0.25]),
                     np.array([2.0, 3.0, 1.0]))
     assert r[0] == 0.0 and np.abs(r[1:] - [2.0, 0.5]).max() <= 1e-15
-    # 0 only for the bracket across it; the others see their ends alone
-    assert calls[0][0].tolist() == [-1.0, 1.0, 0.25, 2.0, 3.0, 1.0, 0.0]
-    assert calls[0][1].tolist() == [0, 1, 2, 0, 1, 2, 0]
-    assert all(0 not in i for _, i in calls[1:])
+    # the ends first, then 0 as the first iterate of the bracket across it,
+    # which closes there; the others cut at their float-order midpoints
+    assert calls[0][0].tolist() == [-1.0, 1.0, 0.25, 2.0, 3.0, 1.0]
+    assert calls[1][0].tolist() == [0.0, 1.75, 0.5]
+    assert all(0 not in i for _, i in calls[2:])
     with pytest.raises(BracketError):  # a zero at 0 is no sign change
         bisect_root(lambda x, i: x * x, lambda x, i: 2.0 * x, -1.0, 1.0)
 
@@ -204,7 +213,7 @@ def test_bisect_root_closes_on_a_triple_root_at_zero():
 def test_roots_of_sigma_beside_a_critical_point_at_zero(eps, sign):
     # sigma = p^3 + eps: Newton nears the root -eps^(1/3) from the far side
     # by only 2/3 per step, and the bracket, cut at 0, ran out of iterations;
-    # it restarts from the decade that holds the root
+    # its last 64 iterates halve it in float order, through the exponents
     (root,) = make_model("poly", coeffs=[1, 0, 0, sign * eps]).roots_of_sigma
     assert root == pytest.approx(-sign * eps ** (1.0 / 3.0), rel=1e-12)
 
@@ -222,6 +231,38 @@ def test_roots_of_sigma_beside_a_critical_point_near_zero(coeffs, roots):
     assert make_model("poly", coeffs=coeffs).roots_of_sigma == pytest.approx(roots, rel=1e-12)
 
 
+def test_roots_of_sigma_in_the_subnormal_range():
+    # sigma = 1.5 p + 5e-324 has its root between -5e-324 and 0: the
+    # relative stops never close a bracket there, the absolute floor of the
+    # width stop does
+    (root,) = make_model("poly", coeffs=[1.5, 5e-324]).roots_of_sigma
+    assert -5e-324 <= root <= 0.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FINITE, _FINITE, _FINITE)
+@example(5e-324, 1.5e-323, 1e-322)  # subnormal
+@example(-1e-300, 5e-324, 2.0)  # across 0
+@example(1e-300, 3e-170, 1e300)  # 600 decades
+@example(-1.7976931348623157e308, 1.0, 1.7976931348623157e308)
+@example(1.6e308, 1.7e308, 1.79e308)  # lo + hi overflows
+def test_bisect_root_closes_any_finite_bracket_in_64_cuts(a, b, c):
+    # the midpoint halves the floats left in a bracket in float order (and a
+    # bracket across 0 is cut at 0 first), so with no derivative any finite
+    # bracket closes within 64 iterates, on the width stop around its root
+    lo, r, hi = sorted([a, b, c])
+    assume(lo < hi)
+    counts = np.zeros(1, dtype=int)
+    no_slope = lambda x, i: np.full_like(x, np.nan)
+    with np.errstate(over="ignore"):  # x - r overflows to +-inf, of the right sign
+        x = bisect_root(_counting(lambda x, i: x - r, counts), no_slope, lo, hi)
+    assert counts[0] <= 2 + 64
+    assert abs(x - r) <= 1e-12 * max(abs(r), 2.0 ** -1022)  # the least normal float
+
+
 def test_bisect_root_budget_exhaustion_raises(monkeypatch):
     # three halvings cannot shrink [0, 1] to 1e-12: the bracket stays open
     no_slope = lambda x, i: np.full_like(x, np.nan)
@@ -231,7 +272,8 @@ def test_bisect_root_budget_exhaustion_raises(monkeypatch):
     with pytest.raises(IterationBudgetError):
         bisect_root(lambda x, i: x - 0.3, no_slope, np.zeros(2), np.array([1.0, 0.5]))
     monkeypatch.setattr("strainflow.numerics._BISECT_MAX_ITER", 1)
-    assert bisect_root(lambda x, i: x - 0.5, no_slope, 0.0, 1.0) == 0.5  # exact hit
+    # exact hit: 0.5 is the float-order midpoint of [0.25, 1]
+    assert bisect_root(lambda x, i: x - 0.5, no_slope, 0.25, 1.0) == 0.5
 
 
 def test_cumulative_curve_value_and_inverse():

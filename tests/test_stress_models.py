@@ -434,7 +434,7 @@ def test_level_sets_take_few_iterations(monkeypatch):
 def test_level_sets_near_a_singular_start_take_few_iterations(kappa, p, monkeypatch):
     # the root's bracket runs from the window start, 1e-8, to 10 (kappa =
     # 0.5) or to the first critical point near 0.25 (kappa = 0.05): 7-9
-    # decades, which geometric bisection crosses in log steps; arithmetic
+    # decades, which bisection in float order crosses in log steps; arithmetic
     # halving took 16-34 sigma' evaluations per root here
     solve = stress_models.bisect_root
     counts = []
